@@ -19,6 +19,7 @@ from .model import (
     MvarCoefficients,
     SourceModel,
     TimeSeriesMatrix,
+    unchecked,
 )
 
 LOG_PI = float(np.log(np.pi))
@@ -78,9 +79,10 @@ def pack_source_model(model: SourceModel) -> np.ndarray:
 
 
 def unpack_source_model(theta: np.ndarray, d: int, p: int) -> SourceModel:
+    """Unvalidated model whose matrices are views into ``theta``."""
     mats = theta.reshape(p + 1, d, d)
-    return SourceModel(
-        b=mats[0].copy(), h=MvarCoefficients([m.copy() for m in mats[1:]])
+    return unchecked(
+        SourceModel, b=mats[0], h=unchecked(MvarCoefficients, lags=list(mats[1:]))
     )
 
 
@@ -89,8 +91,8 @@ def pack_filter_bank(fb: FilterBank) -> np.ndarray:
 
 
 def unpack_filter_bank(theta: np.ndarray, d: int, p: int) -> FilterBank:
-    mats = theta.reshape(p + 1, d, d)
-    return FilterBank([m.copy() for m in mats])
+    """Unvalidated filter bank whose matrices are views into ``theta``."""
+    return unchecked(FilterBank, w=list(theta.reshape(p + 1, d, d)))
 
 
 def _logabsdet(a, what):
@@ -176,14 +178,18 @@ def group_norms(h: MvarCoefficients, d: Optional[int] = None) -> np.ndarray:
     return np.sqrt(np.sum(h.as_array(dim) ** 2, axis=0))
 
 
-def penalty_value(h: MvarCoefficients, pen: GroupPenaltySpec, d=None) -> float:
-    norms = group_norms(h, d)
+def _penalty(hs: np.ndarray, norms: np.ndarray, pen: GroupPenaltySpec) -> float:
+    """Penalty of the (P, D, D) lag stack ``hs`` with group norms ``norms``."""
     off = norms - np.diag(np.diag(norms))
     value = pen.lam * float(np.sum(off))
-    if pen.penalize_diagonal and h.order > 0:
-        diag_norm = float(np.sqrt(sum(np.sum(np.diag(hp) ** 2) for hp in h.lags)))
+    if pen.penalize_diagonal and len(hs):
+        diag_norm = float(np.sqrt(sum(np.sum(np.diag(hp) ** 2) for hp in hs)))
         value += pen.lambda_diag * diag_norm
     return value
+
+
+def penalty_value(h: MvarCoefficients, pen: GroupPenaltySpec, d=None) -> float:
+    return _penalty(h.as_array(h.dimension(d)), group_norms(h, d), pen)
 
 
 def cost_scsa(model: SourceModel, x: TimeSeriesMatrix, pen: GroupPenaltySpec) -> float:
@@ -225,45 +231,32 @@ def grad_scsa(
         grad_b -= model.h.lags[lag - 1].T @ th @ _lagged(data, p, lag).T
     grad_b += (p - t) * np.linalg.inv(model.b).T
 
-    norms = group_norms(model.h, d)
-    grads_h = []
+    hs = model.h.as_array(d)  # (P, D, D)
+    norms = np.sqrt(np.sum(hs**2, axis=0))
+    grad_h = np.zeros((p, d, d))
     for lag in range(1, p + 1):
-        g = -th @ _lagged(s, p, lag).T
-        grads_h.append(g)
+        grad_h[lag - 1] = -th @ _lagged(s, p, lag).T
 
     if p > 0 and pen.lam > 0:
-        hs = model.h.as_array(d)
         off_mask = (norms >= truncation_threshold) & ~np.eye(d, dtype=bool)
         safe = np.where(norms > 0, norms, 1.0)
-        pen_grad = pen.lam * hs / safe  # (P, D, D)
-        for lag in range(p):
-            grads_h[lag][off_mask] += pen_grad[lag][off_mask]
+        grad_h[:, off_mask] += (pen.lam * hs / safe)[:, off_mask]
     if p > 0 and pen.penalize_diagonal and pen.lambda_diag > 0:
-        hs = model.h.as_array(d)
-        diag_vec = np.stack([np.diag(hp) for hp in model.h.lags])  # (P, D)
+        diag_vec = hs[:, np.arange(d), np.arange(d)]  # (P, D)
         diag_norm = float(np.sqrt(np.sum(diag_vec**2)))
         if diag_norm >= truncation_threshold:
-            for lag in range(p):
-                idx = np.diag_indices(d)
-                grads_h[lag][idx] += pen.lambda_diag * diag_vec[lag] / diag_norm
+            grad_h[:, np.arange(d), np.arange(d)] += (
+                pen.lambda_diag * diag_vec / diag_norm
+            )
 
-    value = (
-        (p - t) * _logabsdet(model.b, "B")
-        - float(np.sum(log_sech_density(resid)))
-        + penalty_value(model.h, pen, d)
+    value = (p - t) * _logabsdet(model.b, "B") - float(
+        np.sum(log_sech_density(resid))
     )
-    gradient = np.concatenate([grad_b.ravel()] + [g.ravel() for g in grads_h])
+    if pen.lam > 0 or pen.penalize_diagonal:
+        value += _penalty(hs, norms, pen)
+    gradient = np.concatenate([grad_b.ravel(), grad_h.ravel()])
     if not (np.isfinite(value) and np.all(np.isfinite(gradient))):
         bad = np.flatnonzero(~np.isfinite(gradient))
         raise NumericError(f"nonfinite gradient entries at {bad[:5]}")
     return CostReport(value=value, gradient=gradient, group_norms=norms)
 
-
-def smooth_scsa_value_grad(model: SourceModel, x: TimeSeriesMatrix):
-    """Unpenalized part of the SCSA cost and its gradient (flat layout).
-
-    This is the smooth piece shared by the joint optimizer (which adds the
-    penalty subgradient itself) and the KKT checks.
-    """
-    report = grad_scsa(model, x, GroupPenaltySpec(0.0))
-    return report.value, report.gradient

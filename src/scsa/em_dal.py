@@ -26,7 +26,7 @@ from .cost import (
     log_sech_density,
 )
 from .exceptions import DalError, StagnationError
-from .model import MvarCoefficients, SourceModel, TimeSeriesMatrix
+from .model import MvarCoefficients, SourceModel, TimeSeriesMatrix, unchecked
 from .optim import OptimizerConfig, minimize
 
 LOG_2_OVER_PI = float(np.log(2.0 / np.pi))
@@ -246,9 +246,9 @@ def _row_kkt(x_design, target, w, weights, d, p, cfg: DalConfig):
     return ok
 
 
-def _m_objective(h_flat, x_design, targets, pen: GroupPenaltySpec, d, p):
-    """Value and gradient of the (unregularized) M-step loss over all rows,
-    plus the penalty value; h_flat has shape (D, P*D)."""
+def _m_objective(h_flat, x_design, targets):
+    """Value and gradient of the (unregularized) M-step loss over all rows;
+    h_flat has shape (D, P*D)."""
     s_tilde = h_flat @ x_design
     resid = s_tilde - targets
     loss = -float(np.sum(log_sech_density(resid)))
@@ -294,19 +294,19 @@ def _fista_m_step(x_design, targets, h0_flat, pen, d, p, max_iters=2000, tol=1e-
     t_momentum = 1.0
     f_prev = np.inf
     for _ in range(max_iters):
-        loss, grad = _m_objective(z, x_design, targets, pen, d, p)
+        loss, grad = _m_objective(z, x_design, targets)
         h_new = _prox_m(z - step * grad, step, pen, d, p)
-        f_new = _m_objective(h_new, x_design, targets, pen, d, p)[0] + _penalty_m(
+        f_new = _m_objective(h_new, x_design, targets)[0] + _penalty_m(
             h_new, pen, d, p
         )
         if f_new > f_prev:  # restart momentum
             z = h.copy()
             t_momentum = 1.0
-            loss, grad = _m_objective(z, x_design, targets, pen, d, p)
+            loss, grad = _m_objective(z, x_design, targets)
             h_new = _prox_m(z - step * grad, step, pen, d, p)
-            f_new = _m_objective(h_new, x_design, targets, pen, d, p)[
-                0
-            ] + _penalty_m(h_new, pen, d, p)
+            f_new = _m_objective(h_new, x_design, targets)[0] + _penalty_m(
+                h_new, pen, d, p
+            )
         t_next = 0.5 * (1 + np.sqrt(1 + 4 * t_momentum**2))
         z = h_new + ((t_momentum - 1) / t_next) * (h_new - h)
         move = np.max(np.abs(h_new - h))
@@ -403,16 +403,14 @@ def e_step(
     minimization of the unpenalized cost (the penalty is constant in B)."""
     cfg = cfg or OptimizerConfig()
     d = b0.shape[0]
-    p = h.order
     pen0 = GroupPenaltySpec(0.0)
 
     def objective(theta):
-        model = SourceModel(b=theta.reshape(d, d), h=h)
-        rep = grad_scsa(model, x, pen0)
+        rep = grad_scsa(unchecked(SourceModel, b=theta.reshape(d, d), h=h), x, pen0)
         return rep.value, rep.gradient[: d * d]
 
     def value_fn(theta):
-        return cost_scsa(SourceModel(b=theta.reshape(d, d), h=h), x, pen0)
+        return cost_scsa(unchecked(SourceModel, b=theta.reshape(d, d), h=h), x, pen0)
 
     try:
         theta, _ = minimize(objective, b0.ravel(), cfg, value_fn=value_fn)
@@ -461,8 +459,14 @@ def fit_scsa_em(
             history.append(c)
         else:
             history.append(history[-1])
-        if abs(history[-1] - history[-3]) <= cost_change_tol * max(
-            1.0, abs(history[-3])
-        ):
+        if em_converged(history, cost_change_tol):
             break
     return model, history
+
+
+def em_converged(history: Sequence[float], cost_change_tol: float = 1e-8) -> bool:
+    """Whether the last EM step of a :func:`fit_scsa_em` cost history changed
+    the cost by at most ``cost_change_tol`` relative: the loop's stop rule."""
+    return len(history) >= 3 and bool(
+        abs(history[-1] - history[-3]) <= cost_change_tol * max(1.0, abs(history[-3]))
+    )

@@ -40,7 +40,7 @@ from .model import (
     source_model_to_filter_bank,
 )
 from .optim import (
-    Group,
+    GroupBlock,
     OptimizationTrace,
     OptimizerConfig,
     minimize,
@@ -144,23 +144,17 @@ def fit_ica(x: TimeSeriesMatrix, cfg: Optional[OptimizerConfig] = None) -> Sourc
     return fit_csa(x, 0, cfg)
 
 
-def _penalty_groups(d: int, p: int, pen: GroupPenaltySpec) -> List[Group]:
-    """Group-lasso index sets in the flat [vec(B); vec(H^(1..P))] layout."""
-    groups = []
-    for a in range(d):
-        for f in range(d):
-            if a == f:
-                continue
-            idx = np.array(
-                [d * d + lag * d * d + a * d + f for lag in range(p)], dtype=int
-            )
-            groups.append(Group(idx, pen.lam))
-    if pen.penalize_diagonal and pen.lambda_diag > 0:
-        idx = np.array(
-            [d * d + lag * d * d + a * d + a for lag in range(p) for a in range(d)],
-            dtype=int,
-        )
-        groups.append(Group(idx, pen.lambda_diag))
+def _penalty_groups(d: int, p: int, pen: GroupPenaltySpec) -> List[GroupBlock]:
+    """Group-lasso index matrices in the flat [vec(B); vec(H^(1..P))] layout:
+    one row of P lag indices per off-diagonal (a, f) pair, row-major in
+    (a, f), and with ``penalize_diagonal`` one group of all P*D diagonal
+    coefficients."""
+    h_index = d * d + np.arange(p * d * d).reshape(p, d, d)
+    off = ~np.eye(d, dtype=bool)
+    groups = [(h_index[:, off].T, np.full(d * (d - 1), pen.lam))]
+    if pen.penalize_diagonal:
+        diag = h_index[:, np.arange(d), np.arange(d)].reshape(1, p * d)
+        groups.append((diag, np.array([pen.lambda_diag])))
     return groups
 
 
@@ -177,23 +171,32 @@ def _fit_scsa_segments(
         fb, _ = _fit_csa_segments(segments, p, cfg)
         init = filter_bank_to_source_model(fb)
 
+    pen0 = GroupPenaltySpec(0.0)
+
     def smooth(theta):
         model = unpack_source_model(theta, d, p)
         value = 0.0
         grad = np.zeros_like(theta)
         for seg in segments:
-            rep = grad_scsa(model, seg, GroupPenaltySpec(0.0))
+            rep = grad_scsa(model, seg, pen0)
             value += rep.value
             grad += rep.gradient
         return value, grad
 
+    def smooth_value(theta):
+        model = unpack_source_model(theta, d, p)
+        return sum(cost_scsa(model, seg, pen0) for seg in segments)
+
     groups = _penalty_groups(d, p, pen)
     theta0 = pack_source_model(init)
     try:
-        theta, trace = minimize_with_group_truncation(smooth, theta0, groups, cfg)
+        theta, trace = minimize_with_group_truncation(
+            smooth, theta0, groups, cfg, value_fn=smooth_value
+        )
     except StagnationError as err:
         theta, trace = err.x, err.trace
-    return unpack_source_model(theta, d, p), trace
+    model = unpack_source_model(theta, d, p)
+    return SourceModel(model.b, MvarCoefficients(model.h.lags)), trace
 
 
 def fit_scsa(
@@ -242,6 +245,13 @@ def fit_mvarica(
     """MVARICA baseline: sensor-space least-squares MVAR, instantaneous ICA
     on its residuals, then similarity transform of the sensor coefficients
     into source space (H^(p) = B A^(p) B^{-1})."""
+    return _fit_mvarica(x, p, cfg)[0]
+
+
+def _fit_mvarica(
+    x: TimeSeriesMatrix, p: int, cfg: Optional[OptimizerConfig] = None
+) -> Tuple[SourceModel, OptimizationTrace]:
+    """:func:`fit_mvarica`, plus the trace of its ICA fit."""
     d, t = x.n_channels, x.n_samples
     if t <= p:
         raise IllPosedError(f"need T > {p}, got T = {t}")
@@ -262,10 +272,11 @@ def fit_mvarica(
     else:
         a_mats = []
         resid = data
-    b = fit_ica(TimeSeriesMatrix(resid), cfg).b
+    fb, trace = _fit_csa_segments([TimeSeriesMatrix(resid)], 0, cfg)
+    b = filter_bank_to_source_model(fb).b
     b_inv = np.linalg.inv(b)
     h = MvarCoefficients([b @ a @ b_inv for a in a_mats])
-    return SourceModel(b=b, h=h)
+    return SourceModel(b=b, h=h), trace
 
 
 def _common_window_nll(model: SourceModel, x: TimeSeriesMatrix, p_max: int) -> float:
@@ -412,7 +423,7 @@ def fit(x: TimeSeriesMatrix, request: FitRequest) -> FitResult:
         fb, trace = _fit_csa_segments([x], 0)
         model = filter_bank_to_source_model(fb)
     elif request.method == "MVARICA":
-        model = fit_mvarica(x, p)
+        model, trace = _fit_mvarica(x, p)
     elif request.method == "SCSA":
         model, trace = _fit_scsa_segments([x], p, GroupPenaltySpec(lam))
     else:  # SCSA_EM
@@ -420,7 +431,7 @@ def fit(x: TimeSeriesMatrix, request: FitRequest) -> FitResult:
         trace = OptimizationTrace(
             iterations=len(history) - 1,
             final_value=history[-1],
-            converged=True,
+            converged=em_dal.em_converged(history),
             value_history=list(history),
         )
     return FitResult(

@@ -160,6 +160,16 @@ class FilterBank:
         return len(self.w) - 1
 
 
+def unchecked(cls, **fields):
+    """An instance of a model dataclass built without ``__post_init__``
+    validation, for arrays the package derives itself on hot paths (an
+    optimizer's iterates). The cost functions still raise ``NumericError``
+    on singular or nonfinite iterates."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def source_model_to_filter_bank(model: SourceModel) -> FilterBank:
     """Convert (B, H) to the equivalent FIR inverse filter.
 

@@ -1,12 +1,18 @@
-"""Limited-memory BFGS minimizer, plus a variant that handles group-lasso
-nonsmoothness by truncation and minimum-norm subgradients.
+"""Limited-memory BFGS on flat vectors: one core serves :func:`minimize`
+(smooth objectives) and :func:`minimize_with_group_truncation` (smooth part
+plus sum_g w_g ||x_g||_2, with the groups given as (G, k) index matrices and
+weight vectors, one block per group size).
 
-The truncation variant zeroes penalized groups whose norm falls below a
-threshold before each gradient evaluation. For a zeroed group the minimum-norm
-element of the subdifferential is used: zero if the smooth gradient of the
-group has norm <= its weight, otherwise the smooth gradient shrunk radially by
-the weight. A freshly zeroed group is pinned at zero for a few iterations to
-stop it oscillating in and out of the active set.
+After each accepted step, penalized groups whose norm falls below a threshold
+are zeroed. For a zeroed group the minimum-norm element of the
+subdifferential is used: zero if the smooth gradient of the group has norm
+<= its weight, otherwise the smooth gradient shrunk radially by the weight.
+A freshly zeroed group is pinned at zero for a few iterations to stop it
+oscillating in and out of the active set.
+
+The line search keeps the smooth gradient of its first trial, so an accepted
+first trial that truncation leaves unchanged costs one evaluation in all;
+later trials call the value-only callable when one is given.
 """
 
 from __future__ import annotations
@@ -16,13 +22,23 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exceptions import NumericError, StagnationError
+from .exceptions import DegenerateModelError, NumericError, StagnationError
 
 MAX_BACKTRACKS = 60
 
 # Exceptions treated as "+inf objective" during line search, so the search
-# backs off instead of crashing (e.g. an iterate crossing det B = 0).
-_BARRIER_ERRORS = (NumericError, FloatingPointError, np.linalg.LinAlgError)
+# backs off instead of crashing (e.g. an iterate crossing det B = 0, or an
+# objective that rejects an ill-conditioned model).
+_BARRIER_ERRORS = (
+    NumericError,
+    DegenerateModelError,
+    FloatingPointError,
+    np.linalg.LinAlgError,
+)
+
+# (index matrix of shape (G, k), weights of shape (G,)): G groups of k
+# flat indices each.
+GroupBlock = Tuple[np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -51,14 +67,8 @@ class OptimizationTrace:
     final_grad_norm: float = np.nan
     converged: bool = False
     value_history: List[float] = field(default_factory=list)
-
-
-@dataclass
-class Group:
-    """Index set of one penalized coefficient group and its weight."""
-
-    indices: np.ndarray
-    weight: float
+    backtracks: int = 0  # rejected line-search trials
+    resets: int = 0  # L-BFGS history resets after a change of the zero set
 
 
 class _LbfgsMemory:
@@ -103,12 +113,18 @@ class _LbfgsMemory:
         return q
 
 
-def _safe_value(f):
-    return f if np.isfinite(f) else np.inf
+def min_norm_subgradient(group_grads: np.ndarray, weights) -> np.ndarray:
+    """Minimum-norm element of the subdifferential at zeroed groups, one
+    group per row of ``group_grads`` (a vector is a single group)."""
+    norms = np.linalg.norm(group_grads, axis=-1, keepdims=True)
+    with np.errstate(divide="ignore"):
+        shrink = 1.0 - np.asarray(weights, dtype=float)[..., None] / norms
+    return group_grads * np.maximum(shrink, 0.0)
 
 
-def _line_search(value_fn, x, f, g, d, cfg):
-    """Backtracking Armijo search. Returns (step, x_new, f_new) or None."""
+def _line_search(trial, x, f, g, d, cfg, trace):
+    """Backtracking Armijo search. Returns (x_new, f_new, smooth_grad) or
+    None; smooth_grad is None when the accepted trial computed no gradient."""
     slope = float(np.dot(g, d))
     if slope >= 0:
         d = -g
@@ -116,13 +132,115 @@ def _line_search(value_fn, x, f, g, d, cfg):
         if slope == 0.0:
             return None
     step = 1.0
-    for _ in range(MAX_BACKTRACKS):
+    for k in range(MAX_BACKTRACKS):
         x_new = x + step * d
-        f_new = _safe_value(value_fn(x_new))
+        f_new, g_new = trial(x_new, k == 0)
         if f_new <= f + cfg.armijo_c * step * slope:
-            return step, x_new, f_new
+            return x_new, f_new, g_new
+        trace.backtracks += 1
         step *= cfg.backtrack
     return None
+
+
+def _lbfgs(objective, x0, cfg, value_fn, groups):
+    cfg = cfg or OptimizerConfig()
+    blocks = []  # groups with positive weight only
+    for index, weights in groups:
+        weights = np.asarray(weights, dtype=float)
+        keep = weights > 0
+        if np.any(keep):
+            blocks.append((np.asarray(index, dtype=int)[keep], weights[keep]))
+    weights = np.concatenate([np.zeros(0)] + [w for _, w in blocks])
+    cuts = np.cumsum([len(w) for _, w in blocks])[:-1]
+
+    def norms(v):
+        return np.concatenate(
+            [np.zeros(0)] + [np.linalg.norm(v[idx], axis=1) for idx, _ in blocks]
+        )
+
+    def trial(v, first):
+        """Penalized value at a trial point (+inf outside the domain) and the
+        smooth gradient there when it was computed."""
+        try:
+            if first or value_fn is None:
+                f_smooth, g_smooth = objective(v)
+            else:
+                f_smooth, g_smooth = value_fn(v), None
+            f_new = f_smooth + weights @ norms(v)
+        except _BARRIER_ERRORS:
+            return np.inf, None
+        return (f_new if np.isfinite(f_new) else np.inf), g_smooth
+
+    def truncate(v):
+        """Zero the groups of v below the threshold, in place. Returns the
+        zero mask, the group norms after truncation and whether v changed."""
+        n = norms(v)
+        zero = n < cfg.truncation_threshold
+        for (idx, _), z in zip(blocks, np.split(zero, cuts)):
+            v[idx[z]] = 0.0
+        changed = bool(np.any(n[zero] > 0))
+        n[zero] = 0.0
+        return zero, n, changed
+
+    def subgradient(v, g_smooth, n, zero, pinned):
+        g = g_smooth.copy()
+        parts = zip(blocks, *(np.split(a, cuts) for a in (n, zero, pinned)))
+        for (idx, w), nb, z, pin in parts:
+            on = idx[~z]
+            g[on] += w[~z, None] * v[on] / nb[~z, None]
+            g[idx[z]] = min_norm_subgradient(g_smooth[idx[z]], w[z])
+            g[idx[z & pin]] = 0.0
+        return g
+
+    x = np.asarray(x0, dtype=float).copy()
+    zero_set, n, _ = truncate(x)
+    f_smooth, g_smooth = objective(x)
+    f = f_smooth + weights @ n
+    if not np.isfinite(f):
+        raise ValueError("objective not finite at the starting point")
+    dwell = np.zeros(len(weights), dtype=int)  # iterations left pinned at zero
+    g = subgradient(x, g_smooth, n, zero_set, dwell > 0)
+
+    memory = _LbfgsMemory(cfg.memory)
+    trace = OptimizationTrace(value_history=[f])
+    flat_count = 0
+    for it in range(cfg.max_iters + 1):
+        gnorm = float(np.max(np.abs(g))) if g.size else 0.0
+        trace.iterations, trace.final_value, trace.final_grad_norm = it, f, gnorm
+        if (
+            gnorm <= cfg.grad_tol * max(1.0, abs(f))
+            or flat_count >= cfg.value_tol_iters
+        ):
+            trace.converged = True
+            return x, trace
+        if it == cfg.max_iters:
+            return x, trace
+        result = _line_search(trial, x, f, g, memory.direction(g), cfg, trace)
+        if result is None:
+            raise StagnationError(
+                "line search found no acceptable step", x=x, trace=trace
+            )
+        x_new, f_new, g_smooth = result
+        new_zero, n, changed = truncate(x_new)
+        if changed or g_smooth is None:
+            f_smooth, g_smooth = objective(x_new)
+            f_new = f_smooth + weights @ n
+        dwell[new_zero & ~zero_set] = cfg.zero_dwell
+        pinned = dwell > 0
+        dwell = np.maximum(dwell - 1, 0)
+        g_new = subgradient(x_new, g_smooth, n, new_zero, pinned)
+        if np.array_equal(new_zero, zero_set):
+            memory.push(x_new - x, g_new - g)
+        else:
+            memory.clear()
+            trace.resets += 1
+        zero_set = new_zero
+        if abs(f - f_new) <= cfg.value_tol * max(1.0, abs(f)):
+            flat_count += 1
+        else:
+            flat_count = 0
+        x, f, g = x_new, f_new, g_new
+        trace.value_history.append(f)
 
 
 def minimize(
@@ -137,8 +255,8 @@ def minimize(
     or the relative value change stays below ``value_tol`` for
     ``value_tol_iters`` consecutive iterations.
 
-    ``value_fn``, when given, is a cheaper value-only callable used during
-    backtracking.
+    ``value_fn``, when given, is a cheaper value-only callable used for the
+    line-search trials after the first.
 
     Raises
     ------
@@ -146,169 +264,22 @@ def minimize(
         If no backtracking step achieves sufficient decrease; the error
         carries the last iterate and trace.
     """
-    cfg = cfg or OptimizerConfig()
-    x = np.asarray(x0, dtype=float).copy()
-    f, g = objective(x)
-    if not np.isfinite(f):
-        raise ValueError("objective not finite at the starting point")
-    memory = _LbfgsMemory(cfg.memory)
-    trace = OptimizationTrace(value_history=[f])
-    cheap = value_fn if value_fn is not None else (lambda xx: objective(xx)[0])
-
-    def value_only(xx):
-        try:
-            return cheap(xx)
-        except _BARRIER_ERRORS:
-            return np.inf
-
-    flat_count = 0
-    for it in range(cfg.max_iters):
-        gnorm = float(np.max(np.abs(g)))
-        trace.iterations = it
-        trace.final_value = f
-        trace.final_grad_norm = gnorm
-        if gnorm <= cfg.grad_tol * max(1.0, abs(f)):
-            trace.converged = True
-            return x, trace
-        d = memory.direction(g)
-        result = _line_search(value_only, x, f, g, d, cfg)
-        if result is None:
-            raise StagnationError(
-                "line search found no acceptable step", x=x, trace=trace
-            )
-        _, x_new, f_new = result
-        _, g_new = objective(x_new)
-        memory.push(x_new - x, g_new - g)
-        if abs(f - f_new) <= cfg.value_tol * max(1.0, abs(f)):
-            flat_count += 1
-        else:
-            flat_count = 0
-        x, f, g = x_new, f_new, g_new
-        trace.value_history.append(f)
-        if flat_count >= cfg.value_tol_iters:
-            trace.iterations = it + 1
-            trace.final_value = f
-            trace.final_grad_norm = float(np.max(np.abs(g)))
-            trace.converged = True
-            return x, trace
-    trace.iterations = cfg.max_iters
-    trace.final_value = f
-    trace.final_grad_norm = float(np.max(np.abs(g)))
-    trace.converged = False
-    return x, trace
-
-
-def min_norm_subgradient(smooth_group_grad: np.ndarray, weight: float) -> np.ndarray:
-    """Minimum-norm element of the subdifferential at a zeroed group."""
-    norm = float(np.linalg.norm(smooth_group_grad))
-    if norm <= weight:
-        return np.zeros_like(smooth_group_grad)
-    return smooth_group_grad * (1.0 - weight / norm)
+    return _lbfgs(objective, x0, cfg, value_fn, ())
 
 
 def minimize_with_group_truncation(
     smooth_objective: Callable[[np.ndarray], Tuple[float, np.ndarray]],
     x0: np.ndarray,
-    groups: Sequence[Group],
+    groups: Sequence[GroupBlock],
     cfg: Optional[OptimizerConfig] = None,
+    value_fn: Optional[Callable[[np.ndarray], float]] = None,
 ) -> Tuple[np.ndarray, OptimizationTrace]:
     """Minimize smooth(x) + sum_g weight_g * ||x_g||_2 by modified L-BFGS.
 
     ``smooth_objective`` returns the value and gradient of the smooth part
-    only; the penalty and its (sub)gradient are handled here. Groups with
-    weight 0 are ignored. The L-BFGS history is reset whenever the set of
-    zeroed groups changes, since the effective objective changes with it.
+    only, and ``value_fn`` (optional) its value; the penalty and its
+    (sub)gradient are handled here. ``groups`` is a sequence of (index
+    matrix, weights) blocks; groups with weight 0 are ignored. Stopping
+    rules and errors are those of :func:`minimize`.
     """
-    cfg = cfg or OptimizerConfig()
-    groups = [g for g in groups if g.weight > 0]
-    x = np.asarray(x0, dtype=float).copy()
-
-    def penalty(xx):
-        return sum(g.weight * np.linalg.norm(xx[g.indices]) for g in groups)
-
-    def total_value(xx):
-        try:
-            return _safe_value(smooth_objective(xx)[0] + penalty(xx))
-        except _BARRIER_ERRORS:
-            return np.inf
-
-    dwell = np.zeros(len(groups), dtype=int)  # iterations left pinned at zero
-
-    def truncate(xx):
-        """Zero small groups in place; returns the zero-set signature."""
-        zero = np.zeros(len(groups), dtype=bool)
-        for i, g in enumerate(groups):
-            if np.linalg.norm(xx[g.indices]) < cfg.truncation_threshold:
-                xx[g.indices] = 0.0
-                zero[i] = True
-        return zero
-
-    def subgradient(xx, g_smooth, zero, pinned):
-        g = g_smooth.copy()
-        for i, grp in enumerate(groups):
-            idx = grp.indices
-            if zero[i]:
-                if pinned[i]:
-                    g[idx] = 0.0
-                else:
-                    g[idx] = min_norm_subgradient(g_smooth[idx], grp.weight)
-            else:
-                g[idx] += grp.weight * xx[idx] / np.linalg.norm(xx[idx])
-        return g
-
-    zero_set = truncate(x)
-    f_smooth, g_smooth = smooth_objective(x)
-    f = f_smooth + penalty(x)
-    if not np.isfinite(f):
-        raise ValueError("objective not finite at the starting point")
-    pinned = np.zeros(len(groups), dtype=bool)
-    g = subgradient(x, g_smooth, zero_set, pinned)
-
-    memory = _LbfgsMemory(cfg.memory)
-    trace = OptimizationTrace(value_history=[f])
-    flat_count = 0
-    for it in range(cfg.max_iters):
-        gnorm = float(np.max(np.abs(g))) if g.size else 0.0
-        trace.iterations = it
-        trace.final_value = f
-        trace.final_grad_norm = gnorm
-        if gnorm <= cfg.grad_tol * max(1.0, abs(f)):
-            trace.converged = True
-            return x, trace
-        d = memory.direction(g)
-        result = _line_search(total_value, x, f, g, d, cfg)
-        if result is None:
-            raise StagnationError(
-                "line search found no acceptable step", x=x, trace=trace
-            )
-        _, x_new, _ = result
-        new_zero = truncate(x_new)
-        newly_zeroed = new_zero & ~zero_set
-        dwell[newly_zeroed] = cfg.zero_dwell
-        pinned = dwell > 0
-        dwell = np.maximum(dwell - 1, 0)
-        f_smooth_new, g_smooth_new = smooth_objective(x_new)
-        f_new = f_smooth_new + penalty(x_new)
-        g_new = subgradient(x_new, g_smooth_new, new_zero, pinned)
-        if np.array_equal(new_zero, zero_set):
-            memory.push(x_new - x, g_new - g)
-        else:
-            memory.clear()
-        zero_set = new_zero
-        if abs(f - f_new) <= cfg.value_tol * max(1.0, abs(f)):
-            flat_count += 1
-        else:
-            flat_count = 0
-        x, f, g = x_new, f_new, g_new
-        trace.value_history.append(f)
-        if flat_count >= cfg.value_tol_iters:
-            trace.iterations = it + 1
-            trace.final_value = f
-            trace.final_grad_norm = float(np.max(np.abs(g)))
-            trace.converged = True
-            return x, trace
-    trace.iterations = cfg.max_iters
-    trace.final_value = f
-    trace.final_grad_norm = float(np.max(np.abs(g)))
-    trace.converged = False
-    return x, trace
+    return _lbfgs(smooth_objective, x0, cfg, value_fn, groups)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from scsa.cost import GroupPenaltySpec, cost_scsa, group_norms, nll_csa
+from scsa import em_dal
+from scsa.cost import GroupPenaltySpec, cost_scsa, grad_scsa, group_norms, nll_csa
 from scsa.estimators import (
     AUTO,
+    _penalty_groups,
     FitRequest,
     FitResult,
     default_lambda_grid,
@@ -19,6 +21,7 @@ from scsa.estimators import (
     select_order_bic,
 )
 from scsa.exceptions import IllPosedError, PartitionError
+from scsa.optim import OptimizerConfig
 from scsa.model import (
     MvarCoefficients,
     SourceModel,
@@ -122,6 +125,65 @@ class TestFitScsa:
         off = norms - np.diag(np.diag(norms))
         nonzero = off > 0
         assert nonzero.sum() == 1
+
+    def test_huge_diagonal_weight_zeroes_diagonal(self):
+        x, _, _ = mixed_dataset(5, d=3, p=2, t=600)
+        pen = GroupPenaltySpec(0.5, penalize_diagonal=True, lambda_diag=1e6)
+        model = fit_scsa(x, 2, pen)
+        hs = model.h.as_array()
+        assert np.all(hs[:, np.arange(3), np.arange(3)] == 0.0)
+        assert np.any(hs != 0.0)
+
+    def test_kkt_with_diagonal_group(self):
+        # the joint diagonal group (P*D coefficients) sits next to the
+        # off-diagonal groups (P each); both must satisfy the KKT conditions
+        d, p, lam, lam_diag = 3, 2, 120.0, 150.0
+        x, _, _ = mixed_dataset(8, d=d, p=p, t=1000)
+        pen = GroupPenaltySpec(lam, penalize_diagonal=True, lambda_diag=lam_diag)
+        cfg = OptimizerConfig(max_iters=5000, grad_tol=1e-10, value_tol=1e-15)
+        model = fit_scsa(x, p, pen, cfg=cfg)
+        g = grad_scsa(model, x, GroupPenaltySpec(0.0)).gradient
+        gh = g[d * d :].reshape(p, d, d)
+        hs = model.h.as_array()
+        tol = 1e-6 * x.n_samples
+        assert np.max(np.abs(g[: d * d])) <= tol
+        i = np.arange(d)
+        groups = [(hs[:, i, i].ravel(), gh[:, i, i].ravel(), lam_diag)]
+        groups += [
+            (hs[:, a, f], gh[:, a, f], lam)
+            for a in range(d) for f in range(d) if a != f
+        ]
+        states = []
+        for xg, gg, w in groups:
+            if np.all(xg == 0.0):
+                assert np.linalg.norm(gg) <= w * (1 + 1e-6)
+            else:
+                stat = gg + w * xg / np.linalg.norm(xg)
+                assert np.max(np.abs(stat)) <= tol
+            states.append(bool(np.all(xg == 0.0)))
+        # the diagonal group is active and some interaction group is not
+        assert not states[0] and any(states[1:])
+
+
+class TestPenaltyGroups:
+    @pytest.mark.parametrize("d,p", [(1, 2), (2, 1), (3, 2), (4, 3)])
+    def test_matches_loop_layout(self, d, p):
+        # reference: one list of lag indices per ordered off-diagonal pair,
+        # then the joint diagonal group, in the flat [vec(B); vec(H)] layout
+        pen = GroupPenaltySpec(0.5, penalize_diagonal=True, lambda_diag=2.0)
+        (off, w_off), (diag, w_diag) = _penalty_groups(d, p, pen)
+        want = [
+            [d * d + lag * d * d + a * d + f for lag in range(p)]
+            for a in range(d) for f in range(d) if a != f
+        ]
+        np.testing.assert_array_equal(off, np.array(want, dtype=int).reshape(-1, p))
+        np.testing.assert_array_equal(w_off, np.full(len(want), 0.5))
+        want_diag = [
+            d * d + lag * d * d + a * d + a for lag in range(p) for a in range(d)
+        ]
+        np.testing.assert_array_equal(diag, [want_diag])
+        np.testing.assert_array_equal(w_diag, [2.0])
+        assert len(_penalty_groups(d, p, GroupPenaltySpec(0.5))) == 1
 
 
 class TestFitScsaEm:
@@ -241,6 +303,33 @@ class TestFitDispatcher:
             assert res.selected_lambda == 1.0
         if method == "ICA":
             assert res.model.order == 0
+
+    def test_scsa_em_converged_follows_the_stop_rule(self, monkeypatch):
+        x, _, _ = mixed_dataset(17, d=2, p=1, t=500)
+        req = FitRequest(method="SCSA_EM", order_candidates=[1], lambda_grid=[1.0])
+        res = fit(x, req)
+        assert res.trace.converged
+        assert res.trace.iterations < 2 * 20  # stopped before em_steps ran out
+        # one EM step from a poor start cannot meet the stop rule
+        start = SourceModel(np.eye(2), MvarCoefficients([np.zeros((2, 2))]))
+        one_step = em_dal.fit_scsa_em
+        monkeypatch.setattr(
+            em_dal,
+            "fit_scsa_em",
+            lambda *a, **k: one_step(*a, em_steps=1, init=start, **k),
+        )
+        res = fit(x, req)
+        assert res.trace.iterations == 2
+        assert res.trace.converged == em_dal.em_converged(res.trace.value_history)
+        assert not res.trace.converged
+
+    def test_mvarica_reports_its_ica_trace(self):
+        x, _, _ = mixed_dataset(17, d=2, p=1, t=500)
+        res = fit(x, FitRequest(method="MVARICA", order_candidates=[1]))
+        assert res.trace.converged
+        assert res.trace.iterations > 0
+        assert np.isfinite(res.trace.final_value)
+        assert res.trace.value_history[-1] == res.trace.final_value
 
     def test_order_and_lambda_selection_path(self):
         x, _, _ = mixed_dataset(18, d=2, p=1, t=600)
