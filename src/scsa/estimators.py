@@ -217,13 +217,10 @@ def fit_scsa_em(
     pen: GroupPenaltySpec,
     em_steps: int = 20,
     opt_cfg: Optional[OptimizerConfig] = None,
-    dal_cfg=None,
 ) -> SourceModel:
-    """SCSA refined by EM alternation with the dual-augmented-Lagrangian
-    M-step; warm-started from :func:`fit_scsa`."""
-    model, _ = em_dal.fit_scsa_em(
-        x, p, pen, em_steps=em_steps, opt_cfg=opt_cfg, dal_cfg=dal_cfg
-    )
+    """SCSA refined by EM alternation with the proximal-gradient M-step;
+    warm-started from :func:`fit_scsa`."""
+    model, _ = em_dal.fit_scsa_em(x, p, pen, em_steps=em_steps, opt_cfg=opt_cfg)
     return model
 
 

@@ -34,17 +34,6 @@ class StagnationError(ScsaError):
         self.trace = trace
 
 
-class DalError(ScsaError):
-    """The dual augmented Lagrangian solver failed to converge.
-
-    Carries the best iterate found so far.
-    """
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
-
-
 class SamplingError(ScsaError):
     """Rejection sampling exceeded its retry budget."""
 

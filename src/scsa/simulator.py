@@ -307,7 +307,15 @@ def save_dataset(dataset: Dataset, directory) -> None:
 def load_dataset(directory) -> Dataset:
     path = pathlib.Path(directory)
     header = json.loads((path / "header.json").read_text())
-    raw = np.frombuffer((path / "signals.bin").read_bytes(), dtype=header["dtype"])
+    dtype = np.dtype(header["dtype"])
+    signals = path / "signals.bin"
+    buf = signals.read_bytes()
+    expected = header["n_channels"] * header["n_samples"] * dtype.itemsize
+    if len(buf) != expected:
+        raise OSError(
+            f"{signals}: holds {len(buf)} bytes, header.json implies {expected}"
+        )
+    raw = np.frombuffer(buf, dtype=dtype)
     data = raw.reshape(
         (header["n_channels"], header["n_samples"]), order="F"
     ).copy()

@@ -36,6 +36,12 @@ def dataset_dir(tmp_path):
     return out
 
 
+def truncate_signals(dataset_dir, n_bytes):
+    signals = dataset_dir / "signals.bin"
+    signals.write_bytes(signals.read_bytes()[:-n_bytes])
+    return signals
+
+
 class TestSimulate:
     def test_writes_dataset(self, dataset_dir):
         assert (dataset_dir / "signals.bin").exists()
@@ -101,6 +107,14 @@ class TestFit:
     def test_missing_dataset(self, tmp_path):
         assert run("fit", str(tmp_path / "nope"), "--method", "csa") == EXIT_IO
 
+    @pytest.mark.parametrize("n_bytes", [5, 8])
+    def test_truncated_signals_is_io_error(self, dataset_dir, capsys, n_bytes):
+        signals = truncate_signals(dataset_dir, n_bytes)
+        assert run("fit", str(dataset_dir), "--method", "csa") == EXIT_IO
+        err = capsys.readouterr().err
+        assert str(signals) in err
+        assert f"{2 * 300 * 8 - n_bytes} bytes" in err and str(2 * 300 * 8) in err
+
 
 class TestEval:
     def test_truth_model_scores_perfectly(self, dataset_dir, tmp_path):
@@ -142,6 +156,13 @@ class TestEval:
             "method": "BAD", "b": np.eye(3).tolist(), "h": [],
         }))
         assert run("eval", str(dataset_dir), str(model_file)) == EXIT_ESTIMATOR
+
+    def test_truncated_signals_is_io_error(self, dataset_dir, tmp_path):
+        model_file = tmp_path / "model.json"
+        assert run("fit", str(dataset_dir), "--method", "ica",
+                   "--out", str(model_file)) == EXIT_OK
+        truncate_signals(dataset_dir, 5)
+        assert run("eval", str(dataset_dir), str(model_file)) == EXIT_IO
 
 
 class TestBench:

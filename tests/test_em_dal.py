@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from scsa.cost import GroupPenaltySpec, cost_scsa, nll_csa
 from scsa.em_dal import (
-    DalConfig,
     DualVariables,
     e_step,
     fit_scsa_em,
@@ -171,6 +172,16 @@ def m_step_objective(h, s_data, p, pen):
     return loss + pen.lam * off
 
 
+def m_step_grads(h, s_data, p):
+    """Smooth M-step gradient as a (P, D, D) array, laid out like h.as_array()."""
+    t = s_data.shape[1]
+    s_tilde = np.zeros((s_data.shape[0], t - p))
+    for lag in range(1, p + 1):
+        s_tilde += h.lags[lag - 1] @ s_data[:, p - lag : t - lag]
+    resid = np.tanh(s_tilde - s_data[:, p:])
+    return np.stack([resid @ s_data[:, p - lag : t - lag].T for lag in range(1, p + 1)])
+
+
 class TestMStepDal:
     def _sources(self, seed, d=3, p=2, t=400):
         rng = np.random.default_rng(seed)
@@ -226,12 +237,11 @@ class TestMStepDal:
         assert h.lags[0][0, 1] != 0.0
 
     def test_kkt_on_random_problems(self):
-        cfg = DalConfig()
         for seed in range(5):
             s, _ = self._sources(20 + seed, d=3, p=2, t=300)
             lam = 5.0
             pen = GroupPenaltySpec(lam)
-            h = m_step_dal(s, 2, pen, cfg=cfg)
+            h = m_step_dal(s, 2, pen)
             d, t = 3, 300
             s_tilde = np.zeros((d, t - 2))
             for lag in range(1, 3):
@@ -252,6 +262,55 @@ class TestMStepDal:
                     else:
                         resid_g = g + lam * hs[:, a, f] / norms[a, f]
                         assert np.max(np.abs(resid_g)) <= 1e-6 * 10
+
+    def test_kkt_with_diagonal_group(self):
+        lam, lam_diag, d, p = 5.0, 20.0, 3, 2
+        pen = GroupPenaltySpec(lam, penalize_diagonal=True, lambda_diag=lam_diag)
+        idx = np.arange(d)
+        for seed in range(5):
+            s, _ = self._sources(20 + seed, d=d, p=p, t=300)
+            h = m_step_dal(s, p, pen)
+            grads = m_step_grads(h, s.data, p)
+            hs = h.as_array()
+            diag_h, diag_g = hs[:, idx, idx], grads[:, idx, idx]
+            diag_norm = np.linalg.norm(diag_h)
+            if diag_norm == 0.0:
+                assert np.linalg.norm(diag_g) <= lam_diag * (1 + 1e-6)
+            else:
+                resid_g = diag_g + lam_diag * diag_h / diag_norm
+                assert np.max(np.abs(resid_g)) <= 1e-6 * 10
+            norms = np.sqrt(np.sum(hs**2, axis=0))
+            for a in range(d):
+                for f in range(d):
+                    if a == f:
+                        continue
+                    g = grads[:, a, f]
+                    if norms[a, f] == 0.0:
+                        assert np.linalg.norm(g) <= lam * (1 + 1e-6)
+                    else:
+                        resid_g = g + lam * hs[:, a, f] / norms[a, f]
+                        assert np.max(np.abs(resid_g)) <= 1e-6 * 10
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        perm=st.permutations(range(3)),
+        signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=3, max_size=3),
+        penalize_diagonal=st.booleans(),
+    )
+    def test_signed_permutation_equivariance(
+        self, seed, perm, signs, penalize_diagonal
+    ):
+        # relabelling the sources by a signed permutation Pi maps the
+        # sech loss and the group penalty onto themselves, so the
+        # coefficients must map to Pi H Pi^T
+        s, _ = self._sources(seed, d=3, p=2, t=300)
+        pen = GroupPenaltySpec(5.0, penalize_diagonal=penalize_diagonal)
+        pi = np.eye(3)[list(perm)] * np.array(signs)[:, None]
+        h = m_step_dal(s, 2, pen)
+        h_pi = m_step_dal(TimeSeriesMatrix(pi @ s.data), 2, pen)
+        for hp, hp_pi in zip(h.lags, h_pi.lags):
+            np.testing.assert_allclose(hp_pi, pi @ hp @ pi.T, rtol=0, atol=1e-6)
 
     def test_order_zero(self):
         s, _ = self._sources(30)
