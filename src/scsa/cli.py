@@ -150,7 +150,6 @@ def cmd_fit(args) -> int:
         order_candidates=_parse_orders(args.orders),
         lambda_grid=grid,
         cv_folds=args.folds,
-        seed=args.seed,
     )
     result = fit(ds.x, request)
     out = args.out or (pathlib.Path(args.dataset) / f"model_{args.method.lower()}.json")
@@ -329,7 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--orders", default="1")
     p_fit.add_argument("--lambda", dest="lam", default=None)
     p_fit.add_argument("--folds", type=int, default=5)
-    p_fit.add_argument("--seed", type=int, default=0)
+    p_fit.add_argument(
+        "--seed", type=int, default=0, help="ignored: fits are deterministic"
+    )
     p_fit.add_argument("--out", default=None)
     p_fit.set_defaults(func=cmd_fit)
 

@@ -64,7 +64,6 @@ class FitRequest:
     order_candidates: Sequence[int] = (1,)
     lambda_grid: Union[str, Sequence[float]] = AUTO
     cv_folds: int = 5
-    seed: int = 0
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -342,7 +341,6 @@ def select_lambda_cv(
     p: int,
     lambda_grid: Sequence[float],
     folds: int = 5,
-    seed: int = 0,
     cfg: Optional[OptimizerConfig] = None,
     penalize_diagonal: bool = False,
 ) -> Tuple[float, Dict[float, float]]:
@@ -404,9 +402,7 @@ def fit(x: TimeSeriesMatrix, request: FitRequest) -> FitResult:
             grid = default_lambda_grid(x.n_samples)
         grid = list(grid)
         if len(grid) > 1:
-            lam, curve = select_lambda_cv(
-                x, p, grid, folds=request.cv_folds, seed=request.seed
-            )
+            lam, curve = select_lambda_cv(x, p, grid, folds=request.cv_folds)
         else:
             lam = float(grid[0])
 

@@ -3,16 +3,19 @@
 plus sum_g w_g ||x_g||_2, with the groups given as (G, k) index matrices and
 weight vectors, one block per group size).
 
-After each accepted step, penalized groups whose norm falls below a threshold
-are zeroed. For a zeroed group the minimum-norm element of the
-subdifferential is used: zero if the smooth gradient of the group has norm
-<= its weight, otherwise the smooth gradient shrunk radially by the weight.
-A freshly zeroed group is pinned at zero for a few iterations to stop it
-oscillating in and out of the active set.
+Penalized groups are handled as in OWL-QN (Andrew & Gao, ICML 2007), with
+groups for coordinates. Directions and L-BFGS pairs use the pseudo-gradient,
+the minimum-norm subgradient: on a zero group, the smooth gradient shrunk
+radially by the weight, or zero inside the weight ball. Each line-search
+trial is projected before it is evaluated: a group is zeroed when its trial
+block has a non-positive inner product with its reference, the current group
+when nonzero and minus its pseudo-gradient when zero (so a zero group whose
+subdifferential holds 0 stays at zero). The Armijo test uses the actual
+displacement of the projected trial.
 
 The line search keeps the smooth gradient of its first trial, so an accepted
-first trial that truncation leaves unchanged costs one evaluation in all;
-later trials call the value-only callable when one is given.
+first trial costs one evaluation in all; later trials call the value-only
+callable when one is given.
 """
 
 from __future__ import annotations
@@ -48,8 +51,6 @@ class OptimizerConfig:
     grad_tol: float = 1e-6
     armijo_c: float = 1e-4
     backtrack: float = 0.5
-    truncation_threshold: float = 1e-8
-    zero_dwell: int = 3
     value_tol: float = 1e-10
     value_tol_iters: int = 5
 
@@ -68,7 +69,7 @@ class OptimizationTrace:
     converged: bool = False
     value_history: List[float] = field(default_factory=list)
     backtracks: int = 0  # rejected line-search trials
-    resets: int = 0  # L-BFGS history resets after a change of the zero set
+    active_set_changes: int = 0  # iterations whose set of zero groups changed
 
 
 class _LbfgsMemory:
@@ -77,9 +78,6 @@ class _LbfgsMemory:
         self.s: List[np.ndarray] = []
         self.y: List[np.ndarray] = []
         self.rho: List[float] = []
-
-    def clear(self):
-        self.s, self.y, self.rho = [], [], []
 
     def push(self, s, y):
         sy = float(np.dot(s, y))
@@ -122,9 +120,10 @@ def min_norm_subgradient(group_grads: np.ndarray, weights) -> np.ndarray:
     return group_grads * np.maximum(shrink, 0.0)
 
 
-def _line_search(trial, x, f, g, d, cfg, trace):
-    """Backtracking Armijo search. Returns (x_new, f_new, smooth_grad) or
-    None; smooth_grad is None when the accepted trial computed no gradient."""
+def _line_search(trial, project, x, f, g, d, cfg, trace):
+    """Backtracking Armijo search along d, each trial projected by ``project``
+    before it is evaluated. Returns (x_new, f_new, smooth_grad) or None;
+    smooth_grad is None when the accepted trial computed no gradient."""
     slope = float(np.dot(g, d))
     if slope >= 0:
         d = -g
@@ -134,9 +133,15 @@ def _line_search(trial, x, f, g, d, cfg, trace):
     step = 1.0
     for k in range(MAX_BACKTRACKS):
         x_new = x + step * d
-        f_new, g_new = trial(x_new, k == 0)
-        if f_new <= f + cfg.armijo_c * step * slope:
-            return x_new, f_new, g_new
+        decrease = cfg.armijo_c * step * slope
+        if project(x_new):
+            # the predicted decrease follows the actual displacement; a trial
+            # that does not move downhill (x itself among them) is rejected
+            decrease = cfg.armijo_c * float(np.dot(g, x_new - x))
+        if decrease < 0:
+            f_new, g_new = trial(x_new, k == 0)
+            if f_new <= f + decrease:
+                return x_new, f_new, g_new
         trace.backtracks += 1
         step *= cfg.backtrack
     return None
@@ -171,35 +176,34 @@ def _lbfgs(objective, x0, cfg, value_fn, groups):
             return np.inf, None
         return (f_new if np.isfinite(f_new) else np.inf), g_smooth
 
-    def truncate(v):
-        """Zero the groups of v below the threshold, in place. Returns the
-        zero mask, the group norms after truncation and whether v changed."""
-        n = norms(v)
-        zero = n < cfg.truncation_threshold
-        for (idx, _), z in zip(blocks, np.split(zero, cuts)):
-            v[idx[z]] = 0.0
-        changed = bool(np.any(n[zero] > 0))
-        n[zero] = 0.0
-        return zero, n, changed
-
-    def subgradient(v, g_smooth, n, zero, pinned):
-        g = g_smooth.copy()
-        parts = zip(blocks, *(np.split(a, cuts) for a in (n, zero, pinned)))
-        for (idx, w), nb, z, pin in parts:
-            on = idx[~z]
-            g[on] += w[~z, None] * v[on] / nb[~z, None]
+    def pseudo_gradient(v, g_smooth, n):
+        """Minimum-norm subgradient at v, and the orthant reference: v on
+        its nonzero groups, minus the subgradient on its zero groups."""
+        g, ref = g_smooth.copy(), v.copy()
+        for (idx, w), nb in zip(blocks, np.split(n, cuts)):
+            z = nb == 0
+            g[idx[~z]] += w[~z, None] * v[idx[~z]] / nb[~z, None]
             g[idx[z]] = min_norm_subgradient(g_smooth[idx[z]], w[z])
-            g[idx[z & pin]] = 0.0
-        return g
+            ref[idx[z]] = -g[idx[z]]
+        return g, ref
+
+    def project(u, ref):
+        """Zero, in place, each group of u whose inner product with the same
+        group of ref is <= 0; returns whether any group was zeroed."""
+        crossed = False
+        for idx, _ in blocks:
+            cut = np.einsum("gk,gk->g", u[idx], ref[idx]) <= 0
+            u[idx[cut]] = 0.0
+            crossed |= bool(np.any(cut))
+        return crossed
 
     x = np.asarray(x0, dtype=float).copy()
-    zero_set, n, _ = truncate(x)
+    n = norms(x)
     f_smooth, g_smooth = objective(x)
     f = f_smooth + weights @ n
     if not np.isfinite(f):
         raise ValueError("objective not finite at the starting point")
-    dwell = np.zeros(len(weights), dtype=int)  # iterations left pinned at zero
-    g = subgradient(x, g_smooth, n, zero_set, dwell > 0)
+    g, ref = pseudo_gradient(x, g_smooth, n)
 
     memory = _LbfgsMemory(cfg.memory)
     trace = OptimizationTrace(value_history=[f])
@@ -215,31 +219,26 @@ def _lbfgs(objective, x0, cfg, value_fn, groups):
             return x, trace
         if it == cfg.max_iters:
             return x, trace
-        result = _line_search(trial, x, f, g, memory.direction(g), cfg, trace)
+        result = _line_search(
+            trial, lambda u: project(u, ref), x, f, g, memory.direction(g), cfg, trace
+        )
         if result is None:
             raise StagnationError(
                 "line search found no acceptable step", x=x, trace=trace
             )
         x_new, f_new, g_smooth = result
-        new_zero, n, changed = truncate(x_new)
-        if changed or g_smooth is None:
+        n_new = norms(x_new)
+        if g_smooth is None:
             f_smooth, g_smooth = objective(x_new)
-            f_new = f_smooth + weights @ n
-        dwell[new_zero & ~zero_set] = cfg.zero_dwell
-        pinned = dwell > 0
-        dwell = np.maximum(dwell - 1, 0)
-        g_new = subgradient(x_new, g_smooth, n, new_zero, pinned)
-        if np.array_equal(new_zero, zero_set):
-            memory.push(x_new - x, g_new - g)
-        else:
-            memory.clear()
-            trace.resets += 1
-        zero_set = new_zero
+            f_new = f_smooth + weights @ n_new
+        g_new, ref = pseudo_gradient(x_new, g_smooth, n_new)
+        memory.push(x_new - x, g_new - g)
+        trace.active_set_changes += not np.array_equal(n_new == 0, n == 0)
         if abs(f - f_new) <= cfg.value_tol * max(1.0, abs(f)):
             flat_count += 1
         else:
             flat_count = 0
-        x, f, g = x_new, f_new, g_new
+        x, f, g, n = x_new, f_new, g_new, n_new
         trace.value_history.append(f)
 
 
@@ -274,7 +273,8 @@ def minimize_with_group_truncation(
     cfg: Optional[OptimizerConfig] = None,
     value_fn: Optional[Callable[[np.ndarray], float]] = None,
 ) -> Tuple[np.ndarray, OptimizationTrace]:
-    """Minimize smooth(x) + sum_g weight_g * ||x_g||_2 by modified L-BFGS.
+    """Minimize smooth(x) + sum_g weight_g * ||x_g||_2 by L-BFGS whose
+    line-search trials are projected onto the group orthant (module docstring).
 
     ``smooth_objective`` returns the value and gradient of the smooth part
     only, and ``value_fn`` (optional) its value; the penalty and its

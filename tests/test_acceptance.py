@@ -70,6 +70,8 @@ from scsa.model import (
 )
 from scsa.simulator import SimulationSpec, generate
 
+pytestmark = pytest.mark.slow
+
 
 class _Timer:
     def __init__(self, label, budget):

@@ -74,7 +74,7 @@ class TestFit:
         out = tmp_path / "model.json"
         code = run(
             "fit", str(dataset_dir), "--method", "csa", "--orders", "1",
-            "--out", str(out),
+            "--seed", "7", "--out", str(out),  # --seed parses and is ignored
         )
         assert code == EXIT_OK
         payload = load_model_file(out)

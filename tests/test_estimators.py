@@ -249,8 +249,8 @@ class TestSelectLambdaCv:
 
     def test_deterministic(self):
         x, _, _ = mixed_dataset(15, d=2, p=1, t=600)
-        out1 = select_lambda_cv(x, 1, [0.1, 1.0], folds=3, seed=5)
-        out2 = select_lambda_cv(x, 1, [0.1, 1.0], folds=3, seed=5)
+        out1 = select_lambda_cv(x, 1, [0.1, 1.0], folds=3)
+        out2 = select_lambda_cv(x, 1, [0.1, 1.0], folds=3)
         assert out1 == out2
 
     def test_degenerate_fold_raises(self):
