@@ -2,7 +2,7 @@
 benchmarking with long-format CSV output.
 
 Exit codes: 0 success, 2 usage error, 3 I/O error, 4 numeric/sampling
-failure, 5 estimator failure.
+failure (numpy's ``LinAlgError`` included), 5 estimator failure.
 """
 
 from __future__ import annotations
@@ -356,15 +356,16 @@ def main(argv=None) -> int:
         return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
+    # LinAlgError subclasses ValueError, so this clause comes first
+    except (NumericError, SamplingError, np.linalg.LinAlgError) as err:
+        print(f"numeric error: {err}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (UsageError, ValueError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, json.JSONDecodeError, KeyError) as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO
-    except (NumericError, SamplingError) as err:
-        print(f"numeric error: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
     except ScsaError as err:
         print(f"estimator error: {err}", file=sys.stderr)
         return EXIT_ESTIMATOR

@@ -1,6 +1,18 @@
 """Negative log-likelihood of the FIR model, its group-lasso regularized
 version in (B, H) coordinates, and all analytic gradients.
 
+One kernel serves all four public functions. The data enter as a lag stack X
+(:func:`scsa.model.lag_stack`, rows x(t-p) for p = 0..P, segments side by
+side), built once per fit; a ``TimeSeriesMatrix`` is also accepted and
+stacked inside the call. With the filter bank written as
+W = [W^(0), ..., W^(P)], a (D, (P+1)D) array, the innovations are
+eps = W X and the gradient of the sech data term is G = tanh(eps) X^T:
+two matrix products per call, whatever the number of segments. SCSA is CSA
+with W = [B, -H^(1) B, ..., -H^(P) B], so its smooth gradient is the chain
+rule on G: grad_B = G_0 - sum_p H^(p)T G_p and grad_H^(p) = -G_p B^T. The
+group-lasso penalty of :func:`cost_scsa`/:func:`grad_scsa` is a thin layer
+on top of that smooth part.
+
 Parameter layout contract (used by every optimizer in this package): the flat
 vector is ``[vec(B); vec(H^(1)); ...; vec(H^(P))]`` with row-major ``vec``.
 Filter banks are flattened the same way, ``[vec(W^(0)); ...; vec(W^(P))]``.
@@ -8,25 +20,28 @@ Filter banks are flattened the same way, ``[vec(W^(0)); ...; vec(W^(P))]``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf, dgetri
 
-from .exceptions import InsufficientDataError, NumericError
+from .exceptions import NumericError
 from .model import (
     FilterBank,
     MvarCoefficients,
     SourceModel,
     TimeSeriesMatrix,
+    lag_stack,
     unchecked,
 )
 
 LOG_PI = float(np.log(np.pi))
+LOG_2 = float(np.log(2.0))
 
-# Group norms below this are treated as exactly zero when evaluating the
-# (otherwise singular) penalty gradient.
-GROUP_TRUNCATION_DEFAULT = 1e-8
+# Data argument of the kernels: a lag stack, or a signal block stacked inside.
+Data = Union[np.ndarray, TimeSeriesMatrix]
 
 
 @dataclass
@@ -95,79 +110,85 @@ def unpack_filter_bank(theta: np.ndarray, d: int, p: int) -> FilterBank:
     return unchecked(FilterBank, w=list(theta.reshape(p + 1, d, d)))
 
 
-def _logabsdet(a, what):
-    sign, logdet = np.linalg.slogdet(a)
-    if sign == 0 or not np.isfinite(logdet):
-        raise NumericError(f"{what} has zero or nonfinite determinant")
-    return logdet
+def _fir_kernel(w0, w, x: Data, want_grad: bool):
+    """Value of the FIR negative log-likelihood and, with ``want_grad``, its
+    gradient G with respect to W = [W^(0), ..., W^(P)] as a (D, (P+1)D)
+    array. tanh and log cosh share one expm1(-2|eps|)."""
+    d, rows = w0.shape[0], w.shape[1]
+    if isinstance(x, TimeSeriesMatrix):
+        x = lag_stack(x, rows // d - 1)
+    elif x.shape[0] != rows:
+        raise ValueError(f"lag stack has {x.shape[0]} rows, expected {rows}")
+    stack, n = x, x.shape[1]
+    lu, piv, info = dgetrf(w0)  # one LU gives log|det W^(0)| and its inverse
+    logdet = float(np.log(np.abs(lu.diagonal())).sum()) if info == 0 else np.nan
+    if not math.isfinite(logdet):
+        raise NumericError("W^(0) has zero or nonfinite determinant")
+    eps = w @ stack
+    a = np.abs(eps)
+    em = np.expm1(np.multiply(a, -2.0, out=a))  # exp(-2|eps|) - 1
+    q = em + 2.0  # 1 + exp(-2|eps|)
+    if want_grad:
+        np.divide(em, q, out=em)  # -tanh|eps|
+    # -log sech(eps)/pi = log(pi) + |eps| + log(q) - log(2)
+    value = (
+        n * d * (LOG_PI - LOG_2)
+        - 0.5 * float(a.sum())
+        + float(np.log(q, out=q).sum())
+        - n * logdet
+    )
+    if not math.isfinite(value):
+        raise NumericError("nonfinite likelihood value")
+    if not want_grad:
+        return value, None
+    grad = np.copysign(em, eps, out=em) @ stack.T  # tanh(eps) X^T
+    grad[:, :d] -= n * dgetri(lu, piv)[0].T
+    return value, grad
 
 
-def _lagged(x, p_order, lag):
-    """Columns x(t-lag) for t = P+1..T (0-based slice)."""
-    t = x.shape[1]
-    return x[:, p_order - lag : t - lag]
+def _report(value, grad, norms) -> CostReport:
+    if not math.isfinite(grad.sum()):
+        bad = np.flatnonzero(~np.isfinite(grad))
+        raise NumericError(f"nonfinite gradient entries at {bad[:5]}")
+    return CostReport(value=value, gradient=grad, group_norms=norms)
 
 
-def nll_csa(fb: FilterBank, x: TimeSeriesMatrix) -> float:
+def nll_csa(fb: FilterBank, x: Data) -> float:
     """Negative log-likelihood of the data under the FIR filter model.
 
-    (P-T) log|det W^(0)| - sum_{t>P} sum_d log((1/pi) sech(eps_d(t))).
+    (P-T) log|det W^(0)| - sum_{t>P} sum_d log((1/pi) sech(eps_d(t))), with
+    T - P summed over the segments of a lag stack.
     """
-    p, t = fb.order, x.n_samples
-    if t <= p:
-        raise InsufficientDataError(f"need T > {p}, got T = {t}")
-    eps = fb.w[0] @ _lagged(x.data, p, 0)
-    for lag in range(1, p + 1):
-        eps += fb.w[lag] @ _lagged(x.data, p, lag)
-    value = (p - t) * _logabsdet(fb.w[0], "W^(0)") - float(
-        np.sum(log_sech_density(eps))
-    )
-    if not np.isfinite(value):
-        raise NumericError("nonfinite likelihood value")
-    return value
+    return _fir_kernel(fb.w[0], np.concatenate(fb.w, axis=1), x, False)[0]
 
 
-def grad_csa(fb: FilterBank, x: TimeSeriesMatrix) -> CostReport:
+def grad_csa(fb: FilterBank, x: Data) -> CostReport:
     """Value and analytic gradient of :func:`nll_csa` w.r.t. all W^(p)."""
-    p, t = fb.order, x.n_samples
-    if t <= p:
-        raise InsufficientDataError(f"need T > {p}, got T = {t}")
-    data = x.data
-    eps = fb.w[0] @ _lagged(data, p, 0)
-    for lag in range(1, p + 1):
-        eps += fb.w[lag] @ _lagged(data, p, lag)
-    th = np.tanh(eps)
-    grads = []
-    for lag in range(p + 1):
-        g = th @ _lagged(data, p, lag).T
-        if lag == 0:
-            g = g + (p - t) * np.linalg.inv(fb.w[0]).T
-        grads.append(g)
-    value = (p - t) * _logabsdet(fb.w[0], "W^(0)") - float(
-        np.sum(log_sech_density(eps))
-    )
-    gradient = np.concatenate([g.ravel() for g in grads])
-    if not (np.isfinite(value) and np.all(np.isfinite(gradient))):
-        bad = np.flatnonzero(~np.isfinite(gradient))
-        raise NumericError(f"nonfinite gradient entries at {bad[:5]}")
-    d = fb.dim
-    return CostReport(value=value, gradient=gradient, group_norms=np.zeros((d, d)))
+    d, p = fb.dim, fb.order
+    value, g = _fir_kernel(fb.w[0], np.concatenate(fb.w, axis=1), x, True)
+    grad = g.reshape(d, p + 1, d).transpose(1, 0, 2).ravel()
+    return _report(value, grad, np.zeros((d, d)))
 
 
-def _scsa_residual(model: SourceModel, x: TimeSeriesMatrix):
-    """Demixed sources, their MVAR predictions, and the residual.
-
-    Returns (s, resid) where s covers all T samples and resid is
-    D x (T-P), resid(t) = s(t) - sum_p H^(p) s(t-p) for t > P.
-    """
-    p, t = model.order, x.n_samples
-    if t <= p:
-        raise InsufficientDataError(f"need T > {p}, got T = {t}")
-    s = model.b @ x.data
-    resid = _lagged(s, p, 0).copy()
-    for lag in range(1, p + 1):
-        resid -= model.h.lags[lag - 1] @ _lagged(s, p, lag)
-    return s, resid
+def _scsa_kernel(model: SourceModel, x: Data, want_grad: bool):
+    """Smooth (unpenalized) SCSA cost as the FIR kernel at
+    W = [B, -H^(1) B, ..., -H^(P) B]; returns (value, flat gradient, H
+    as a (P, D, D) array)."""
+    b = model.b
+    d = b.shape[0]
+    hs = model.h.as_array(d)
+    p = len(hs)
+    w = np.empty((d, p + 1, d))
+    w[:, 0] = b
+    np.matmul(hs, -b, out=w[:, 1:].transpose(1, 0, 2))
+    value, g = _fir_kernel(b, w.reshape(d, -1), x, want_grad)
+    if not want_grad:
+        return value, None, hs
+    g = np.ascontiguousarray(g.reshape(d, p + 1, d).transpose(1, 0, 2))  # G_0..G_P
+    grad = np.empty((p + 1, d, d))
+    grad[0] = g[0] - hs.reshape(p * d, d).T @ g[1:].reshape(p * d, d)
+    np.matmul(g[1:], -b.T, out=grad[1:])
+    return value, grad.ravel(), hs
 
 
 def group_norms(h: MvarCoefficients, d: Optional[int] = None) -> np.ndarray:
@@ -178,85 +199,42 @@ def group_norms(h: MvarCoefficients, d: Optional[int] = None) -> np.ndarray:
     return np.sqrt(np.sum(h.as_array(dim) ** 2, axis=0))
 
 
-def _penalty(hs: np.ndarray, norms: np.ndarray, pen: GroupPenaltySpec) -> float:
+def group_penalty(hs: np.ndarray, norms: np.ndarray, pen: GroupPenaltySpec) -> float:
     """Penalty of the (P, D, D) lag stack ``hs`` with group norms ``norms``."""
-    off = norms - np.diag(np.diag(norms))
-    value = pen.lam * float(np.sum(off))
+    value = pen.lam * float(norms.sum() - np.trace(norms))
     if pen.penalize_diagonal and len(hs):
-        diag_norm = float(np.sqrt(sum(np.sum(np.diag(hp) ** 2) for hp in hs)))
-        value += pen.lambda_diag * diag_norm
+        i = np.arange(len(norms))
+        value += pen.lambda_diag * float(np.linalg.norm(hs[:, i, i]))
     return value
 
 
-def penalty_value(h: MvarCoefficients, pen: GroupPenaltySpec, d=None) -> float:
-    return _penalty(h.as_array(h.dimension(d)), group_norms(h, d), pen)
-
-
-def cost_scsa(model: SourceModel, x: TimeSeriesMatrix, pen: GroupPenaltySpec) -> float:
+def cost_scsa(model: SourceModel, x: Data, pen: GroupPenaltySpec) -> float:
     """Group-lasso regularized negative log-likelihood in (B, H) coordinates."""
-    _, resid = _scsa_residual(model, x)
-    p, t = model.order, x.n_samples
-    value = (
-        (p - t) * _logabsdet(model.b, "B")
-        - float(np.sum(log_sech_density(resid)))
-        + penalty_value(model.h, pen, model.dim)
-    )
-    if not np.isfinite(value):
-        raise NumericError("nonfinite cost value")
+    value, _, hs = _scsa_kernel(model, x, False)
+    if len(hs) and (pen.lam > 0 or pen.penalize_diagonal):
+        value += group_penalty(hs, np.sqrt((hs * hs).sum(axis=0)), pen)
     return value
 
 
-def grad_scsa(
-    model: SourceModel,
-    x: TimeSeriesMatrix,
-    pen: GroupPenaltySpec,
-    truncation_threshold: float = GROUP_TRUNCATION_DEFAULT,
-) -> CostReport:
+def grad_scsa(model: SourceModel, x: Data, pen: GroupPenaltySpec) -> CostReport:
     """Value and analytic gradient of :func:`cost_scsa`.
 
-    For penalized groups with norm below ``truncation_threshold`` the
-    (singular) penalty gradient term is omitted; callers handle the
-    subdifferential there, using the reported ``group_norms``.
+    At a penalized group of norm zero the penalty is not differentiable and
+    contributes nothing here; callers handle the subdifferential there, using
+    the reported ``group_norms``.
     """
-    p, t = model.order, x.n_samples
-    d = model.dim
-    s, resid = _scsa_residual(model, x)
-    th = np.tanh(resid)
-    data = x.data
-
-    # B block: resid(t) = B x(t) - sum_p H^(p) B x(t-p), so the chain rule
-    # contributes through both the prediction target and the lagged sources.
-    grad_b = th @ _lagged(data, p, 0).T
-    for lag in range(1, p + 1):
-        grad_b -= model.h.lags[lag - 1].T @ th @ _lagged(data, p, lag).T
-    grad_b += (p - t) * np.linalg.inv(model.b).T
-
-    hs = model.h.as_array(d)  # (P, D, D)
-    norms = np.sqrt(np.sum(hs**2, axis=0))
-    grad_h = np.zeros((p, d, d))
-    for lag in range(1, p + 1):
-        grad_h[lag - 1] = -th @ _lagged(s, p, lag).T
-
-    if p > 0 and pen.lam > 0:
-        off_mask = (norms >= truncation_threshold) & ~np.eye(d, dtype=bool)
-        safe = np.where(norms > 0, norms, 1.0)
-        grad_h[:, off_mask] += (pen.lam * hs / safe)[:, off_mask]
-    if p > 0 and pen.penalize_diagonal and pen.lambda_diag > 0:
-        diag_vec = hs[:, np.arange(d), np.arange(d)]  # (P, D)
-        diag_norm = float(np.sqrt(np.sum(diag_vec**2)))
-        if diag_norm >= truncation_threshold:
-            grad_h[:, np.arange(d), np.arange(d)] += (
-                pen.lambda_diag * diag_vec / diag_norm
-            )
-
-    value = (p - t) * _logabsdet(model.b, "B") - float(
-        np.sum(log_sech_density(resid))
-    )
-    if pen.lam > 0 or pen.penalize_diagonal:
-        value += _penalty(hs, norms, pen)
-    gradient = np.concatenate([grad_b.ravel(), grad_h.ravel()])
-    if not (np.isfinite(value) and np.all(np.isfinite(gradient))):
-        bad = np.flatnonzero(~np.isfinite(gradient))
-        raise NumericError(f"nonfinite gradient entries at {bad[:5]}")
-    return CostReport(value=value, gradient=gradient, group_norms=norms)
-
+    value, grad, hs = _scsa_kernel(model, x, True)
+    d, p = model.dim, len(hs)
+    norms = np.sqrt((hs * hs).sum(axis=0)) if p else np.zeros((d, d))
+    if p and (pen.lam > 0 or pen.penalize_diagonal):
+        value += group_penalty(hs, norms, pen)
+        grad_h = grad[d * d :].reshape(p, d, d)  # a view: updated in place
+        if pen.lam > 0:
+            mask = (norms > 0) & ~np.eye(d, dtype=bool)
+            grad_h[:, mask] += pen.lam * hs[:, mask] / norms[mask]
+        if pen.penalize_diagonal and pen.lambda_diag > 0:
+            i = np.arange(d)
+            diag_norm = float(np.linalg.norm(hs[:, i, i]))
+            if diag_norm > 0:
+                grad_h[:, i, i] += pen.lambda_diag * hs[:, i, i] / diag_norm
+    return _report(value, grad, norms)

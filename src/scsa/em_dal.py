@@ -23,14 +23,15 @@ import numpy as np
 from scipy.special import xlogy
 
 from .cost import (
+    Data,
     GroupPenaltySpec,
     cost_scsa,
     grad_scsa,
+    group_penalty,
     log_sech_density,
 )
-from .exceptions import InsufficientDataError, StagnationError
-from .model import MvarCoefficients, SourceModel, TimeSeriesMatrix, unchecked
-from .optim import OptimizerConfig, minimize
+from .model import MvarCoefficients, SourceModel, TimeSeriesMatrix, lag_stack, unchecked
+from .optim import OptimizerConfig, keep_last_on_stagnation, minimize
 
 LOG_2_OVER_PI = float(np.log(2.0 / np.pi))
 
@@ -94,26 +95,6 @@ def m_loss_conjugate_grad_hess(a, s):
 # M-step
 
 
-def _lagged_design(s: np.ndarray, p: int):
-    """Design matrix X of shape (P*D, T-P) with X[(lag-1)*D + f, :] = s_f(t-lag),
-    plus the prediction targets s(t) for t > P."""
-    d, t = s.shape
-    blocks = [s[:, p - lag : t - lag] for lag in range(1, p + 1)]
-    x = np.concatenate(blocks, axis=0) if blocks else np.zeros((0, t - p))
-    return x, s[:, p:]
-
-
-def _penalty_m(h_flat, pen: GroupPenaltySpec, d, p):
-    hg = h_flat.reshape(d, p, d)
-    norms = np.linalg.norm(hg, axis=1)  # (D, D): rows d, cols f
-    off = float(np.sum(norms)) - float(np.trace(norms))
-    val = pen.lam * off
-    if pen.penalize_diagonal:
-        idx = np.arange(d)
-        val += pen.lambda_diag * float(np.linalg.norm(hg[idx, :, idx]))
-    return val
-
-
 def _prox_m(h_flat, step, pen: GroupPenaltySpec, d, p):
     """Prox of step * penalty on the stacked (D, P*D) coefficient array."""
     hg = h_flat.reshape(d, p, d).copy()
@@ -139,7 +120,9 @@ def _fista_m_step(x_design, targets, h0_flat, pen, d, p, max_iters=2000, tol=1e-
     def prox_grad_step(z):
         grad = np.tanh(z @ x_design - targets) @ x_design.T
         h_new = _prox_m(z - step * grad, step, pen, d, p)
-        return h_new, m_loss(h_new @ x_design, targets) + _penalty_m(h_new, pen, d, p)
+        hg = h_new.reshape(d, p, d)  # (row, lag, column)
+        penalty = group_penalty(hg.transpose(1, 0, 2), np.linalg.norm(hg, axis=1), pen)
+        return h_new, m_loss(h_new @ x_design, targets) + penalty
 
     h = h0_flat.copy()
     z = h.copy()
@@ -176,46 +159,45 @@ def m_step_dal(
     proximal gradient, warm-started from ``h0`` when it has order ``P``.
     Raises :class:`InsufficientDataError` when ``T <= P``.
     """
-    d, t = s.data.shape
     if P == 0:
         return MvarCoefficients([])
-    if t <= P:
-        raise InsufficientDataError(f"need T > {P}, got {t}")
-    x_design, targets = _lagged_design(s.data, P)
+    d = s.n_channels
+    stack = lag_stack(s, P)  # targets s(t), then the design s(t-1..t-P)
     if h0 is not None and h0.order == P:
         # row i holds H[lag][i, f] at column lag*D + f
         h_flat = h0.as_array(d).transpose(1, 0, 2).reshape(d, P * d)
     else:
         h_flat = np.zeros((d, P * d))
-    h_flat = _fista_m_step(x_design, targets, h_flat, pen, d, P)
+    h_flat = _fista_m_step(stack[d:], stack[:d], h_flat, pen, d, P)
     return MvarCoefficients(
         list(np.ascontiguousarray(h_flat.reshape(d, P, d).transpose(1, 0, 2)))
     )
 
 
 def e_step(
-    x: TimeSeriesMatrix,
+    x: Data,
     h: MvarCoefficients,
     b0: np.ndarray,
     cfg: Optional[OptimizerConfig] = None,
 ) -> np.ndarray:
     """Update the demixing matrix at fixed lag coefficients by quasi-Newton
-    minimization of the unpenalized cost (the penalty is constant in B)."""
+    minimization of the unpenalized cost (the penalty is constant in B).
+    ``x`` is the data or its lag stack at the order of ``h``."""
     cfg = cfg or OptimizerConfig()
     d = b0.shape[0]
     pen0 = GroupPenaltySpec(0.0)
+    stack = x if isinstance(x, np.ndarray) else lag_stack(x, h.order)
 
     def objective(theta):
-        rep = grad_scsa(unchecked(SourceModel, b=theta.reshape(d, d), h=h), x, pen0)
-        return rep.value, rep.gradient[: d * d]
+        rep = grad_scsa(unchecked(SourceModel, b=theta.reshape(d, d), h=h), stack, pen0)
+        return rep.value, rep.gradient[: d * d]  # the B block
 
     def value_fn(theta):
-        return cost_scsa(unchecked(SourceModel, b=theta.reshape(d, d), h=h), x, pen0)
+        return cost_scsa(unchecked(SourceModel, b=theta.reshape(d, d), h=h), stack, pen0)
 
-    try:
-        theta, _ = minimize(objective, b0.ravel(), cfg, value_fn=value_fn)
-    except StagnationError as err:
-        theta = err.x
+    theta, _ = keep_last_on_stagnation(
+        lambda: minimize(objective, b0.ravel(), cfg, value_fn=value_fn), "E-step"
+    )
     return theta.reshape(d, d)
 
 
@@ -239,11 +221,12 @@ def fit_scsa_em(
 
         init = fit_scsa(x, P, pen, cfg=opt_cfg)
     model = init
-    history = [cost_scsa(model, x, pen)]
+    stack = lag_stack(x, P)
+    history = [cost_scsa(model, stack, pen)]
     for _ in range(em_steps):
-        b = e_step(x, model.h, model.b, opt_cfg)
+        b = e_step(stack, model.h, model.b, opt_cfg)
         cand = SourceModel(b=b, h=model.h)
-        c = cost_scsa(cand, x, pen)
+        c = cost_scsa(cand, stack, pen)
         if c <= history[-1]:
             model = cand
             history.append(c)
@@ -252,7 +235,7 @@ def fit_scsa_em(
         s = TimeSeriesMatrix(model.b @ x.data)
         h = m_step_dal(s, P, pen, model.h)
         cand = SourceModel(b=model.b, h=h)
-        c = cost_scsa(cand, x, pen)
+        c = cost_scsa(cand, stack, pen)
         if c <= history[-1]:
             model = cand
             history.append(c)

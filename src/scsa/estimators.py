@@ -6,7 +6,8 @@ All estimators accept a multichannel observation block and return a
 ``SourceModel`` (demixing matrix plus source-space MVAR coefficients). The
 time axis may be split into several contiguous segments (used by
 cross-validation); segment likelihoods are summed, each segment contributing
-its own lag windows only.
+its own lag windows only. Each fit stacks its lag windows once
+(:func:`scsa.model.lag_stack`) and hands the stack to the cost kernels.
 """
 
 from __future__ import annotations
@@ -30,19 +31,22 @@ from .cost import (
     unpack_filter_bank,
     unpack_source_model,
 )
-from .exceptions import IllPosedError, PartitionError, StagnationError
+from .exceptions import IllPosedError, PartitionError
 from .model import (
     FilterBank,
     MvarCoefficients,
     SourceModel,
     TimeSeriesMatrix,
     filter_bank_to_source_model,
+    lag_stack,
+    least_squares_mvar,
     source_model_to_filter_bank,
 )
 from .optim import (
     GroupBlock,
     OptimizationTrace,
     OptimizerConfig,
+    keep_last_on_stagnation,
     minimize,
     minimize_with_group_truncation,
 )
@@ -50,10 +54,6 @@ from .optim import (
 METHODS = ("CSA", "SCSA", "SCSA_EM", "MVARICA", "ICA")
 
 AUTO = "AUTO"
-
-# Residual-whiteness threshold for the MVARICA sanity check: largest absolute
-# lag-1..L autocorrelation of the sensor-MVAR residuals, scaled by sqrt(T).
-WHITENESS_LAGS = 10
 
 
 @dataclass
@@ -88,44 +88,30 @@ class FitResult:
     wall_time: float
 
 
-def _segments(x) -> List[TimeSeriesMatrix]:
-    if isinstance(x, TimeSeriesMatrix):
-        return [x]
-    return list(x)
-
-
-def _fit_csa_segments(
-    segments: List[TimeSeriesMatrix],
+def _fit_csa(
+    stack: np.ndarray,
     p: int,
     cfg: Optional[OptimizerConfig] = None,
     init: Optional[FilterBank] = None,
 ) -> Tuple[FilterBank, OptimizationTrace]:
-    """Maximum-likelihood FIR fit, likelihoods summed over segments."""
+    """Maximum-likelihood FIR fit on a lag stack (likelihoods summed over
+    its segments)."""
     cfg = cfg or OptimizerConfig(max_iters=2000)
-    d = segments[0].n_channels
+    d = stack.shape[0] // (p + 1)
     if init is None:
         init = FilterBank([np.eye(d)] + [np.zeros((d, d)) for _ in range(p)])
 
     def objective(theta):
-        fb = unpack_filter_bank(theta, d, p)
-        value = 0.0
-        grad = np.zeros_like(theta)
-        for seg in segments:
-            rep = grad_csa(fb, seg)
-            value += rep.value
-            grad += rep.gradient
-        return value, grad
+        rep = grad_csa(unpack_filter_bank(theta, d, p), stack)
+        return rep.value, rep.gradient
 
     def value_only(theta):
-        fb = unpack_filter_bank(theta, d, p)
-        return sum(nll_csa(fb, seg) for seg in segments)
+        return nll_csa(unpack_filter_bank(theta, d, p), stack)
 
-    theta0 = pack_filter_bank(init)
-    try:
-        theta, trace = minimize(objective, theta0, cfg, value_fn=value_only)
-    except StagnationError as err:
-        # line search exhausted at numerical precision; keep the iterate
-        theta, trace = err.x, err.trace
+    theta, trace = keep_last_on_stagnation(
+        lambda: minimize(objective, pack_filter_bank(init), cfg, value_fn=value_only),
+        f"CSA fit (P={p})",
+    )
     return unpack_filter_bank(theta, d, p), trace
 
 
@@ -133,8 +119,8 @@ def fit_csa(
     x: TimeSeriesMatrix, p: int, cfg: Optional[OptimizerConfig] = None
 ) -> SourceModel:
     """CSA: maximum-likelihood fit of the FIR filter bank, returned in
-    (B, H) coordinates."""
-    fb, _ = _fit_csa_segments(_segments(x), p, cfg)
+    (B, H) coordinates. ``x`` may also be a sequence of segments."""
+    fb, _ = _fit_csa(lag_stack(x, p), p, cfg)
     return filter_bank_to_source_model(fb)
 
 
@@ -157,43 +143,37 @@ def _penalty_groups(d: int, p: int, pen: GroupPenaltySpec) -> List[GroupBlock]:
     return groups
 
 
-def _fit_scsa_segments(
-    segments: List[TimeSeriesMatrix],
+def _fit_scsa(
+    stack: np.ndarray,
     p: int,
     pen: GroupPenaltySpec,
     cfg: Optional[OptimizerConfig] = None,
     init: Optional[SourceModel] = None,
 ) -> Tuple[SourceModel, OptimizationTrace]:
+    """Group-lasso regularized joint fit on a lag stack, warm-started from
+    ``init`` or else from the CSA fit."""
     cfg = cfg or OptimizerConfig(max_iters=2000)
-    d = segments[0].n_channels
+    d = stack.shape[0] // (p + 1)
     if init is None:
-        fb, _ = _fit_csa_segments(segments, p, cfg)
+        fb, _ = _fit_csa(stack, p, cfg)
         init = filter_bank_to_source_model(fb)
 
     pen0 = GroupPenaltySpec(0.0)
 
     def smooth(theta):
-        model = unpack_source_model(theta, d, p)
-        value = 0.0
-        grad = np.zeros_like(theta)
-        for seg in segments:
-            rep = grad_scsa(model, seg, pen0)
-            value += rep.value
-            grad += rep.gradient
-        return value, grad
+        rep = grad_scsa(unpack_source_model(theta, d, p), stack, pen0)
+        return rep.value, rep.gradient
 
     def smooth_value(theta):
-        model = unpack_source_model(theta, d, p)
-        return sum(cost_scsa(model, seg, pen0) for seg in segments)
+        return cost_scsa(unpack_source_model(theta, d, p), stack, pen0)
 
     groups = _penalty_groups(d, p, pen)
-    theta0 = pack_source_model(init)
-    try:
-        theta, trace = minimize_with_group_truncation(
-            smooth, theta0, groups, cfg, value_fn=smooth_value
-        )
-    except StagnationError as err:
-        theta, trace = err.x, err.trace
+    theta, trace = keep_last_on_stagnation(
+        lambda: minimize_with_group_truncation(
+            smooth, pack_source_model(init), groups, cfg, value_fn=smooth_value
+        ),
+        f"SCSA fit (P={p}, lambda={pen.lam:g})",
+    )
     model = unpack_source_model(theta, d, p)
     return SourceModel(model.b, MvarCoefficients(model.h.lags)), trace
 
@@ -205,8 +185,9 @@ def fit_scsa(
     cfg: Optional[OptimizerConfig] = None,
     init: Optional[SourceModel] = None,
 ) -> SourceModel:
-    """SCSA: group-lasso regularized joint fit, warm-started from CSA."""
-    model, _ = _fit_scsa_segments(_segments(x), p, pen, cfg, init)
+    """SCSA: group-lasso regularized joint fit, warm-started from CSA.
+    ``x`` may also be a sequence of segments."""
+    model, _ = _fit_scsa(lag_stack(x, p), p, pen, cfg, init)
     return model
 
 
@@ -221,18 +202,6 @@ def fit_scsa_em(
     warm-started from :func:`fit_scsa`."""
     model, _ = em_dal.fit_scsa_em(x, p, pen, em_steps=em_steps, opt_cfg=opt_cfg)
     return model
-
-
-def residual_whiteness(resid: np.ndarray, max_lag: int = WHITENESS_LAGS) -> float:
-    """Largest absolute residual autocorrelation over lags 1..max_lag."""
-    n = resid.shape[1]
-    centered = resid - resid.mean(axis=1, keepdims=True)
-    denom = np.sum(centered**2, axis=1)
-    worst = 0.0
-    for lag in range(1, max_lag + 1):
-        num = np.sum(centered[:, lag:] * centered[:, :-lag], axis=1)
-        worst = max(worst, float(np.max(np.abs(num / denom))))
-    return worst
 
 
 def fit_mvarica(
@@ -251,27 +220,16 @@ def _fit_mvarica(
     d, t = x.n_channels, x.n_samples
     if t <= p:
         raise IllPosedError(f"need T > {p}, got T = {t}")
-    data = x.data
-    if p > 0:
-        design = np.vstack(
-            [data[:, p - lag : t - lag] for lag in range(1, p + 1)]
-        )  # (P D) x (T - P)
-        target = data[:, p:]
-        sol, _, rank, _ = np.linalg.lstsq(design.T, target.T, rcond=None)
-        if rank < p * d:
-            raise IllPosedError(
-                f"rank-deficient sensor MVAR regression (rank {rank} < {p * d})"
-            )
-        a_stack = sol.T  # D x (P D)
-        a_mats = [a_stack[:, (lag - 1) * d : lag * d] for lag in range(1, p + 1)]
-        resid = target - a_stack @ design
-    else:
-        a_mats = []
-        resid = data
-    fb, trace = _fit_csa_segments([TimeSeriesMatrix(resid)], 0, cfg)
+    a_stack, resid, rank = least_squares_mvar(x, p)
+    if rank < p * d:
+        raise IllPosedError(
+            f"rank-deficient sensor MVAR regression (rank {rank} < {p * d})"
+        )
+    # the residual block is its own lag stack at order 0
+    fb, trace = _fit_csa(resid, 0, cfg)
     b = filter_bank_to_source_model(fb).b
     b_inv = np.linalg.inv(b)
-    h = MvarCoefficients([b @ a @ b_inv for a in a_mats])
+    h = MvarCoefficients(list(b @ a_stack.reshape(d, p, d).transpose(1, 0, 2) @ b_inv))
     return SourceModel(b=b, h=h), trace
 
 
@@ -361,21 +319,15 @@ def select_lambda_cv(
     blocks = _cv_blocks(t, folds, p)
     scores = {lam: 0.0 for lam in lambdas}
     for k, held in enumerate(blocks):
-        train_idx = [blk for j, blk in enumerate(blocks) if j != k]
-        # remaining blocks form at most two contiguous runs around the gap
-        runs: List[np.ndarray] = []
-        for blk in train_idx:
-            if runs and runs[-1][-1] + 1 == blk[0]:
-                runs[-1] = np.concatenate([runs[-1], blk])
-            else:
-                runs.append(blk)
-        segments = [TimeSeriesMatrix(x.data[:, r]) for r in runs]
+        # the training data are the runs before and after the held-out block
+        runs = (x.data[:, : held[0]], x.data[:, held[-1] + 1 :])
+        stack = lag_stack([run for run in runs if run.shape[1]], p)
         held_x = TimeSeriesMatrix(x.data[:, held])
-        warm, _ = _fit_csa_segments(segments, p, cfg)
+        warm, _ = _fit_csa(stack, p, cfg)
         warm_model = filter_bank_to_source_model(warm)
         for lam in lambdas:
             pen = GroupPenaltySpec(lam, penalize_diagonal=penalize_diagonal)
-            warm_model, _ = _fit_scsa_segments(segments, p, pen, cfg, init=warm_model)
+            warm_model, _ = _fit_scsa(stack, p, pen, cfg, init=warm_model)
             scores[lam] += _common_window_nll(warm_model, held_x, p)
     curve = {lam: scores[lam] / folds for lam in lambdas}
     best = min(lambdas, key=lambda l: (curve[l], l))
@@ -407,18 +359,16 @@ def fit(x: TimeSeriesMatrix, request: FitRequest) -> FitResult:
             lam = float(grid[0])
 
     trace = OptimizationTrace()
-    if request.method == "CSA":
-        fb, trace = _fit_csa_segments([x], p)
-        model = filter_bank_to_source_model(fb)
-    elif request.method == "ICA":
-        # P is used downstream only for a post-hoc MVAR on the demixed
-        # sources (evaluation module); the fitted model itself has order 0
-        fb, trace = _fit_csa_segments([x], 0)
+    if request.method in ("CSA", "ICA"):
+        # for ICA, P is used downstream only for a post-hoc MVAR on the
+        # demixed sources (evaluation module); the fitted model has order 0
+        order = p if request.method == "CSA" else 0
+        fb, trace = _fit_csa(lag_stack(x, order), order)
         model = filter_bank_to_source_model(fb)
     elif request.method == "MVARICA":
         model, trace = _fit_mvarica(x, p)
     elif request.method == "SCSA":
-        model, trace = _fit_scsa_segments([x], p, GroupPenaltySpec(lam))
+        model, trace = _fit_scsa(lag_stack(x, p), p, GroupPenaltySpec(lam))
     else:  # SCSA_EM
         model, history = em_dal.fit_scsa_em(x, p, GroupPenaltySpec(lam))
         trace = OptimizationTrace(

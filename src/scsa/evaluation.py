@@ -20,7 +20,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.stats import rankdata
 
 from .exceptions import DegenerateModelError
-from .model import MixingMatrix, SourceModel, TimeSeriesMatrix
+from .model import MixingMatrix, SourceModel, TimeSeriesMatrix, least_squares_mvar
 
 
 @dataclass
@@ -134,14 +134,6 @@ def per_pattern_gof(
     return out
 
 
-def _ls_mvar(s: np.ndarray, p: int) -> np.ndarray:
-    """Least-squares MVAR coefficients of the source block, as (P, D, D)."""
-    d, t = s.shape
-    design = np.vstack([s[:, p - lag : t - lag] for lag in range(1, p + 1)])
-    sol, _, _, _ = np.linalg.lstsq(design.T, s[:, p:].T, rcond=None)
-    return sol.T.reshape(d, p, d).transpose(1, 0, 2)
-
-
 def interaction_scores(
     est_model: SourceModel,
     pairing: PairingResult,
@@ -163,7 +155,8 @@ def interaction_scores(
             raise ValueError(
                 "order-0 model needs data and a positive mvar_order for scoring"
             )
-        hs = _ls_mvar(est_model.b @ x.data, mvar_order)
+        a, _, _ = least_squares_mvar(est_model.b @ x.data, mvar_order)
+        hs = a.reshape(d, mvar_order, d).transpose(1, 0, 2)
     inv_perm = np.empty(d, dtype=int)
     inv_perm[pairing.permutation] = np.arange(d)
     scores = np.zeros((d, d))

@@ -99,7 +99,7 @@ class MvarCoefficients:
         d = self.dimension(dim)
         if not self.lags:
             return np.zeros((0, d, d))
-        return np.stack(self.lags)
+        return np.array(self.lags)
 
 
 @dataclass
@@ -195,22 +195,44 @@ def filter_bank_to_source_model(fb: FilterBank) -> SourceModel:
     return SourceModel(b=b.copy(), h=MvarCoefficients(lags))
 
 
+def lag_stack(x, p: int) -> np.ndarray:
+    """The lag windows of a D-row array or ``TimeSeriesMatrix``, or of a
+    sequence of them (contiguous segments, placed side by side so no window
+    straddles two), as X of shape ((P+1)*D, sum_i (T_i - P)) whose row block
+    p holds x(t-p) for t > P. A filter bank acts on it as ``np.hstack(w) @ X``.
+    Raises :class:`InsufficientDataError` when a segment has T <= P."""
+    if isinstance(x, (np.ndarray, TimeSeriesMatrix)):
+        x = [x]
+    blocks = [seg.data if isinstance(seg, TimeSeriesMatrix) else seg for seg in x]
+    widths = [blk.shape[1] - p for blk in blocks]
+    if min(widths) < 1:
+        raise InsufficientDataError(f"need T > {p}, got T = {min(widths) + p}")
+    d = blocks[0].shape[0]
+    out = np.empty(((p + 1) * d, sum(widths)))
+    col = 0
+    for blk, n in zip(blocks, widths):
+        for lag in range(p + 1):
+            out[lag * d : (lag + 1) * d, col : col + n] = blk[:, p - lag : p - lag + n]
+        col += n
+    return out
+
+
+def least_squares_mvar(x, p: int):
+    """Least-squares MVAR fit: coefficients [A^(1), ..., A^(P)] as a (D, P*D)
+    array, residuals x(t) - sum_p A^(p) x(t-p) for t > P, regression rank."""
+    stack = lag_stack(x, p)
+    d = stack.shape[0] // (p + 1)
+    target, design = stack[:d], stack[d:]
+    sol, _, rank, _ = np.linalg.lstsq(design.T, target.T, rcond=None)
+    return sol.T, target - sol.T @ design, rank
+
+
 def innovations(fb: FilterBank, x: TimeSeriesMatrix) -> TimeSeriesMatrix:
     """Apply the FIR inverse filter to recover the innovation sequence.
 
     Returns a D x (T-P) block whose column t-P is sum_p W^(p) x(t-p).
     """
-    p_order = fb.order
-    t = x.n_samples
-    if t <= p_order:
-        raise InsufficientDataError(
-            f"need more than {p_order} samples, got {t}"
-        )
-    data = x.data
-    eps = fb.w[0] @ data[:, p_order:]
-    for p in range(1, p_order + 1):
-        eps += fb.w[p] @ data[:, p_order - p : t - p]
-    return TimeSeriesMatrix(eps)
+    return TimeSeriesMatrix(np.hstack(fb.w) @ lag_stack(x, fb.order))
 
 
 def companion_matrix(h: MvarCoefficients) -> np.ndarray:

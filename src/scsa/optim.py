@@ -1,17 +1,18 @@
 """Limited-memory BFGS on flat vectors: one core serves :func:`minimize`
 (smooth objectives) and :func:`minimize_with_group_truncation` (smooth part
-plus sum_g w_g ||x_g||_2, with the groups given as (G, k) index matrices and
-weight vectors, one block per group size).
+plus sum_g w_g ||x_g||_2, groups given as (G, k) index matrices and weights).
 
-Penalized groups are handled as in OWL-QN (Andrew & Gao, ICML 2007), with
-groups for coordinates. Directions and L-BFGS pairs use the pseudo-gradient,
-the minimum-norm subgradient: on a zero group, the smooth gradient shrunk
-radially by the weight, or zero inside the weight ball. Each line-search
-trial is projected before it is evaluated: a group is zeroed when its trial
-block has a non-positive inner product with its reference, the current group
-when nonzero and minus its pseudo-gradient when zero (so a zero group whose
-subdifferential holds 0 stays at zero). The Armijo test uses the actual
-displacement of the projected trial.
+Directions use the compact L-BFGS form (Byrd, Nocedal & Schnabel, Math.
+Prog. 63, 1994), updated one pair at a time. Penalized groups are handled as
+in OWL-QN (Andrew & Gao, ICML 2007), with groups for coordinates, on one
+flat layout of all group members. Directions and L-BFGS pairs use the
+pseudo-gradient, the minimum-norm subgradient: on a zero group, the smooth
+gradient shrunk radially by the weight, or zero inside the weight ball. Each
+line-search trial is projected before it is evaluated: a group is zeroed
+when its trial block has a non-positive inner product with its reference,
+the current group when nonzero and minus its pseudo-gradient when zero (so a
+zero group whose subdifferential holds 0 stays at zero). The Armijo test uses
+the actual displacement of the projected trial.
 
 The line search keeps the smooth gradient of its first trial, so an accepted
 first trial costs one evaluation in all; later trials call the value-only
@@ -20,6 +21,8 @@ callable when one is given.
 
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -28,6 +31,8 @@ import numpy as np
 from .exceptions import DegenerateModelError, NumericError, StagnationError
 
 MAX_BACKTRACKS = 60
+
+logger = logging.getLogger("scsa")
 
 # Exceptions treated as "+inf objective" during line search, so the search
 # backs off instead of crashing (e.g. an iterate crossing det B = 0, or an
@@ -70,54 +75,134 @@ class OptimizationTrace:
     value_history: List[float] = field(default_factory=list)
     backtracks: int = 0  # rejected line-search trials
     active_set_changes: int = 0  # iterations whose set of zero groups changed
+    stagnated: bool = False  # the line search failed and the last iterate was kept
 
 
 class _LbfgsMemory:
-    def __init__(self, m):
-        self.m = m
-        self.s: List[np.ndarray] = []
-        self.y: List[np.ndarray] = []
-        self.rho: List[float] = []
+    """Inverse Hessian of the last ``m`` accepted pairs, in compact form
+    H = gamma I + [S^T, gamma Y^T] [[R^-T (D + gamma Y Y^T) R^-1, -R^-T],
+    [-R^-1, 0]] [S; gamma Y], with R = triu(S Y^T), D its diagonal and gamma
+    = s^T y / y^T y of the newest pair. Rows of S and Y are pairs, oldest
+    first; rows from ``k`` on are zero."""
+
+    def __init__(self, m: int, n: int):
+        self.m, self.k = m, 0
+        self.sy = np.zeros((2, m, n))  # S = sy[0], Y = sy[1]
+        # inv(R) and Y Y^T on their leading k x k blocks; inv(R) stays upper
+        # triangular, so its rows below the diagonal stay zero
+        self.small = np.zeros((2, m, m))
+        self.d = np.zeros(m)  # diag(R)
+        self.coef = np.zeros(2 * m)
 
     def push(self, s, y):
-        sy = float(np.dot(s, y))
-        if sy <= 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
+        sy, yy = float(s @ y), float(y @ y)
+        if sy <= 1e-12 * math.sqrt(float(s @ s) * yy):
             return  # skip pairs that would break positive definiteness
-        self.s.append(s)
-        self.y.append(y)
-        self.rho.append(1.0 / sy)
-        if len(self.s) > self.m:
-            self.s.pop(0)
-            self.y.pop(0)
-            self.rho.pop(0)
+        k = self.k
+        if k == self.m:
+            # drop the oldest pair; the inverse of R's trailing block is the
+            # trailing block of R's inverse, as R is upper triangular
+            self.sy[:, :-1] = self.sy[:, 1:]
+            self.small[:, :-1, :-1] = self.small[:, 1:, 1:]
+            self.d[:-1] = self.d[1:]
+            k -= 1
+        cross = self.sy[:, :k] @ y  # S y and Y y
+        r_inv, yy_mat = self.small
+        # R gains the column S y and the diagonal entry s^T y
+        r_inv[:k, k] = r_inv[:k, :k] @ cross[0] * (-1.0 / sy)
+        r_inv[k, k] = 1.0 / sy
+        yy_mat[:k, k] = yy_mat[k, :k] = cross[1]
+        yy_mat[k, k] = yy
+        self.d[k] = sy
+        self.sy[:, k] = s, y
+        self.k = k + 1
 
     def direction(self, g):
-        """Two-loop recursion; returns a descent direction for gradient g."""
-        q = -g.copy()
-        if not self.s:
-            return q
-        alphas = []
-        for s, y, rho in zip(reversed(self.s), reversed(self.y), reversed(self.rho)):
-            a = rho * np.dot(s, q)
-            alphas.append(a)
-            q -= a * y
-        gamma = np.dot(self.s[-1], self.y[-1]) / np.dot(self.y[-1], self.y[-1])
-        q *= gamma
-        for (s, y, rho), a in zip(
-            zip(self.s, self.y, self.rho), reversed(alphas)
-        ):
-            b = rho * np.dot(y, q)
-            q += (a - b) * s
-        return q
+        """-H g, a descent direction for gradient g."""
+        k, m = self.k, self.m
+        if k == 0:
+            return -g
+        sy = self.sy.reshape(2 * m, -1)
+        ab = sy @ g  # S g and Y g
+        r_inv, yy_mat = self.small[:, :k, :k]
+        d = self.d[:k]
+        gamma = d[-1] / yy_mat[-1, -1]
+        u = r_inv @ ab[:k]
+        coef = self.coef
+        coef[:k] = (d * u + gamma * (yy_mat @ u - ab[m : m + k])) @ r_inv
+        coef[m : m + k] = -gamma * u
+        return -(gamma * g + coef @ sy)
+
+
+class _GroupLayout:
+    """The penalized groups (weight > 0) in one flat layout: ``members``
+    holds the flat indices of every group back to back, ``owner`` the group
+    of each member, and ``starts`` where each group begins in ``members``."""
+
+    def __init__(self, groups: Sequence[GroupBlock]):
+        members, sizes, weights = [np.zeros(0, dtype=int)], [], [np.zeros(0)]
+        for index, w in groups:
+            w = np.asarray(w, dtype=float)
+            index = np.asarray(index, dtype=int)[w > 0]
+            members.append(index.ravel())
+            sizes.extend([index.shape[1]] * len(index))
+            weights.append(w[w > 0])
+        self.members = np.concatenate(members)
+        self.weights = np.concatenate(weights)
+        self.owner = np.repeat(np.arange(len(sizes)), sizes)
+        self.starts = np.cumsum([0] + sizes)[:-1]
+        self.active = bool(sizes)
+
+    def norms(self, v):
+        vm = v[self.members]
+        return np.sqrt(np.add.reduceat(vm * vm, self.starts))
+
+    def penalty(self, v) -> float:
+        return float(self.weights @ self.norms(v)) if self.active else 0.0
+
+    def pseudo_gradient(self, v, g_smooth, n):
+        """Minimum-norm subgradient at v, and the orthant reference: v on
+        its nonzero groups, minus the subgradient on its zero groups."""
+        if not self.active:
+            return g_smooth, v
+        idx, owner, w = self.members, self.owner, self.weights
+        gm = g_smooth[idx]
+        zero = n == 0
+        # w v/||v|| on nonzero groups (v is 0 on the zero ones)
+        gm += v[idx] * (w / np.where(zero, np.inf, n))[owner]
+        g, ref = g_smooth.copy(), v.copy()
+        if zero.any():
+            gnorm = np.sqrt(np.add.reduceat(gm * gm, self.starts))
+            gm *= np.where(zero, _shrink(gnorm, w), 1.0)[owner]
+            on_zero = zero[owner]
+            ref[idx[on_zero]] = -gm[on_zero]
+        g[idx] = gm
+        return g, ref
+
+    def project(self, u, ref) -> bool:
+        """Zero, in place, each group of u whose inner product with the same
+        group of ref is <= 0; returns whether any group was zeroed."""
+        if not self.active:
+            return False
+        idx = self.members
+        cut = np.add.reduceat(u[idx] * ref[idx], self.starts) <= 0
+        if not cut.any():
+            return False
+        u[idx[cut[self.owner]]] = 0.0
+        return True
+
+
+def _shrink(norms, weights):
+    """max(0, 1 - weight/norm), the radial shrink of a zero group's gradient
+    to its minimum-norm subgradient (1 where the norm, so the gradient, is 0)."""
+    return np.maximum(1.0 - weights / np.where(norms > 0, norms, np.inf), 0.0)
 
 
 def min_norm_subgradient(group_grads: np.ndarray, weights) -> np.ndarray:
     """Minimum-norm element of the subdifferential at zeroed groups, one
     group per row of ``group_grads`` (a vector is a single group)."""
-    norms = np.linalg.norm(group_grads, axis=-1, keepdims=True)
-    with np.errstate(divide="ignore"):
-        shrink = 1.0 - np.asarray(weights, dtype=float)[..., None] / norms
-    return group_grads * np.maximum(shrink, 0.0)
+    norms = np.linalg.norm(group_grads, axis=-1)
+    return group_grads * _shrink(norms, np.asarray(weights, dtype=float))[..., None]
 
 
 def _line_search(trial, project, x, f, g, d, cfg, trace):
@@ -149,19 +234,7 @@ def _line_search(trial, project, x, f, g, d, cfg, trace):
 
 def _lbfgs(objective, x0, cfg, value_fn, groups):
     cfg = cfg or OptimizerConfig()
-    blocks = []  # groups with positive weight only
-    for index, weights in groups:
-        weights = np.asarray(weights, dtype=float)
-        keep = weights > 0
-        if np.any(keep):
-            blocks.append((np.asarray(index, dtype=int)[keep], weights[keep]))
-    weights = np.concatenate([np.zeros(0)] + [w for _, w in blocks])
-    cuts = np.cumsum([len(w) for _, w in blocks])[:-1]
-
-    def norms(v):
-        return np.concatenate(
-            [np.zeros(0)] + [np.linalg.norm(v[idx], axis=1) for idx, _ in blocks]
-        )
+    layout = _GroupLayout(groups)
 
     def trial(v, first):
         """Penalized value at a trial point (+inf outside the domain) and the
@@ -171,41 +244,20 @@ def _lbfgs(objective, x0, cfg, value_fn, groups):
                 f_smooth, g_smooth = objective(v)
             else:
                 f_smooth, g_smooth = value_fn(v), None
-            f_new = f_smooth + weights @ norms(v)
+            f_new = f_smooth + layout.penalty(v)
         except _BARRIER_ERRORS:
             return np.inf, None
         return (f_new if np.isfinite(f_new) else np.inf), g_smooth
 
-    def pseudo_gradient(v, g_smooth, n):
-        """Minimum-norm subgradient at v, and the orthant reference: v on
-        its nonzero groups, minus the subgradient on its zero groups."""
-        g, ref = g_smooth.copy(), v.copy()
-        for (idx, w), nb in zip(blocks, np.split(n, cuts)):
-            z = nb == 0
-            g[idx[~z]] += w[~z, None] * v[idx[~z]] / nb[~z, None]
-            g[idx[z]] = min_norm_subgradient(g_smooth[idx[z]], w[z])
-            ref[idx[z]] = -g[idx[z]]
-        return g, ref
-
-    def project(u, ref):
-        """Zero, in place, each group of u whose inner product with the same
-        group of ref is <= 0; returns whether any group was zeroed."""
-        crossed = False
-        for idx, _ in blocks:
-            cut = np.einsum("gk,gk->g", u[idx], ref[idx]) <= 0
-            u[idx[cut]] = 0.0
-            crossed |= bool(np.any(cut))
-        return crossed
-
     x = np.asarray(x0, dtype=float).copy()
-    n = norms(x)
+    n = layout.norms(x)
     f_smooth, g_smooth = objective(x)
-    f = f_smooth + weights @ n
+    f = f_smooth + float(layout.weights @ n)
     if not np.isfinite(f):
-        raise ValueError("objective not finite at the starting point")
-    g, ref = pseudo_gradient(x, g_smooth, n)
+        raise NumericError("objective not finite at the starting point")
+    g, ref = layout.pseudo_gradient(x, g_smooth, n)
 
-    memory = _LbfgsMemory(cfg.memory)
+    memory = _LbfgsMemory(cfg.memory, x.size)
     trace = OptimizationTrace(value_history=[f])
     flat_count = 0
     for it in range(cfg.max_iters + 1):
@@ -220,20 +272,22 @@ def _lbfgs(objective, x0, cfg, value_fn, groups):
         if it == cfg.max_iters:
             return x, trace
         result = _line_search(
-            trial, lambda u: project(u, ref), x, f, g, memory.direction(g), cfg, trace
+            trial,
+            lambda u: layout.project(u, ref),
+            x, f, g, memory.direction(g), cfg, trace,
         )
         if result is None:
             raise StagnationError(
                 "line search found no acceptable step", x=x, trace=trace
             )
         x_new, f_new, g_smooth = result
-        n_new = norms(x_new)
+        n_new = layout.norms(x_new)
         if g_smooth is None:
             f_smooth, g_smooth = objective(x_new)
-            f_new = f_smooth + weights @ n_new
-        g_new, ref = pseudo_gradient(x_new, g_smooth, n_new)
+            f_new = f_smooth + float(layout.weights @ n_new)
+        g_new, ref = layout.pseudo_gradient(x_new, g_smooth, n_new)
         memory.push(x_new - x, g_new - g)
-        trace.active_set_changes += not np.array_equal(n_new == 0, n == 0)
+        trace.active_set_changes += bool(np.any((n_new == 0) != (n == 0)))
         if abs(f - f_new) <= cfg.value_tol * max(1.0, abs(f)):
             flat_count += 1
         else:
@@ -259,6 +313,8 @@ def minimize(
 
     Raises
     ------
+    NumericError
+        If the objective is not finite at ``x0``.
     StagnationError
         If no backtracking step achieves sufficient decrease; the error
         carries the last iterate and trace.
@@ -283,3 +339,17 @@ def minimize_with_group_truncation(
     rules and errors are those of :func:`minimize`.
     """
     return _lbfgs(smooth_objective, x0, cfg, value_fn, groups)
+
+
+def keep_last_on_stagnation(
+    solve: Callable[[], Tuple[np.ndarray, OptimizationTrace]], what: str
+) -> Tuple[np.ndarray, OptimizationTrace]:
+    """Run ``solve``; if its line search stalls, return the last iterate and
+    its trace with ``stagnated`` set, and log that at DEBUG."""
+    try:
+        return solve()
+    except StagnationError as err:
+        err.trace.stagnated = True
+        logger.debug("%s stagnated after %d iterations, kept: %s",
+                     what, err.trace.iterations, err)
+        return err.x, err.trace

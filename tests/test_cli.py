@@ -4,9 +4,11 @@ import pathlib
 import numpy as np
 import pytest
 
+import scsa.cli
 from scsa.cli import (
     EXIT_ESTIMATOR,
     EXIT_IO,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
     _parse_orders,
@@ -233,3 +235,12 @@ class TestExitCodes:
 
     def test_ok_is_zero(self, tmp_path):
         assert run(*SIM_ARGS, "--out", str(tmp_path / "z")) == EXIT_OK
+
+    def test_linalg_error_is_numeric(self, dataset_dir, monkeypatch):
+        # LinAlgError subclasses ValueError, which otherwise means bad usage
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(scsa.cli, "fit", singular)
+        code = run("fit", str(dataset_dir), "--method", "csa", "--orders", "1")
+        assert code == EXIT_NUMERIC

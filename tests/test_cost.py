@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scsa.cost import (
     CostReport,
@@ -9,6 +11,7 @@ from scsa.cost import (
     grad_scsa,
     group_norms,
     nll_csa,
+    group_penalty,
     pack_filter_bank,
     pack_source_model,
     unpack_filter_bank,
@@ -19,6 +22,7 @@ from scsa.model import (
     MvarCoefficients,
     SourceModel,
     TimeSeriesMatrix,
+    lag_stack,
     source_model_to_filter_bank,
 )
 
@@ -251,3 +255,94 @@ class TestGradScsa:
             pack_source_model(model),
         )
         np.testing.assert_allclose(analytic, num, rtol=1e-5, atol=1e-6)
+
+
+def rel_close(got, want, rel=1e-12):
+    scale = np.max(np.abs(want))
+    return np.max(np.abs(np.asarray(got) - want)) <= rel * scale
+
+
+class TestLagStack:
+    @pytest.mark.parametrize("p", [0, 1, 4])
+    def test_kernels_sum_over_segments(self, p):
+        # one call on the stacked segments equals the sum of per-segment
+        # calls, for all four kernels; P = 0 is the ICA path
+        rng = np.random.default_rng(30 + p)
+        d, lengths = 3, (40, 23, p + 1)  # the last segment has one window
+        segs = [TimeSeriesMatrix(rng.standard_normal((d, t))) for t in lengths]
+        stack = lag_stack(segs, p)
+        assert stack.shape == ((p + 1) * d, sum(t - p for t in lengths))
+        model = random_model(rng, d, p)
+        fb = source_model_to_filter_bank(model)
+        pen0 = GroupPenaltySpec(0.0)
+        assert rel_close(nll_csa(fb, stack), sum(nll_csa(fb, x) for x in segs))
+        assert rel_close(
+            cost_scsa(model, stack, pen0), sum(cost_scsa(model, x, pen0) for x in segs)
+        )
+        for kernel, params, pen in ((grad_csa, fb, ()), (grad_scsa, model, (pen0,))):
+            rep = kernel(params, stack, *pen)
+            parts = [kernel(params, x, *pen) for x in segs]
+            assert rel_close(rep.value, sum(r.value for r in parts))
+            assert rel_close(rep.gradient, sum(r.gradient for r in parts))
+
+    @pytest.mark.parametrize("p", [0, 1, 4])
+    def test_penalty_added_once(self, p):
+        rng = np.random.default_rng(40 + p)
+        d = 3
+        segs = [rng.standard_normal((d, 30)), rng.standard_normal((d, 20))]
+        stack = lag_stack(segs, p)
+        model = random_model(rng, d, p)
+        pen = GroupPenaltySpec(0.4, penalize_diagonal=True, lambda_diag=0.3)
+        smooth = cost_scsa(model, stack, GroupPenaltySpec(0.0))
+        want = smooth + group_penalty(model.h.as_array(d), group_norms(model.h, d), pen)
+        assert cost_scsa(model, stack, pen) == pytest.approx(want, rel=1e-14)
+        assert grad_scsa(model, stack, pen).value == pytest.approx(want, rel=1e-14)
+
+    def test_order_zero_stack_is_the_data(self):
+        x = np.random.default_rng(50).standard_normal((2, 9))
+        np.testing.assert_array_equal(lag_stack(x, 0), x)
+        np.testing.assert_array_equal(lag_stack([x, x[:, :4]], 0), np.hstack([x, x[:, :4]]))
+
+    def test_rows_are_lagged_windows(self):
+        x = np.arange(12.0).reshape(2, 6)
+        stack = lag_stack(x, 2)
+        np.testing.assert_array_equal(stack[:2], x[:, 2:])
+        np.testing.assert_array_equal(stack[2:4], x[:, 1:5])
+        np.testing.assert_array_equal(stack[4:], x[:, :4])
+
+    def test_short_segment_raises(self):
+        from scsa.exceptions import InsufficientDataError
+
+        with pytest.raises(InsufficientDataError):
+            lag_stack([np.ones((2, 5)), np.ones((2, 2))], 2)
+
+    def test_stack_of_wrong_order_rejected(self):
+        rng = np.random.default_rng(51)
+        model = random_model(rng, 2, 2)
+        with pytest.raises(ValueError, match="rows"):
+            cost_scsa(model, lag_stack(rng.standard_normal((2, 10)), 1), GroupPenaltySpec(0.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    penalize_diagonal=st.booleans(),
+)
+def test_signed_permutation_relabels_sources(seed, penalize_diagonal):
+    # relabelling the sources by a signed permutation pi (B -> pi B,
+    # H^(p) -> pi H^(p) pi^T) leaves the cost unchanged and maps the gradient
+    # the same way
+    rng = np.random.default_rng(seed)
+    d, p = 3, 2
+    model = random_model(rng, d, p, scale=0.4)
+    x = TimeSeriesMatrix(rng.standard_normal((d, 30)))
+    pi = np.zeros((d, d))
+    pi[np.arange(d), rng.permutation(d)] = rng.choice([-1.0, 1.0], d)
+    moved = SourceModel(pi @ model.b, MvarCoefficients([pi @ hp @ pi.T for hp in model.h.lags]))
+    pen = GroupPenaltySpec(0.5, penalize_diagonal=penalize_diagonal, lambda_diag=0.7)
+    assert cost_scsa(moved, x, pen) == pytest.approx(cost_scsa(model, x, pen), rel=1e-12)
+    rep, rep_moved = grad_scsa(model, x, pen), grad_scsa(moved, x, pen)
+    assert rep_moved.value == pytest.approx(rep.value, rel=1e-12)
+    g = rep.gradient.reshape(p + 1, d, d)
+    want = np.concatenate([[pi @ g[0]], pi @ g[1:] @ pi.T])
+    assert rel_close(rep_moved.gradient.reshape(p + 1, d, d), want, rel=1e-10)

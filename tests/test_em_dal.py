@@ -325,6 +325,35 @@ class TestMStepDal:
 
 
 class TestEStep:
+    def test_stagnation_keeps_the_start_and_is_logged(self, monkeypatch, caplog):
+        import logging
+
+        from scsa import em_dal
+        from scsa.exceptions import NumericError
+
+        rng = np.random.default_rng(41)
+        x = TimeSeriesMatrix(rng.standard_normal((2, 200)))
+        h = MvarCoefficients([0.2 * np.eye(2)])
+        real = em_dal.grad_scsa
+        calls = []
+
+        def start_only(*args):  # every point but the start leaves the domain
+            calls.append(args)
+            if len(calls) > 1:
+                raise NumericError("outside the domain")
+            return real(*args)
+
+        def outside(*args):
+            raise NumericError("outside the domain")
+
+        monkeypatch.setattr(em_dal, "grad_scsa", start_only)
+        monkeypatch.setattr(em_dal, "cost_scsa", outside)
+        b0 = np.array([[1.0, 0.2], [0.1, 1.0]])
+        with caplog.at_level(logging.DEBUG, logger="scsa"):
+            b = e_step(x, h, b0)
+        np.testing.assert_array_equal(b, b0)
+        assert "E-step stagnated" in caplog.text
+
     def test_scalar_scale_estimation(self):
         # H = 0, D = 1: maximum-likelihood scale under the sech density;
         # compare against a bounded golden-section oracle.

@@ -1,8 +1,10 @@
+import logging
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from scsa import em_dal
+from scsa import em_dal, estimators
 from scsa.cost import GroupPenaltySpec, cost_scsa, grad_scsa, group_norms, nll_csa
 from scsa.estimators import (
     AUTO,
@@ -16,11 +18,10 @@ from scsa.estimators import (
     fit_mvarica,
     fit_scsa,
     fit_scsa_em,
-    residual_whiteness,
     select_lambda_cv,
     select_order_bic,
 )
-from scsa.exceptions import IllPosedError, PartitionError
+from scsa.exceptions import IllPosedError, NumericError, PartitionError
 from scsa.optim import OptimizerConfig
 from scsa.model import (
     MvarCoefficients,
@@ -204,16 +205,6 @@ class TestFitMvarica:
         model = fit_mvarica(TimeSeriesMatrix(s.data), 2)
         assert_signed_permutation(model.b, atol=0.15)
 
-    def test_residual_whiteness(self):
-        x, _, _ = mixed_dataset(9, d=3, p=2, t=3000)
-        d, t = 3, 3000
-        data = x.data
-        design = np.vstack([data[:, 2 - lag : t - lag] for lag in (1, 2)])
-        sol, _, _, _ = np.linalg.lstsq(design.T, data[:, 2:].T, rcond=None)
-        resid = data[:, 2:] - sol.T @ design
-        # well-specified fit: autocorrelations at the sqrt(T) noise scale
-        assert residual_whiteness(resid) < 4.0 / np.sqrt(t)
-
     def test_worse_than_csa_on_model_data(self):
         x, m, _ = mixed_dataset(10, t=2000)
         gof_mvarica = best_pairing_gof(np.linalg.inv(fit_mvarica(x, 2).b), m)
@@ -322,6 +313,40 @@ class TestFitDispatcher:
         assert res.trace.iterations == 2
         assert res.trace.converged == em_dal.em_converged(res.trace.value_history)
         assert not res.trace.converged
+
+    @pytest.mark.parametrize(
+        "method,kernel,value_kernel",
+        [("CSA", "grad_csa", "nll_csa"), ("SCSA", "grad_scsa", "cost_scsa")],
+    )
+    def test_stagnation_is_reported(
+        self, method, kernel, value_kernel, monkeypatch, caplog
+    ):
+        # every point but the start leaves the domain, so the first line
+        # search rejects all its trials
+        x, _, _ = mixed_dataset(17, d=2, p=1, t=500)
+        real = getattr(estimators, kernel)
+        calls = []
+
+        def start_only(*args):
+            calls.append(args)
+            if len(calls) > 1:
+                raise NumericError("outside the domain")
+            return real(*args)
+
+        def outside(*args):
+            raise NumericError("outside the domain")
+
+        monkeypatch.setattr(estimators, kernel, start_only)
+        monkeypatch.setattr(estimators, value_kernel, outside)
+        req = FitRequest(method=method, order_candidates=[1], lambda_grid=[1.0])
+        with caplog.at_level(logging.DEBUG, logger="scsa"):
+            res = fit(x, req)
+        assert res.trace.stagnated and not res.trace.converged
+        assert res.trace.iterations == 0
+        assert f"{method} fit (P=1" in caplog.text and "stagnated" in caplog.text
+        monkeypatch.undo()
+        res = fit(x, req)
+        assert not res.trace.stagnated and res.trace.converged
 
     def test_mvarica_reports_its_ica_trace(self):
         x, _, _ = mixed_dataset(17, d=2, p=1, t=500)

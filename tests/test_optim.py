@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from scsa.exceptions import DegenerateModelError
+from scsa.exceptions import DegenerateModelError, NumericError
 from scsa.optim import (
     OptimizerConfig,
+    _LbfgsMemory,
     minimize,
     minimize_with_group_truncation,
     min_norm_subgradient,
@@ -48,6 +49,16 @@ class TestMinimize:
         _, trace = minimize(obj, np.ones(10))
         hist = np.array(trace.value_history)
         assert np.all(np.diff(hist) <= 1e-12)
+
+    def test_nonfinite_start_is_numeric_error(self):
+        def obj(x):
+            return np.inf, np.zeros_like(x)
+
+        with pytest.raises(NumericError, match="starting point"):
+            minimize(obj, np.zeros(3))
+        groups = [(np.array([[0, 1]]), np.array([1.0]))]
+        with pytest.raises(NumericError, match="starting point"):
+            minimize_with_group_truncation(obj, np.zeros(3), groups)
 
     def test_gradient_norm_at_solution(self):
         rng = np.random.default_rng(1)
@@ -244,3 +255,55 @@ class TestMinNormSubgradient:
             np.testing.assert_array_equal(got, min_norm_subgradient(row, w))
         np.testing.assert_allclose(out[1], rows[1] * 0.6)
         assert np.all(out[[0, 2]] == 0.0)
+
+
+def two_loop_direction(pairs, g):
+    """Reference L-BFGS direction: the two-loop recursion (Nocedal & Wright,
+    Algorithm 7.4) over the kept (s, y) pairs, oldest first, scaled by
+    s^T y / y^T y of the newest pair."""
+    q = -g.copy()
+    if not pairs:
+        return q
+    alphas = []
+    for s, y in reversed(pairs):
+        a = np.dot(s, q) / np.dot(s, y)
+        alphas.append(a)
+        q -= a * y
+    s, y = pairs[-1]
+    q *= np.dot(s, y) / np.dot(y, y)
+    for (s, y), a in zip(pairs, reversed(alphas)):
+        q += (a - np.dot(y, q) / np.dot(s, y)) * s
+    return q
+
+
+class TestCompactMemory:
+    @pytest.mark.parametrize("m", [1, 3, 10])
+    def test_matches_two_loop_recursion(self, m):
+        # 3m + 7 pushes wrap the memory around several times; every fourth
+        # pair has s^T y < 0 and every fifth s^T y = 0 (up to rounding), and
+        # both must be rejected
+        rng = np.random.default_rng(m)
+        n = 15
+        a = rng.standard_normal((n, n))
+        hess = a @ a.T + 0.5 * np.eye(n)
+        memory = _LbfgsMemory(m, n)
+        kept = []
+        g = rng.standard_normal(n)
+        np.testing.assert_array_equal(memory.direction(g), -g)
+        for step in range(3 * m + 7):
+            s = rng.standard_normal(n)
+            if step % 4 == 3:
+                y = -hess @ s
+            elif step % 5 == 4:
+                v = rng.standard_normal(n)
+                y = v - (v @ s) / (s @ s) * s
+            else:
+                y = hess @ s + 0.1 * rng.standard_normal(n)
+            memory.push(s, y)
+            if s @ y > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
+                kept = (kept + [(s, y)])[-m:]
+            g = rng.standard_normal(n)
+            want = two_loop_direction(kept, g)
+            got = memory.direction(g)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert memory.k == m
