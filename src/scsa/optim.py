@@ -135,15 +135,20 @@ class _LbfgsMemory:
 
 
 class _GroupLayout:
-    """The penalized groups (weight > 0) in one flat layout: ``members``
-    holds the flat indices of every group back to back, ``owner`` the group
-    of each member, and ``starts`` where each group begins in ``members``."""
+    """The penalized groups (weight > 0, at least one member) in one flat
+    layout: ``members`` holds the flat indices of every group back to back,
+    ``owner`` the group of each member, and ``starts`` where each group
+    begins in ``members``. A group with no members has norm 0 and adds
+    nothing to the penalty, so it is left out."""
 
     def __init__(self, groups: Sequence[GroupBlock]):
         members, sizes, weights = [np.zeros(0, dtype=int)], [], [np.zeros(0)]
         for index, w in groups:
             w = np.asarray(w, dtype=float)
-            index = np.asarray(index, dtype=int)[w > 0]
+            index = np.asarray(index, dtype=int)
+            if index.shape[1] == 0:
+                continue
+            index = index[w > 0]
             members.append(index.ravel())
             sizes.extend([index.shape[1]] * len(index))
             weights.append(w[w > 0])
@@ -196,13 +201,6 @@ def _shrink(norms, weights):
     """max(0, 1 - weight/norm), the radial shrink of a zero group's gradient
     to its minimum-norm subgradient (1 where the norm, so the gradient, is 0)."""
     return np.maximum(1.0 - weights / np.where(norms > 0, norms, np.inf), 0.0)
-
-
-def min_norm_subgradient(group_grads: np.ndarray, weights) -> np.ndarray:
-    """Minimum-norm element of the subdifferential at zeroed groups, one
-    group per row of ``group_grads`` (a vector is a single group)."""
-    norms = np.linalg.norm(group_grads, axis=-1)
-    return group_grads * _shrink(norms, np.asarray(weights, dtype=float))[..., None]
 
 
 def _line_search(trial, project, x, f, g, d, cfg, trace):

@@ -102,6 +102,14 @@ class TestFit:
         c2 = cost_scsa(load_model_file(out_csa)["model"], ds.x, pen)
         assert c1 == pytest.approx(c2, abs=1e-6)
 
+    @pytest.mark.parametrize("method", ["scsa", "scsa_em"])
+    def test_penalized_fit_at_order_zero(self, dataset_dir, tmp_path, method):
+        out = tmp_path / "p0.json"
+        code = run("fit", str(dataset_dir), "--method", method, "--orders", "0",
+                   "--lambda", "0.5", "--out", str(out))
+        assert code == EXIT_OK
+        assert load_model_file(out)["model"].order == 0
+
     def test_orders_range_syntax(self):
         assert _parse_orders("1..4") == [1, 2, 3, 4]
         assert _parse_orders("2,5") == [2, 5]

@@ -127,6 +127,20 @@ class TestFitScsa:
         nonzero = off > 0
         assert nonzero.sum() == 1
 
+    @pytest.mark.parametrize("diag", [False, True])
+    def test_order_zero_with_penalty_is_ica(self, diag):
+        # at P = 0 every penalty group is empty, so any lambda leaves the
+        # unpenalized instantaneous fit
+        x, _, _ = mixed_dataset(6, d=3, p=1, t=600)
+        pen = GroupPenaltySpec(0.5, penalize_diagonal=diag, lambda_diag=2.0)
+        model = fit_scsa(x, 0, pen)
+        assert model.order == 0
+        pen0 = GroupPenaltySpec(0.0)
+        assert cost_scsa(model, x, pen) == cost_scsa(model, x, pen0)
+        assert cost_scsa(model, x, pen0) == pytest.approx(
+            cost_scsa(fit_ica(x), x, pen0), abs=1e-6
+        )
+
     def test_huge_diagonal_weight_zeroes_diagonal(self):
         x, _, _ = mixed_dataset(5, d=3, p=2, t=600)
         pen = GroupPenaltySpec(0.5, penalize_diagonal=True, lambda_diag=1e6)
@@ -294,6 +308,16 @@ class TestFitDispatcher:
             assert res.selected_lambda == 1.0
         if method == "ICA":
             assert res.model.order == 0
+
+    @pytest.mark.parametrize("method", ["SCSA", "SCSA_EM"])
+    def test_penalized_methods_run_at_order_zero(self, method):
+        x, _, _ = mixed_dataset(17, d=2, p=1, t=500)
+        req = FitRequest(
+            method=method, order_candidates=[0], lambda_grid=[1.0], cv_folds=2
+        )
+        res = fit(x, req)
+        assert res.model.order == 0
+        assert np.all(np.isfinite(res.model.b))
 
     def test_scsa_em_converged_follows_the_stop_rule(self, monkeypatch):
         x, _, _ = mixed_dataset(17, d=2, p=1, t=500)

@@ -4,10 +4,10 @@ import pytest
 from scsa.exceptions import DegenerateModelError, NumericError
 from scsa.optim import (
     OptimizerConfig,
+    _GroupLayout,
     _LbfgsMemory,
     minimize,
     minimize_with_group_truncation,
-    min_norm_subgradient,
 )
 
 
@@ -237,24 +237,69 @@ def test_degenerate_trial_iterate_backtracks(penalized):
     assert trace.backtracks >= 1
 
 
+def zero_group_pseudo_gradient(group_grads, weights):
+    """Pseudo-gradient at 0 of a layout with one group per row of
+    ``group_grads``, returned row by row."""
+    group_grads = np.atleast_2d(group_grads)
+    g, k = group_grads.shape
+    layout = _GroupLayout([(np.arange(g * k).reshape(g, k), np.broadcast_to(weights, g))])
+    x = np.zeros(g * k)
+    pg, ref = layout.pseudo_gradient(x, group_grads.ravel(), layout.norms(x))
+    np.testing.assert_array_equal(ref, -pg)
+    return pg.reshape(g, k)
+
+
 class TestMinNormSubgradient:
     def test_inside_ball_is_zero(self):
         g = np.array([0.3, -0.2])
-        assert np.all(min_norm_subgradient(g, 1.0) == 0.0)
+        assert np.all(zero_group_pseudo_gradient(g, 1.0) == 0.0)
 
     def test_outside_ball_shrinks_radially(self):
         g = np.array([3.0, 4.0])  # norm 5
-        out = min_norm_subgradient(g, 2.0)
-        np.testing.assert_allclose(out, g * (1 - 2.0 / 5.0))
+        out = zero_group_pseudo_gradient(g, 2.0)
+        np.testing.assert_allclose(out[0], g * (1 - 2.0 / 5.0))
 
     def test_rows_are_groups(self):
         rows = np.array([[0.3, -0.2], [3.0, 4.0], [0.0, 0.0]])
         weights = np.array([1.0, 2.0, 0.5])
-        out = min_norm_subgradient(rows, weights)
+        out = zero_group_pseudo_gradient(rows, weights)
         for row, w, got in zip(rows, weights, out):
-            np.testing.assert_array_equal(got, min_norm_subgradient(row, w))
+            np.testing.assert_array_equal(got, zero_group_pseudo_gradient(row, w)[0])
         np.testing.assert_allclose(out[1], rows[1] * 0.6)
         assert np.all(out[[0, 2]] == 0.0)
+
+    def test_nonzero_group_adds_weighted_direction(self):
+        layout = _GroupLayout([(np.array([[0, 1]]), np.array([2.0]))])
+        x, g = np.array([3.0, 4.0, 1.0]), np.array([1.0, -1.0, 5.0])
+        pg, ref = layout.pseudo_gradient(x, g, layout.norms(x))
+        np.testing.assert_allclose(pg, g + 2.0 * np.array([0.6, 0.8, 0.0]))
+        np.testing.assert_array_equal(ref, x)
+
+
+class TestGroupLayout:
+    def test_empty_and_unweighted_groups_are_left_out(self):
+        # groups with no members (an order-0 model's H groups) or weight 0
+        # contribute nothing; the layout keeps only the remaining group
+        layout = _GroupLayout([
+            (np.zeros((3, 0), dtype=int), np.full(3, 0.5)),
+            (np.array([[0, 1], [2, 3]]), np.array([0.0, 1.5])),
+            (np.zeros((1, 0), dtype=int), np.array([0.7])),
+        ])
+        x = np.array([1.0, 1.0, 3.0, 4.0])
+        np.testing.assert_array_equal(layout.norms(x), [5.0])
+        assert layout.penalty(x) == 7.5
+        u = np.array([1.0, 1.0, -3.0, -4.0])
+        assert layout.project(u, x)
+        np.testing.assert_array_equal(u, [1.0, 1.0, 0.0, 0.0])
+
+    def test_only_empty_groups_is_smooth(self):
+        layout = _GroupLayout([(np.zeros((2, 0), dtype=int), np.full(2, 0.5))])
+        assert not layout.active
+        x, g = np.array([1.0, -2.0]), np.array([0.5, 0.5])
+        assert layout.penalty(x) == 0.0
+        pg, ref = layout.pseudo_gradient(x, g, layout.norms(x))
+        np.testing.assert_array_equal(pg, g)
+        assert not layout.project(x.copy(), ref)
 
 
 def two_loop_direction(pairs, g):
