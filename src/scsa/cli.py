@@ -11,6 +11,7 @@ import argparse
 import concurrent.futures
 import csv
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -59,7 +60,7 @@ def _atomic_write_text(path, text: str) -> None:
     path = pathlib.Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", newline="") as fh:  # the text's line ends as given
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -268,14 +269,11 @@ def cmd_bench(args) -> int:
     rows.sort(key=lambda r: (r["dataset"], r["noise"], r["method"]))
 
     long_path = out_dir / "results.csv"
-    with tempfile.NamedTemporaryFile(
-        "w", dir=out_dir, delete=False, newline="", suffix=".tmp"
-    ) as fh:
-        writer = csv.DictWriter(fh, fieldnames=BENCH_FIELDS)
-        writer.writeheader()
-        writer.writerows(rows)
-        tmp_name = fh.name
-    os.replace(tmp_name, long_path)
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=BENCH_FIELDS)
+    writer.writeheader()
+    writer.writerows(rows)
+    _atomic_write_text(long_path, buf.getvalue())
 
     summary_lines = ["noise,method,n,gof_q1,gof_median,gof_q3,auc_median"]
     for noise in noise_kinds:

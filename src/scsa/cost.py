@@ -11,7 +11,8 @@ two matrix products per call, whatever the number of segments. SCSA is CSA
 with W = [B, -H^(1) B, ..., -H^(P) B], so its smooth gradient is the chain
 rule on G: grad_B = G_0 - sum_p H^(p)T G_p and grad_H^(p) = -G_p B^T. The
 group-lasso penalty of :func:`cost_scsa`/:func:`grad_scsa` is a thin layer
-on top of that smooth part.
+on top of that smooth part: the groups of :func:`penalty_groups` in the
+optimizer's flat :class:`scsa.optim.GroupLayout`.
 
 Parameter layout contract (used by every optimizer in this package): the flat
 vector is ``[vec(B); vec(H^(1)); ...; vec(H^(P))]`` with row-major ``vec``.
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import List, Optional, Union
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetri
@@ -36,6 +37,7 @@ from .model import (
     lag_stack,
     unchecked,
 )
+from .optim import GroupBlock, GroupLayout
 
 LOG_PI = float(np.log(np.pi))
 LOG_2 = float(np.log(2.0))
@@ -69,15 +71,10 @@ class GroupPenaltySpec:
 
 @dataclass
 class CostReport:
-    """Cost value, flat gradient, and per-interaction group norms.
-
-    ``group_norms[d, f]`` is the l2 norm of (H_df^(1..P)); diagonal entries
-    hold the per-source autocorrelation group norms.
-    """
+    """Cost value and flat gradient."""
 
     value: float
     gradient: np.ndarray
-    group_norms: np.ndarray
 
 
 def log_sech_density(u):
@@ -146,11 +143,11 @@ def _fir_kernel(w0, w, x: Data, want_grad: bool):
     return value, grad
 
 
-def _report(value, grad, norms) -> CostReport:
+def _report(value, grad) -> CostReport:
     if not math.isfinite(grad.sum()):
         bad = np.flatnonzero(~np.isfinite(grad))
         raise NumericError(f"nonfinite gradient entries at {bad[:5]}")
-    return CostReport(value=value, gradient=grad, group_norms=norms)
+    return CostReport(value=value, gradient=grad)
 
 
 def nll_csa(fb: FilterBank, x: Data) -> float:
@@ -167,7 +164,7 @@ def grad_csa(fb: FilterBank, x: Data) -> CostReport:
     d, p = fb.dim, fb.order
     value, g = _fir_kernel(fb.w[0], np.concatenate(fb.w, axis=1), x, True)
     grad = g.reshape(d, p + 1, d).transpose(1, 0, 2).ravel()
-    return _report(value, grad, np.zeros((d, d)))
+    return _report(value, grad)
 
 
 def _scsa_kernel(model: SourceModel, x: Data, want_grad: bool):
@@ -199,20 +196,35 @@ def group_norms(h: MvarCoefficients, d: Optional[int] = None) -> np.ndarray:
     return np.sqrt(np.sum(h.as_array(dim) ** 2, axis=0))
 
 
-def group_penalty(hs: np.ndarray, norms: np.ndarray, pen: GroupPenaltySpec) -> float:
-    """Penalty of the (P, D, D) lag stack ``hs`` with group norms ``norms``."""
-    value = pen.lam * float(norms.sum() - np.trace(norms))
-    if pen.penalize_diagonal and len(hs):
-        i = np.arange(len(norms))
-        value += pen.lambda_diag * float(np.linalg.norm(hs[:, i, i]))
-    return value
+def penalty_groups(pen: GroupPenaltySpec, h_index: np.ndarray) -> List[GroupBlock]:
+    """Group-lasso groups of H as (index matrix, weights) blocks, given
+    ``h_index``, the (P, D, D) array of H's positions in a flat vector: one
+    row of P lag indices per off-diagonal (a, f) pair, row-major in (a, f),
+    and with ``penalize_diagonal`` one group of all P*D diagonal
+    coefficients."""
+    p, d, _ = h_index.shape
+    off = ~np.eye(d, dtype=bool)
+    groups = [(h_index[:, off].T, np.full(d * (d - 1), pen.lam))]
+    if pen.penalize_diagonal:
+        diag = h_index[:, np.arange(d), np.arange(d)].reshape(1, p * d)
+        groups.append((diag, np.array([pen.lambda_diag])))
+    return groups
+
+
+def _penalty_layout(pen: GroupPenaltySpec, hs: np.ndarray) -> Optional[GroupLayout]:
+    """Flat layout of the penalized groups of the (P, D, D) array ``hs``, or
+    None when nothing is penalized."""
+    if pen.lam > 0 or pen.penalize_diagonal:
+        return GroupLayout(penalty_groups(pen, np.arange(hs.size).reshape(hs.shape)))
+    return None
 
 
 def cost_scsa(model: SourceModel, x: Data, pen: GroupPenaltySpec) -> float:
     """Group-lasso regularized negative log-likelihood in (B, H) coordinates."""
     value, _, hs = _scsa_kernel(model, x, False)
-    if len(hs) and (pen.lam > 0 or pen.penalize_diagonal):
-        value += group_penalty(hs, np.sqrt((hs * hs).sum(axis=0)), pen)
+    layout = _penalty_layout(pen, hs)
+    if layout is not None:
+        value += layout.penalty(hs.ravel())
     return value
 
 
@@ -220,21 +232,12 @@ def grad_scsa(model: SourceModel, x: Data, pen: GroupPenaltySpec) -> CostReport:
     """Value and analytic gradient of :func:`cost_scsa`.
 
     At a penalized group of norm zero the penalty is not differentiable and
-    contributes nothing here; callers handle the subdifferential there, using
-    the reported ``group_norms``.
+    contributes nothing here; callers handle the subdifferential there.
     """
     value, grad, hs = _scsa_kernel(model, x, True)
-    d, p = model.dim, len(hs)
-    norms = np.sqrt((hs * hs).sum(axis=0)) if p else np.zeros((d, d))
-    if p and (pen.lam > 0 or pen.penalize_diagonal):
-        value += group_penalty(hs, norms, pen)
-        grad_h = grad[d * d :].reshape(p, d, d)  # a view: updated in place
-        if pen.lam > 0:
-            mask = (norms > 0) & ~np.eye(d, dtype=bool)
-            grad_h[:, mask] += pen.lam * hs[:, mask] / norms[mask]
-        if pen.penalize_diagonal and pen.lambda_diag > 0:
-            i = np.arange(d)
-            diag_norm = float(np.linalg.norm(hs[:, i, i]))
-            if diag_norm > 0:
-                grad_h[:, i, i] += pen.lambda_diag * hs[:, i, i] / diag_norm
-    return _report(value, grad, norms)
+    layout = _penalty_layout(pen, hs)
+    if layout is not None:
+        d, h = model.dim, hs.ravel()
+        value += layout.penalty(h)
+        grad[d * d :] += layout.gradient(h, layout.norms(h))
+    return _report(value, grad)

@@ -2,10 +2,20 @@
 
 The demixing update ("E-step") is a smooth quasi-Newton minimization at fixed
 lag coefficients. The coefficient update ("M-step") minimizes the sech
-prediction loss plus the group penalty at fixed demixed sources. That problem
-is convex; one accelerated proximal-gradient solver (FISTA with restart, Beck &
-Teboulle 2009) solves all D rows at once on the (D, P*D) coefficient array,
-including the optional joint diagonal group, which couples the rows.
+prediction loss plus the group penalty at fixed demixed sources s = B x, a
+convex problem. It runs on the group-lasso L-BFGS core of the joint fits,
+over H in its (P, D, D) layout with the groups of
+:func:`scsa.cost.penalty_groups`. Its smooth part is the FIR likelihood at
+W = [I, -H^(1), ..., -H^(P)] on the lag stack of s, which is the sech
+prediction loss because log|det I| = 0.
+
+The M-step ends at the rounding floor: :data:`M_STEP_CONFIG` asks for a
+gradient no solve reaches, so the solve stops after five iterations whose
+value does not change. That relies on the line search accepting a trial of
+equal value once the Armijo decrease is below the rounding of the value.
+Should it stop accepting such trials, the solve raises
+:class:`scsa.exceptions.StagnationError` at the same iterate instead, and
+:func:`scsa.optim.keep_last_on_stagnation` keeps that iterate.
 
 The module and :func:`m_step_dal` are named after the dual augmented
 Lagrangian formulation of the M-step (Tomioka & Sugiyama 2009), whose dual
@@ -26,14 +36,35 @@ from .cost import (
     Data,
     GroupPenaltySpec,
     cost_scsa,
+    grad_csa,
     grad_scsa,
-    group_penalty,
     log_sech_density,
+    nll_csa,
+    penalty_groups,
 )
-from .model import MvarCoefficients, SourceModel, TimeSeriesMatrix, lag_stack, unchecked
-from .optim import OptimizerConfig, keep_last_on_stagnation, minimize
+from .model import (
+    FilterBank,
+    MvarCoefficients,
+    SourceModel,
+    TimeSeriesMatrix,
+    lag_stack,
+    unchecked,
+)
+from .optim import (
+    OptimizerConfig,
+    keep_last_on_stagnation,
+    minimize,
+    minimize_with_group_truncation,
+)
 
 LOG_2_OVER_PI = float(np.log(2.0 / np.pi))
+
+# The M-step stop rule: it ends at the rounding floor (module docstring).
+M_STEP_CONFIG = OptimizerConfig(grad_tol=1e-12, max_iters=2000, value_tol=1e-16)
+
+# Relative change of the composite cost over one EM step that ends the loop.
+EM_COST_CHANGE_TOL = 1e-8
+
 
 @dataclass
 class DualVariables:
@@ -95,54 +126,6 @@ def m_loss_conjugate_grad_hess(a, s):
 # M-step
 
 
-def _prox_m(h_flat, step, pen: GroupPenaltySpec, d, p):
-    """Prox of step * penalty on the stacked (D, P*D) coefficient array."""
-    hg = h_flat.reshape(d, p, d).copy()
-    norms = np.linalg.norm(hg, axis=1)
-    thr = step * pen.lam
-    scale = np.maximum(0.0, 1.0 - thr / np.where(norms > 0, norms, 1.0))
-    scale[norms == 0] = 0.0
-    np.fill_diagonal(scale, 1.0)
-    hg *= scale[:, None, :]
-    if pen.penalize_diagonal and pen.lambda_diag > 0:
-        idx = np.arange(d)
-        dn = float(np.linalg.norm(hg[idx, :, idx]))  # the (D, P) diagonal group
-        factor = max(0.0, 1.0 - step * pen.lambda_diag / dn) if dn > 0 else 0.0
-        hg[idx, :, idx] *= factor
-    return hg.reshape(d, p * d)
-
-
-def _fista_m_step(x_design, targets, h0_flat, pen, d, p, max_iters=2000, tol=1e-10):
-    """Proximal-gradient (FISTA with restart) solve of the M-step problem."""
-    lip = np.linalg.norm(x_design, 2) ** 2 + 1e-12
-    step = 1.0 / lip
-
-    def prox_grad_step(z):
-        grad = np.tanh(z @ x_design - targets) @ x_design.T
-        h_new = _prox_m(z - step * grad, step, pen, d, p)
-        hg = h_new.reshape(d, p, d)  # (row, lag, column)
-        penalty = group_penalty(hg.transpose(1, 0, 2), np.linalg.norm(hg, axis=1), pen)
-        return h_new, m_loss(h_new @ x_design, targets) + penalty
-
-    h = h0_flat.copy()
-    z = h.copy()
-    t_momentum = 1.0
-    f_prev = np.inf
-    for _ in range(max_iters):
-        h_new, f_new = prox_grad_step(z)
-        if f_new > f_prev:  # restart momentum
-            z = h.copy()
-            t_momentum = 1.0
-            h_new, f_new = prox_grad_step(z)
-        t_next = 0.5 * (1 + np.sqrt(1 + 4 * t_momentum**2))
-        z = h_new + ((t_momentum - 1) / t_next) * (h_new - h)
-        move = np.max(np.abs(h_new - h))
-        h, t_momentum, f_prev = h_new, t_next, f_new
-        if move <= tol:
-            break
-    return h
-
-
 def m_step_dal(
     s: TimeSeriesMatrix,
     P: int,
@@ -155,23 +138,39 @@ def m_step_dal(
     Off-diagonal (d, f) groups carry weight ``pen.lam``; diagonal
     autocorrelation coefficients are unpenalized unless
     ``pen.penalize_diagonal`` is set, in which case they form one joint group
-    weighted by ``pen.lambda_diag``. All rows are solved together by
-    proximal gradient, warm-started from ``h0`` when it has order ``P``.
-    Raises :class:`InsufficientDataError` when ``T <= P``.
+    weighted by ``pen.lambda_diag``. All rows are solved together by the
+    group-lasso L-BFGS of :mod:`scsa.optim`, warm-started from ``h0`` when it
+    has order ``P``. Raises :class:`InsufficientDataError` when ``T <= P``.
     """
     if P == 0:
         return MvarCoefficients([])
     d = s.n_channels
-    stack = lag_stack(s, P)  # targets s(t), then the design s(t-1..t-P)
+    stack = lag_stack(s, P)
+    eye = np.eye(d)
+
+    def filters(h):
+        # the prediction loss is the FIR likelihood at W = [I, -H^(1..P)]
+        return unchecked(FilterBank, w=[eye, *(-h.reshape(P, d, d))])
+
+    def smooth(h):
+        rep = grad_csa(filters(h), stack)
+        return rep.value, -rep.gradient[d * d :]
+
+    def smooth_value(h):
+        return nll_csa(filters(h), stack)
+
     if h0 is not None and h0.order == P:
-        # row i holds H[lag][i, f] at column lag*D + f
-        h_flat = h0.as_array(d).transpose(1, 0, 2).reshape(d, P * d)
+        start = h0.as_array(d).ravel()
     else:
-        h_flat = np.zeros((d, P * d))
-    h_flat = _fista_m_step(stack[d:], stack[:d], h_flat, pen, d, P)
-    return MvarCoefficients(
-        list(np.ascontiguousarray(h_flat.reshape(d, P, d).transpose(1, 0, 2)))
+        start = np.zeros(P * d * d)
+    groups = penalty_groups(pen, np.arange(P * d * d).reshape(P, d, d))
+    h, _ = keep_last_on_stagnation(
+        lambda: minimize_with_group_truncation(
+            smooth, start, groups, M_STEP_CONFIG, value_fn=smooth_value
+        ),
+        "M-step",
     )
+    return MvarCoefficients(list(h.reshape(P, d, d)))
 
 
 def e_step(
@@ -208,7 +207,6 @@ def fit_scsa_em(
     em_steps: int = 20,
     opt_cfg: Optional[OptimizerConfig] = None,
     init: Optional[SourceModel] = None,
-    cost_change_tol: float = 1e-8,
 ) -> Tuple[SourceModel, List[float]]:
     """Alternate demixing and coefficient updates from a warm start.
 
@@ -241,14 +239,14 @@ def fit_scsa_em(
             history.append(c)
         else:
             history.append(history[-1])
-        if em_converged(history, cost_change_tol):
+        if em_converged(history):
             break
     return model, history
 
 
-def em_converged(history: Sequence[float], cost_change_tol: float = 1e-8) -> bool:
+def em_converged(history: Sequence[float]) -> bool:
     """Whether the last EM step of a :func:`fit_scsa_em` cost history changed
-    the cost by at most ``cost_change_tol`` relative: the loop's stop rule."""
+    the cost by at most ``EM_COST_CHANGE_TOL`` relative: the loop's stop rule."""
     return len(history) >= 3 and bool(
-        abs(history[-1] - history[-3]) <= cost_change_tol * max(1.0, abs(history[-3]))
+        abs(history[-1] - history[-3]) <= EM_COST_CHANGE_TOL * max(1.0, abs(history[-3]))
     )

@@ -28,6 +28,7 @@ from .cost import (
     nll_csa,
     pack_filter_bank,
     pack_source_model,
+    penalty_groups,
     unpack_filter_bank,
     unpack_source_model,
 )
@@ -43,7 +44,6 @@ from .model import (
     source_model_to_filter_bank,
 )
 from .optim import (
-    GroupBlock,
     OptimizationTrace,
     OptimizerConfig,
     keep_last_on_stagnation,
@@ -129,20 +129,6 @@ def fit_ica(x: TimeSeriesMatrix, cfg: Optional[OptimizerConfig] = None) -> Sourc
     return fit_csa(x, 0, cfg)
 
 
-def _penalty_groups(d: int, p: int, pen: GroupPenaltySpec) -> List[GroupBlock]:
-    """Group-lasso index matrices in the flat [vec(B); vec(H^(1..P))] layout:
-    one row of P lag indices per off-diagonal (a, f) pair, row-major in
-    (a, f), and with ``penalize_diagonal`` one group of all P*D diagonal
-    coefficients."""
-    h_index = d * d + np.arange(p * d * d).reshape(p, d, d)
-    off = ~np.eye(d, dtype=bool)
-    groups = [(h_index[:, off].T, np.full(d * (d - 1), pen.lam))]
-    if pen.penalize_diagonal:
-        diag = h_index[:, np.arange(d), np.arange(d)].reshape(1, p * d)
-        groups.append((diag, np.array([pen.lambda_diag])))
-    return groups
-
-
 def _fit_scsa(
     stack: np.ndarray,
     p: int,
@@ -167,7 +153,7 @@ def _fit_scsa(
     def smooth_value(theta):
         return cost_scsa(unpack_source_model(theta, d, p), stack, pen0)
 
-    groups = _penalty_groups(d, p, pen)
+    groups = penalty_groups(pen, d * d + np.arange(p * d * d).reshape(p, d, d))
     theta, trace = keep_last_on_stagnation(
         lambda: minimize_with_group_truncation(
             smooth, pack_source_model(init), groups, cfg, value_fn=smooth_value
@@ -198,8 +184,9 @@ def fit_scsa_em(
     em_steps: int = 20,
     opt_cfg: Optional[OptimizerConfig] = None,
 ) -> SourceModel:
-    """SCSA refined by EM alternation with the proximal-gradient M-step;
-    warm-started from :func:`fit_scsa`."""
+    """SCSA refined by EM alternation, whose M-step runs on the same
+    group-lasso L-BFGS core as :func:`fit_scsa`; warm-started from
+    :func:`fit_scsa`."""
     model, _ = em_dal.fit_scsa_em(x, p, pen, em_steps=em_steps, opt_cfg=opt_cfg)
     return model
 

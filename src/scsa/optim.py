@@ -30,7 +30,11 @@ import numpy as np
 
 from .exceptions import DegenerateModelError, NumericError, StagnationError
 
+MEMORY = 10  # L-BFGS pairs kept
+ARMIJO_C = 1e-4  # sufficient-decrease constant
+BACKTRACK = 0.5  # step shrink per rejected trial
 MAX_BACKTRACKS = 60
+VALUE_TOL_ITERS = 5  # consecutive flat iterations that end a solve
 
 logger = logging.getLogger("scsa")
 
@@ -51,17 +55,11 @@ GroupBlock = Tuple[np.ndarray, np.ndarray]
 
 @dataclass
 class OptimizerConfig:
-    memory: int = 10
     max_iters: int = 500
     grad_tol: float = 1e-6
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
     value_tol: float = 1e-10
-    value_tol_iters: int = 5
 
     def __post_init__(self):
-        if self.memory < 1:
-            raise ValueError("memory must be >= 1")
         if self.grad_tol <= 0 or self.value_tol <= 0:
             raise ValueError("tolerances must be positive")
 
@@ -134,7 +132,7 @@ class _LbfgsMemory:
         return -(gamma * g + coef @ sy)
 
 
-class _GroupLayout:
+class GroupLayout:
     """The penalized groups (weight > 0, at least one member) in one flat
     layout: ``members`` holds the flat indices of every group back to back,
     ``owner`` the group of each member, and ``starts`` where each group
@@ -165,23 +163,30 @@ class _GroupLayout:
     def penalty(self, v) -> float:
         return float(self.weights @ self.norms(v)) if self.active else 0.0
 
+    def gradient(self, v, n):
+        """Gradient of the penalty at v, whose group norms are n: w v/||v||
+        on the nonzero groups, 0 on the zero ones (where it has none)."""
+        g = np.zeros_like(v)
+        if self.active:
+            idx = self.members
+            g[idx] = v[idx] * (self.weights / np.where(n == 0, np.inf, n))[self.owner]
+        return g
+
     def pseudo_gradient(self, v, g_smooth, n):
         """Minimum-norm subgradient at v, and the orthant reference: v on
         its nonzero groups, minus the subgradient on its zero groups."""
         if not self.active:
             return g_smooth, v
-        idx, owner, w = self.members, self.owner, self.weights
-        gm = g_smooth[idx]
+        g, ref = g_smooth + self.gradient(v, n), v.copy()
         zero = n == 0
-        # w v/||v|| on nonzero groups (v is 0 on the zero ones)
-        gm += v[idx] * (w / np.where(zero, np.inf, n))[owner]
-        g, ref = g_smooth.copy(), v.copy()
         if zero.any():
+            idx, owner = self.members, self.owner
+            gm = g[idx]
             gnorm = np.sqrt(np.add.reduceat(gm * gm, self.starts))
-            gm *= np.where(zero, _shrink(gnorm, w), 1.0)[owner]
+            gm *= np.where(zero, _shrink(gnorm, self.weights), 1.0)[owner]
+            g[idx] = gm
             on_zero = zero[owner]
             ref[idx[on_zero]] = -gm[on_zero]
-        g[idx] = gm
         return g, ref
 
     def project(self, u, ref) -> bool:
@@ -203,7 +208,7 @@ def _shrink(norms, weights):
     return np.maximum(1.0 - weights / np.where(norms > 0, norms, np.inf), 0.0)
 
 
-def _line_search(trial, project, x, f, g, d, cfg, trace):
+def _line_search(trial, project, x, f, g, d, trace):
     """Backtracking Armijo search along d, each trial projected by ``project``
     before it is evaluated. Returns (x_new, f_new, smooth_grad) or None;
     smooth_grad is None when the accepted trial computed no gradient."""
@@ -216,23 +221,23 @@ def _line_search(trial, project, x, f, g, d, cfg, trace):
     step = 1.0
     for k in range(MAX_BACKTRACKS):
         x_new = x + step * d
-        decrease = cfg.armijo_c * step * slope
+        decrease = ARMIJO_C * step * slope
         if project(x_new):
             # the predicted decrease follows the actual displacement; a trial
             # that does not move downhill (x itself among them) is rejected
-            decrease = cfg.armijo_c * float(np.dot(g, x_new - x))
+            decrease = ARMIJO_C * float(np.dot(g, x_new - x))
         if decrease < 0:
             f_new, g_new = trial(x_new, k == 0)
             if f_new <= f + decrease:
                 return x_new, f_new, g_new
         trace.backtracks += 1
-        step *= cfg.backtrack
+        step *= BACKTRACK
     return None
 
 
 def _lbfgs(objective, x0, cfg, value_fn, groups):
     cfg = cfg or OptimizerConfig()
-    layout = _GroupLayout(groups)
+    layout = GroupLayout(groups)
 
     def trial(v, first):
         """Penalized value at a trial point (+inf outside the domain) and the
@@ -255,7 +260,7 @@ def _lbfgs(objective, x0, cfg, value_fn, groups):
         raise NumericError("objective not finite at the starting point")
     g, ref = layout.pseudo_gradient(x, g_smooth, n)
 
-    memory = _LbfgsMemory(cfg.memory, x.size)
+    memory = _LbfgsMemory(MEMORY, x.size)
     trace = OptimizationTrace(value_history=[f])
     flat_count = 0
     for it in range(cfg.max_iters + 1):
@@ -263,7 +268,7 @@ def _lbfgs(objective, x0, cfg, value_fn, groups):
         trace.iterations, trace.final_value, trace.final_grad_norm = it, f, gnorm
         if (
             gnorm <= cfg.grad_tol * max(1.0, abs(f))
-            or flat_count >= cfg.value_tol_iters
+            or flat_count >= VALUE_TOL_ITERS
         ):
             trace.converged = True
             return x, trace
@@ -272,7 +277,7 @@ def _lbfgs(objective, x0, cfg, value_fn, groups):
         result = _line_search(
             trial,
             lambda u: layout.project(u, ref),
-            x, f, g, memory.direction(g), cfg, trace,
+            x, f, g, memory.direction(g), trace,
         )
         if result is None:
             raise StagnationError(
@@ -304,7 +309,7 @@ def minimize(
 
     Stops when the gradient sup-norm drops below ``grad_tol * max(1, |f|)``
     or the relative value change stays below ``value_tol`` for
-    ``value_tol_iters`` consecutive iterations.
+    ``VALUE_TOL_ITERS`` consecutive iterations.
 
     ``value_fn``, when given, is a cheaper value-only callable used for the
     line-search trials after the first.

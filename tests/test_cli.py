@@ -202,26 +202,41 @@ class TestBench:
         assert (tmp_path / "bench" / "summary.csv").exists()
 
     def test_row_count_and_determinism(self, tmp_path):
-        cfg = self._config(
-            tmp_path,
-            repetitions=2,
-            noise_kinds=["N0", "N1"],
-            methods=[
-                {"method": "CSA", "order_candidates": [1]},
-                {"method": "ICA", "order_candidates": [1]},
-            ],
-        )
         def strip_seconds(text):
             rows = [line.split(",") for line in text.strip().splitlines()]
             return [row[:7] + row[8:] for row in rows]
 
-        run("bench", str(cfg))
-        first = (tmp_path / "bench" / "results.csv").read_text()
-        assert len(first.strip().splitlines()) == 1 + 2 * 2 * 2
-        run("bench", str(cfg))
-        second = (tmp_path / "bench" / "results.csv").read_text()
-        # everything except the wall-clock column is reproducible
-        assert strip_seconds(second) == strip_seconds(first)
+        results = []
+        for parallelism in (1, 1, 2):
+            cfg = self._config(
+                tmp_path,
+                repetitions=2,
+                noise_kinds=["N0", "N1"],
+                methods=[
+                    {"method": "CSA", "order_candidates": [1]},
+                    {"method": "ICA", "order_candidates": [1]},
+                    {"method": "SCSA_EM", "order_candidates": [1], "lambda_grid": [2.0]},
+                ],
+                parallelism=parallelism,
+            )
+            assert run("bench", str(cfg)) == EXIT_OK
+            results.append((tmp_path / "bench" / "results.csv").read_text())
+        first = strip_seconds(results[0])
+        assert len(first) == 1 + 2 * 2 * 3
+        assert all(row[-1] == "" for row in first[1:])  # no run failed
+        # everything except the wall-clock column is reproducible, whatever
+        # the number of worker processes
+        for text in results[1:]:
+            assert strip_seconds(text) == first
+
+    def test_failed_replace_leaves_no_file(self, tmp_path, monkeypatch):
+        def failing_replace(src, dst):
+            raise OSError("replace failed")
+
+        cfg = self._config(tmp_path)
+        monkeypatch.setattr(scsa.cli.os, "replace", failing_replace)
+        assert run("bench", str(cfg)) == EXIT_IO
+        assert list((tmp_path / "bench").iterdir()) == []
 
     def test_bad_config(self, tmp_path):
         cfg = self._config(tmp_path, methods=[])

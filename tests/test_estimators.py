@@ -5,10 +5,16 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from scsa import em_dal, estimators
-from scsa.cost import GroupPenaltySpec, cost_scsa, grad_scsa, group_norms, nll_csa
+from scsa.cost import (
+    GroupPenaltySpec,
+    cost_scsa,
+    grad_scsa,
+    group_norms,
+    nll_csa,
+    penalty_groups,
+)
 from scsa.estimators import (
     AUTO,
-    _penalty_groups,
     FitRequest,
     FitResult,
     default_lambda_grid,
@@ -186,7 +192,8 @@ class TestPenaltyGroups:
         # reference: one list of lag indices per ordered off-diagonal pair,
         # then the joint diagonal group, in the flat [vec(B); vec(H)] layout
         pen = GroupPenaltySpec(0.5, penalize_diagonal=True, lambda_diag=2.0)
-        (off, w_off), (diag, w_diag) = _penalty_groups(d, p, pen)
+        theta_index = d * d + np.arange(p * d * d).reshape(p, d, d)
+        (off, w_off), (diag, w_diag) = penalty_groups(pen, theta_index)
         want = [
             [d * d + lag * d * d + a * d + f for lag in range(p)]
             for a in range(d) for f in range(d) if a != f
@@ -198,7 +205,7 @@ class TestPenaltyGroups:
         ]
         np.testing.assert_array_equal(diag, [want_diag])
         np.testing.assert_array_equal(w_diag, [2.0])
-        assert len(_penalty_groups(d, p, GroupPenaltySpec(0.5))) == 1
+        assert len(penalty_groups(GroupPenaltySpec(0.5), theta_index)) == 1
 
 
 class TestFitScsaEm:

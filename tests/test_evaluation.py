@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scsa.evaluation import (
     EvalReport,
@@ -138,6 +140,30 @@ class TestMatrixGof:
         p2 = optimal_pairing(MixingMatrix(tm), MixingMatrix(flipped))
         assert matrix_gof(MixingMatrix(tm), MixingMatrix(em), p1) == pytest.approx(
             matrix_gof(MixingMatrix(tm), MixingMatrix(flipped), p2), abs=1e-12
+        )
+
+
+class TestGofInvariance:
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_signed_permutation_and_scaling_of_estimate(self, data):
+        # the GOF scores do not see the order, scale or sign of the estimated
+        # patterns; the pairing follows the relabelling
+        d = data.draw(st.integers(2, 5))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        perm = np.array(data.draw(st.permutations(range(d))))
+        mags = data.draw(st.lists(st.floats(0.1, 10.0), min_size=d, max_size=d))
+        signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=d, max_size=d))
+        scales = np.array(mags) * np.array(signs)
+        tm = MixingMatrix(rng.standard_normal((d, d)) + 2 * np.eye(d))
+        em = MixingMatrix(rng.standard_normal((d, d)) + 2 * np.eye(d))
+        moved = MixingMatrix(em.m[:, perm] * scales)  # column f is old column perm[f]
+        p1, p2 = optimal_pairing(tm, em), optimal_pairing(tm, moved)
+        np.testing.assert_array_equal(p2.permutation, p1.permutation[perm])
+        assert p2.total_cost == pytest.approx(p1.total_cost, abs=1e-12)
+        assert matrix_gof(tm, moved, p2) == pytest.approx(matrix_gof(tm, em, p1), abs=1e-12)
+        np.testing.assert_allclose(
+            per_pattern_gof(tm, moved, p2), per_pattern_gof(tm, em, p1), rtol=0, atol=1e-12
         )
 
 

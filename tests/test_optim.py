@@ -3,8 +3,8 @@ import pytest
 
 from scsa.exceptions import DegenerateModelError, NumericError
 from scsa.optim import (
+    GroupLayout,
     OptimizerConfig,
-    _GroupLayout,
     _LbfgsMemory,
     minimize,
     minimize_with_group_truncation,
@@ -242,7 +242,7 @@ def zero_group_pseudo_gradient(group_grads, weights):
     ``group_grads``, returned row by row."""
     group_grads = np.atleast_2d(group_grads)
     g, k = group_grads.shape
-    layout = _GroupLayout([(np.arange(g * k).reshape(g, k), np.broadcast_to(weights, g))])
+    layout = GroupLayout([(np.arange(g * k).reshape(g, k), np.broadcast_to(weights, g))])
     x = np.zeros(g * k)
     pg, ref = layout.pseudo_gradient(x, group_grads.ravel(), layout.norms(x))
     np.testing.assert_array_equal(ref, -pg)
@@ -269,7 +269,7 @@ class TestMinNormSubgradient:
         assert np.all(out[[0, 2]] == 0.0)
 
     def test_nonzero_group_adds_weighted_direction(self):
-        layout = _GroupLayout([(np.array([[0, 1]]), np.array([2.0]))])
+        layout = GroupLayout([(np.array([[0, 1]]), np.array([2.0]))])
         x, g = np.array([3.0, 4.0, 1.0]), np.array([1.0, -1.0, 5.0])
         pg, ref = layout.pseudo_gradient(x, g, layout.norms(x))
         np.testing.assert_allclose(pg, g + 2.0 * np.array([0.6, 0.8, 0.0]))
@@ -280,7 +280,7 @@ class TestGroupLayout:
     def test_empty_and_unweighted_groups_are_left_out(self):
         # groups with no members (an order-0 model's H groups) or weight 0
         # contribute nothing; the layout keeps only the remaining group
-        layout = _GroupLayout([
+        layout = GroupLayout([
             (np.zeros((3, 0), dtype=int), np.full(3, 0.5)),
             (np.array([[0, 1], [2, 3]]), np.array([0.0, 1.5])),
             (np.zeros((1, 0), dtype=int), np.array([0.7])),
@@ -293,7 +293,7 @@ class TestGroupLayout:
         np.testing.assert_array_equal(u, [1.0, 1.0, 0.0, 0.0])
 
     def test_only_empty_groups_is_smooth(self):
-        layout = _GroupLayout([(np.zeros((2, 0), dtype=int), np.full(2, 0.5))])
+        layout = GroupLayout([(np.zeros((2, 0), dtype=int), np.full(2, 0.5))])
         assert not layout.active
         x, g = np.array([1.0, -2.0]), np.array([0.5, 0.5])
         assert layout.penalty(x) == 0.0
