@@ -61,12 +61,11 @@ class GroupPenaltySpec:
     lambda_diag: Optional[float] = None
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
         if self.lambda_diag is None:
             self.lambda_diag = self.lam
-        if self.lambda_diag < 0:
-            raise ValueError("lambda_diag must be nonnegative")
+        for name in ("lam", "lambda_diag"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
 
 
 @dataclass

@@ -1,13 +1,13 @@
 """Alternating estimation of the demixing matrix and the MVAR coefficients.
 
-The demixing update ("E-step") is a smooth quasi-Newton minimization at fixed
-lag coefficients. The coefficient update ("M-step") minimizes the sech
-prediction loss plus the group penalty at fixed demixed sources s = B x, a
-convex problem. It runs on the group-lasso L-BFGS core of the joint fits,
-over H in its (P, D, D) layout with the groups of
-:func:`scsa.cost.penalty_groups`. Its smooth part is the FIR likelihood at
-W = [I, -H^(1), ..., -H^(P)] on the lag stack of s, which is the sech
-prediction loss because log|det I| = 0.
+SCSA-EM is block-coordinate descent on the SCSA cost: each half-step is a
+block solve of the one SCSA fit (:func:`scsa.estimators._fit_scsa`), over
+one block of the flat vector ``[vec(B); vec(H)]`` with the other held. The
+demixing update ("E-step") is the B block at fixed lag coefficients; the
+penalty does not depend on B, so it is a smooth quasi-Newton solve. The
+coefficient update ("M-step") is the H block at B = I on the lag stack of the
+demixed sources s = B x: there log|det I| = 0 and W = [I, -H], so the SCSA
+cost is the sech prediction loss plus the group penalty, a convex problem.
 
 The M-step ends at the rounding floor: :data:`M_STEP_CONFIG` asks for a
 gradient no solve reaches, so the solve stops after five iterations whose
@@ -15,7 +15,7 @@ value does not change. That relies on the line search accepting a trial of
 equal value once the Armijo decrease is below the rounding of the value.
 Should it stop accepting such trials, the solve raises
 :class:`scsa.exceptions.StagnationError` at the same iterate instead, and
-:func:`scsa.optim.keep_last_on_stagnation` keeps that iterate.
+the block fit keeps that iterate.
 
 The module and :func:`m_step_dal` are named after the dual augmented
 Lagrangian formulation of the M-step (Tomioka & Sugiyama 2009), whose dual
@@ -32,30 +32,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import xlogy
 
-from .cost import (
-    Data,
-    GroupPenaltySpec,
-    cost_scsa,
-    grad_csa,
-    grad_scsa,
-    log_sech_density,
-    nll_csa,
-    penalty_groups,
-)
-from .model import (
-    FilterBank,
-    MvarCoefficients,
-    SourceModel,
-    TimeSeriesMatrix,
-    lag_stack,
-    unchecked,
-)
-from .optim import (
-    OptimizerConfig,
-    keep_last_on_stagnation,
-    minimize,
-    minimize_with_group_truncation,
-)
+from .cost import Data, GroupPenaltySpec, cost_scsa, log_sech_density
+from .model import MvarCoefficients, SourceModel, TimeSeriesMatrix, lag_stack, unchecked
+from .optim import OptimizerConfig
 
 LOG_2_OVER_PI = float(np.log(2.0 / np.pi))
 
@@ -133,44 +112,28 @@ def m_step_dal(
     h0: Optional[MvarCoefficients] = None,
 ) -> MvarCoefficients:
     """Minimize the sech prediction loss plus group penalty over the lag
-    coefficients, at fixed demixed sources.
+    coefficients, at fixed demixed sources: the H block of the SCSA fit at
+    B = I on the lag stack of ``s``.
 
     Off-diagonal (d, f) groups carry weight ``pen.lam``; diagonal
     autocorrelation coefficients are unpenalized unless
     ``pen.penalize_diagonal`` is set, in which case they form one joint group
-    weighted by ``pen.lambda_diag``. All rows are solved together by the
-    group-lasso L-BFGS of :mod:`scsa.optim`, warm-started from ``h0`` when it
-    has order ``P``. Raises :class:`InsufficientDataError` when ``T <= P``.
+    weighted by ``pen.lambda_diag``. All rows are solved together, warm-started
+    from ``h0`` when it has order ``P``. Raises
+    :class:`InsufficientDataError` when ``T <= P``.
     """
     if P == 0:
         return MvarCoefficients([])
+    from .estimators import _fit_scsa  # deferred: estimators imports us
+
     d = s.n_channels
-    stack = lag_stack(s, P)
-    eye = np.eye(d)
-
-    def filters(h):
-        # the prediction loss is the FIR likelihood at W = [I, -H^(1..P)]
-        return unchecked(FilterBank, w=[eye, *(-h.reshape(P, d, d))])
-
-    def smooth(h):
-        rep = grad_csa(filters(h), stack)
-        return rep.value, -rep.gradient[d * d :]
-
-    def smooth_value(h):
-        return nll_csa(filters(h), stack)
-
-    if h0 is not None and h0.order == P:
-        start = h0.as_array(d).ravel()
-    else:
-        start = np.zeros(P * d * d)
-    groups = penalty_groups(pen, np.arange(P * d * d).reshape(P, d, d))
-    h, _ = keep_last_on_stagnation(
-        lambda: minimize_with_group_truncation(
-            smooth, start, groups, M_STEP_CONFIG, value_fn=smooth_value
-        ),
-        "M-step",
+    if h0 is None or h0.order != P:
+        h0 = MvarCoefficients(list(np.zeros((P, d, d))))
+    init = unchecked(SourceModel, b=np.eye(d), h=h0)
+    model, _ = _fit_scsa(
+        lag_stack(s, P), P, pen, M_STEP_CONFIG, init, block=slice(d * d, None)
     )
-    return MvarCoefficients(list(h.reshape(P, d, d)))
+    return model.h
 
 
 def e_step(
@@ -179,25 +142,18 @@ def e_step(
     b0: np.ndarray,
     cfg: Optional[OptimizerConfig] = None,
 ) -> np.ndarray:
-    """Update the demixing matrix at fixed lag coefficients by quasi-Newton
-    minimization of the unpenalized cost (the penalty is constant in B).
-    ``x`` is the data or its lag stack at the order of ``h``."""
-    cfg = cfg or OptimizerConfig()
-    d = b0.shape[0]
-    pen0 = GroupPenaltySpec(0.0)
+    """Update the demixing matrix at fixed lag coefficients: the B block of
+    the unpenalized SCSA fit (the penalty is constant in B). ``x`` is the data
+    or its lag stack at the order of ``h``."""
+    from .estimators import _fit_scsa  # deferred: estimators imports us
+
     stack = x if isinstance(x, np.ndarray) else lag_stack(x, h.order)
-
-    def objective(theta):
-        rep = grad_scsa(unchecked(SourceModel, b=theta.reshape(d, d), h=h), stack, pen0)
-        return rep.value, rep.gradient[: d * d]  # the B block
-
-    def value_fn(theta):
-        return cost_scsa(unchecked(SourceModel, b=theta.reshape(d, d), h=h), stack, pen0)
-
-    theta, _ = keep_last_on_stagnation(
-        lambda: minimize(objective, b0.ravel(), cfg, value_fn=value_fn), "E-step"
+    init = unchecked(SourceModel, b=b0, h=h)
+    model, _ = _fit_scsa(
+        stack, h.order, GroupPenaltySpec(0.0), cfg or OptimizerConfig(), init,
+        block=slice(0, b0.size),
     )
-    return theta.reshape(d, d)
+    return model.b
 
 
 def fit_scsa_em(
@@ -205,40 +161,37 @@ def fit_scsa_em(
     P: int,
     pen: GroupPenaltySpec,
     em_steps: int = 20,
-    opt_cfg: Optional[OptimizerConfig] = None,
     init: Optional[SourceModel] = None,
 ) -> Tuple[SourceModel, List[float]]:
     """Alternate demixing and coefficient updates from a warm start.
 
     When ``init`` is omitted the warm start is the jointly optimized sparse
-    solution. Returns the refined model together with the composite cost
-    after the warm start and after every half-step.
+    solution. A half-step's result is kept only when it does not raise the
+    composite cost. Returns the refined model together with the composite
+    cost after the warm start and after every half-step.
     """
     if init is None:
         from .estimators import fit_scsa  # deferred: estimators imports us
 
-        init = fit_scsa(x, P, pen, cfg=opt_cfg)
+        init = fit_scsa(x, P, pen)
     model = init
     stack = lag_stack(x, P)
     history = [cost_scsa(model, stack, pen)]
+    half_steps = (
+        lambda m: SourceModel(b=e_step(stack, m.h, m.b), h=m.h),
+        lambda m: SourceModel(
+            b=m.b, h=m_step_dal(TimeSeriesMatrix(m.b @ x.data), P, pen, m.h)
+        ),
+    )
     for _ in range(em_steps):
-        b = e_step(stack, model.h, model.b, opt_cfg)
-        cand = SourceModel(b=b, h=model.h)
-        c = cost_scsa(cand, stack, pen)
-        if c <= history[-1]:
-            model = cand
+        for half_step in half_steps:
+            cand = half_step(model)
+            c = cost_scsa(cand, stack, pen)
+            if c <= history[-1]:
+                model = cand
+            else:
+                c = history[-1]
             history.append(c)
-        else:
-            history.append(history[-1])
-        s = TimeSeriesMatrix(model.b @ x.data)
-        h = m_step_dal(s, P, pen, model.h)
-        cand = SourceModel(b=model.b, h=h)
-        c = cost_scsa(cand, stack, pen)
-        if c <= history[-1]:
-            model = cand
-            history.append(c)
-        else:
-            history.append(history[-1])
         if em_converged(history):
             break
     return model, history

@@ -115,18 +115,16 @@ def _fit_csa(
     return unpack_filter_bank(theta, d, p), trace
 
 
-def fit_csa(
-    x: TimeSeriesMatrix, p: int, cfg: Optional[OptimizerConfig] = None
-) -> SourceModel:
+def fit_csa(x: TimeSeriesMatrix, p: int) -> SourceModel:
     """CSA: maximum-likelihood fit of the FIR filter bank, returned in
     (B, H) coordinates. ``x`` may also be a sequence of segments."""
-    fb, _ = _fit_csa(lag_stack(x, p), p, cfg)
+    fb, _ = _fit_csa(lag_stack(x, p), p)
     return filter_bank_to_source_model(fb)
 
 
-def fit_ica(x: TimeSeriesMatrix, cfg: Optional[OptimizerConfig] = None) -> SourceModel:
+def fit_ica(x: TimeSeriesMatrix) -> SourceModel:
     """Instantaneous maximum-likelihood ICA (order-0 CSA); empty H."""
-    return fit_csa(x, 0, cfg)
+    return fit_csa(x, 0)
 
 
 def _fit_scsa(
@@ -135,31 +133,50 @@ def _fit_scsa(
     pen: GroupPenaltySpec,
     cfg: Optional[OptimizerConfig] = None,
     init: Optional[SourceModel] = None,
+    block: slice = slice(None),
 ) -> Tuple[SourceModel, OptimizationTrace]:
-    """Group-lasso regularized joint fit on a lag stack, warm-started from
-    ``init`` or else from the CSA fit."""
+    """Group-lasso regularized fit on a lag stack, warm-started from ``init``
+    or else from the CSA fit.
+
+    ``block`` is the part of the flat vector ``[vec(B); vec(H)]`` minimized
+    over, with the rest held at ``init``: all of it (the joint fit), the B
+    block ``slice(0, D*D)`` or the H block ``slice(D*D, None)``. The penalty
+    does not depend on B, so a B-block solve leaves it out.
+    """
     cfg = cfg or OptimizerConfig(max_iters=2000)
     d = stack.shape[0] // (p + 1)
     if init is None:
         fb, _ = _fit_csa(stack, p, cfg)
         init = filter_bank_to_source_model(fb)
-
+    theta = pack_source_model(init)
+    start, stop, _ = block.indices(theta.size)
+    whole = stop - start == theta.size
     pen0 = GroupPenaltySpec(0.0)
 
-    def smooth(theta):
-        rep = grad_scsa(unpack_source_model(theta, d, p), stack, pen0)
-        return rep.value, rep.gradient
+    def model_at(v):
+        if not whole:  # the held block stays at init
+            theta[block] = v
+            v = theta
+        return unpack_source_model(v, d, p)
 
-    def smooth_value(theta):
-        return cost_scsa(unpack_source_model(theta, d, p), stack, pen0)
+    def smooth(v):
+        rep = grad_scsa(model_at(v), stack, pen0)
+        return rep.value, rep.gradient[block]
 
-    groups = penalty_groups(pen, d * d + np.arange(p * d * d).reshape(p, d, d))
-    theta, trace = keep_last_on_stagnation(
+    def smooth_value(v):
+        return cost_scsa(model_at(v), stack, pen0)
+
+    h_index = np.arange(d * d, theta.size).reshape(p, d, d) - start  # in the block
+    groups = penalty_groups(pen, h_index) if stop > d * d else []
+    what = f"SCSA fit (P={p}, lambda={pen.lam:g})" if whole else (
+        "M-step" if start else "E-step")
+    v, trace = keep_last_on_stagnation(
         lambda: minimize_with_group_truncation(
-            smooth, pack_source_model(init), groups, cfg, value_fn=smooth_value
+            smooth, theta[block], groups, cfg, value_fn=smooth_value
         ),
-        f"SCSA fit (P={p}, lambda={pen.lam:g})",
+        what,
     )
+    theta[block] = v
     model = unpack_source_model(theta, d, p)
     return SourceModel(model.b, MvarCoefficients(model.h.lags)), trace
 
@@ -182,27 +199,21 @@ def fit_scsa_em(
     p: int,
     pen: GroupPenaltySpec,
     em_steps: int = 20,
-    opt_cfg: Optional[OptimizerConfig] = None,
 ) -> SourceModel:
-    """SCSA refined by EM alternation, whose M-step runs on the same
-    group-lasso L-BFGS core as :func:`fit_scsa`; warm-started from
-    :func:`fit_scsa`."""
-    model, _ = em_dal.fit_scsa_em(x, p, pen, em_steps=em_steps, opt_cfg=opt_cfg)
+    """SCSA refined by EM alternation, block-coordinate descent on the SCSA
+    cost over B and H; warm-started from :func:`fit_scsa`."""
+    model, _ = em_dal.fit_scsa_em(x, p, pen, em_steps=em_steps)
     return model
 
 
-def fit_mvarica(
-    x: TimeSeriesMatrix, p: int, cfg: Optional[OptimizerConfig] = None
-) -> SourceModel:
+def fit_mvarica(x: TimeSeriesMatrix, p: int) -> SourceModel:
     """MVARICA baseline: sensor-space least-squares MVAR, instantaneous ICA
     on its residuals, then similarity transform of the sensor coefficients
     into source space (H^(p) = B A^(p) B^{-1})."""
-    return _fit_mvarica(x, p, cfg)[0]
+    return _fit_mvarica(x, p)[0]
 
 
-def _fit_mvarica(
-    x: TimeSeriesMatrix, p: int, cfg: Optional[OptimizerConfig] = None
-) -> Tuple[SourceModel, OptimizationTrace]:
+def _fit_mvarica(x: TimeSeriesMatrix, p: int) -> Tuple[SourceModel, OptimizationTrace]:
     """:func:`fit_mvarica`, plus the trace of its ICA fit."""
     d, t = x.n_channels, x.n_samples
     if t <= p:
@@ -213,7 +224,7 @@ def _fit_mvarica(
             f"rank-deficient sensor MVAR regression (rank {rank} < {p * d})"
         )
     # the residual block is its own lag stack at order 0
-    fb, trace = _fit_csa(resid, 0, cfg)
+    fb, trace = _fit_csa(resid, 0)
     b = filter_bank_to_source_model(fb).b
     b_inv = np.linalg.inv(b)
     h = MvarCoefficients(list(b @ a_stack.reshape(d, p, d).transpose(1, 0, 2) @ b_inv))
@@ -233,7 +244,6 @@ def select_order_bic(
     x: TimeSeriesMatrix,
     method: str,
     order_candidates: Sequence[int],
-    cfg: Optional[OptimizerConfig] = None,
 ) -> Tuple[int, Dict[int, float]]:
     """Pick the MVAR order minimizing BIC on the common evaluation window.
 
@@ -251,9 +261,9 @@ def select_order_bic(
     for p in candidates:
         try:
             if method == "MVARICA":
-                model = fit_mvarica(x, p, cfg)
+                model = fit_mvarica(x, p)
             else:
-                model = fit_csa(x, p, cfg)
+                model = fit_csa(x, p)
             nll = _common_window_nll(model, x, p_max)
         except Exception as err:  # noqa: BLE001 - failed orders are skipped
             warnings.warn(f"order {p} failed and was excluded: {err}")
@@ -286,8 +296,6 @@ def select_lambda_cv(
     p: int,
     lambda_grid: Sequence[float],
     folds: int = 5,
-    cfg: Optional[OptimizerConfig] = None,
-    penalize_diagonal: bool = False,
 ) -> Tuple[float, Dict[float, float]]:
     """Blocked cross-validation for the group-lasso weight.
 
@@ -310,11 +318,10 @@ def select_lambda_cv(
         runs = (x.data[:, : held[0]], x.data[:, held[-1] + 1 :])
         stack = lag_stack([run for run in runs if run.shape[1]], p)
         held_x = TimeSeriesMatrix(x.data[:, held])
-        warm, _ = _fit_csa(stack, p, cfg)
+        warm, _ = _fit_csa(stack, p)
         warm_model = filter_bank_to_source_model(warm)
         for lam in lambdas:
-            pen = GroupPenaltySpec(lam, penalize_diagonal=penalize_diagonal)
-            warm_model, _ = _fit_scsa(stack, p, pen, cfg, init=warm_model)
+            warm_model, _ = _fit_scsa(stack, p, GroupPenaltySpec(lam), init=warm_model)
             scores[lam] += _common_window_nll(warm_model, held_x, p)
     curve = {lam: scores[lam] / folds for lam in lambdas}
     best = min(lambdas, key=lambda l: (curve[l], l))

@@ -76,10 +76,14 @@ class SimulationSpec:
             self.sensor_count = self.d_sources
         if self.noise_kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.noise_kind!r}")
+        if self.d_sources < 1:
+            raise ValueError("d_sources must be >= 1")
+        if not 0 <= self.p < self.t:
+            raise ValueError(f"need 0 <= p < t, got p = {self.p}, t = {self.t}")
         if self.n_interactions > self.d_sources * (self.d_sources - 1):
             raise ValueError("n_interactions exceeds D(D-1)")
-        if self.snr <= 0:
-            raise ValueError("snr must be positive")
+        if not 0 < self.snr < np.inf:
+            raise ValueError(f"snr must be positive and finite, got {self.snr}")
         if self.sensor_count < self.d_sources:
             raise ValueError("sensor_count must be >= d_sources")
 

@@ -70,6 +70,24 @@ class TestSimulate:
         args[args.index("--interactions") + 1] = "99"
         assert run(*args, "--out", str(tmp_path / "x")) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"--samples": "0"},
+            {"--samples": "1"},  # T <= P
+            {"--order": "-1"},
+            {"--sources": "0", "--interactions": "0"},
+            {"--snr": "inf"},
+        ],
+    )
+    def test_impossible_spec_is_usage_error(self, tmp_path, changes):
+        args = list(SIM_ARGS)
+        for flag, value in changes.items():
+            args[args.index(flag) + 1] = value
+        out = tmp_path / "x"
+        assert run(*args, "--out", str(out)) == EXIT_USAGE
+        assert not out.exists()
+
 
 class TestFit:
     def test_fit_writes_model(self, dataset_dir, tmp_path):
@@ -109,6 +127,14 @@ class TestFit:
                    "--lambda", "0.5", "--out", str(out))
         assert code == EXIT_OK
         assert load_model_file(out)["model"].order == 0
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_lambda_is_usage_error(self, dataset_dir, tmp_path, lam):
+        out = tmp_path / "model.json"
+        code = run("fit", str(dataset_dir), "--method", "scsa", "--orders", "1",
+                   "--lambda", lam, "--out", str(out))
+        assert code == EXIT_USAGE
+        assert not out.exists()
 
     def test_orders_range_syntax(self):
         assert _parse_orders("1..4") == [1, 2, 3, 4]

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+from scsa import em_dal
 from scsa.cost import GroupPenaltySpec, cost_scsa, nll_csa
 from scsa.em_dal import (
     DualVariables,
@@ -312,6 +313,29 @@ class TestMStepDal:
         for hp, hp_pi in zip(h.lags, h_pi.lags):
             np.testing.assert_allclose(hp_pi, pi @ hp @ pi.T, rtol=0, atol=1e-6)
 
+    def test_same_solution_as_h_block_at_another_demixing(self):
+        # at B != I on x, with s = B x, the SCSA cost is the M-step cost
+        # minus the constant (T - P) log|det B|, so both H-block solves
+        # reach the same objective
+        from scsa.estimators import _fit_scsa
+        from scsa.model import lag_stack
+
+        d, p, t = 3, 2, 300
+        s, _ = self._sources(32, d=d, p=p, t=t)
+        b = np.eye(d) + 0.3 * np.random.default_rng(32).standard_normal((d, d))
+        x = TimeSeriesMatrix(np.linalg.solve(b, s.data))
+        pen = GroupPenaltySpec(5.0)
+        h = m_step_dal(s, p, pen)
+        init = SourceModel(b, MvarCoefficients(list(np.zeros((p, d, d)))))
+        model, _ = _fit_scsa(
+            lag_stack(x, p), p, pen, em_dal.M_STEP_CONFIG, init,
+            block=slice(d * d, None),
+        )
+        want = cost_scsa(SourceModel(np.eye(d), h), s, pen)
+        logdet = np.linalg.slogdet(b)[1]
+        got = cost_scsa(model, x, pen) + (t - p) * logdet
+        assert got == pytest.approx(want, rel=1e-9)
+
     def test_order_zero(self):
         s, _ = self._sources(30)
         h = m_step_dal(s, 0, GroupPenaltySpec(1.0))
@@ -328,13 +352,13 @@ class TestEStep:
     def test_stagnation_keeps_the_start_and_is_logged(self, monkeypatch, caplog):
         import logging
 
-        from scsa import em_dal
+        from scsa import estimators
         from scsa.exceptions import NumericError
 
         rng = np.random.default_rng(41)
         x = TimeSeriesMatrix(rng.standard_normal((2, 200)))
         h = MvarCoefficients([0.2 * np.eye(2)])
-        real = em_dal.grad_scsa
+        real = estimators.grad_scsa
         calls = []
 
         def start_only(*args):  # every point but the start leaves the domain
@@ -346,8 +370,9 @@ class TestEStep:
         def outside(*args):
             raise NumericError("outside the domain")
 
-        monkeypatch.setattr(em_dal, "grad_scsa", start_only)
-        monkeypatch.setattr(em_dal, "cost_scsa", outside)
+        # the E-step is the B-block solve of the SCSA fit, which calls these
+        monkeypatch.setattr(estimators, "grad_scsa", start_only)
+        monkeypatch.setattr(estimators, "cost_scsa", outside)
         b0 = np.array([[1.0, 0.2], [0.1, 1.0]])
         with caplog.at_level(logging.DEBUG, logger="scsa"):
             b = e_step(x, h, b0)

@@ -33,6 +33,7 @@ from scsa.model import (
     MvarCoefficients,
     SourceModel,
     TimeSeriesMatrix,
+    lag_stack,
     sample_sech,
     simulate_sources,
     source_model_to_filter_bank,
@@ -184,6 +185,29 @@ class TestFitScsa:
             states.append(bool(np.all(xg == 0.0)))
         # the diagonal group is active and some interaction group is not
         assert not states[0] and any(states[1:])
+
+    @pytest.mark.parametrize("free", ["B", "H"])
+    def test_block_solve_holds_the_other_block(self, free):
+        x, m, h = mixed_dataset(19, d=3, p=2, t=500)
+        d, p = 3, 2
+        b0 = np.linalg.inv(m) + 0.05 * np.eye(d)
+        init = SourceModel(b0, MvarCoefficients([0.5 * hp for hp in h.lags]))
+        b_start, h_start = init.b.copy(), init.h.as_array().copy()
+        block = slice(0, d * d) if free == "B" else slice(d * d, None)
+        pen = GroupPenaltySpec(0.0 if free == "B" else 2.0)
+        cfg = OptimizerConfig()
+        model, _ = estimators._fit_scsa(lag_stack(x, p), p, pen, cfg, init, block)
+        b, hs = model.b, model.h.as_array()
+        if free == "B":
+            assert np.array_equal(hs, h_start)  # bit for bit
+            assert not np.array_equal(b, b_start)
+            np.testing.assert_array_equal(b, em_dal.e_step(x, init.h, b0, cfg))
+        else:
+            assert np.array_equal(b, b_start)
+            assert not np.array_equal(hs, h_start)
+        # the start is not written through
+        np.testing.assert_array_equal(init.b, b_start)
+        np.testing.assert_array_equal(init.h.as_array(), h_start)
 
 
 class TestPenaltyGroups:
