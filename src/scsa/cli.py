@@ -8,7 +8,6 @@ failure (numpy's ``LinAlgError`` included), 5 estimator failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import hashlib
 import io
@@ -21,7 +20,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from .estimators import AUTO, FitRequest, fit
+from .estimators import AUTO, FitRequest, _pool_map, fit
 from .evaluation import evaluate
 from .exceptions import NumericError, SamplingError, ScsaError
 from .model import MvarCoefficients, SourceModel
@@ -187,8 +186,7 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _bench_run(task) -> Dict:
-    sim_kwargs, method_kwargs, rep, noise, master_seed = task
+def _bench_run(sim_kwargs, method_kwargs, rep, noise, master_seed) -> Dict:
     method = method_kwargs["method"]
     row = {
         "dataset": f"rep{rep}",
@@ -260,12 +258,9 @@ def cmd_bench(args) -> int:
         for noise in noise_kinds
         for m in methods
     ]
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_bench_run, tasks))
-    else:
-        rows = [_bench_run(task) for task in tasks]
-    # deterministic output order regardless of scheduling
+    # each worker's fits run serially: pools do not nest
+    rows = _pool_map(_bench_run, tasks, cap=workers)
+    # rows in (dataset, noise, method) order, whatever the order of the config
     rows.sort(key=lambda r: (r["dataset"], r["noise"], r["method"]))
 
     long_path = out_dir / "results.csv"

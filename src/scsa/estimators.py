@@ -12,10 +12,12 @@ its own lag windows only. Each fit stacks its lag windows once
 
 from __future__ import annotations
 
+import math
+import os
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -74,6 +76,15 @@ class FitRequest:
             raise ValueError("orders must be nonnegative")
         if self.cv_folds < 2:
             raise ValueError("cv_folds must be >= 2")
+        grid = self.lambda_grid
+        if isinstance(grid, str):
+            if grid != AUTO:
+                raise ValueError(f"unknown lambda_grid {grid!r}")
+        elif len(grid) == 0 or not all(0 <= float(lam) < math.inf for lam in grid):
+            raise ValueError(
+                f"lambda_grid must be {AUTO!r} or a nonempty sequence of finite, "
+                f"nonnegative numbers; got {list(grid)!r}"
+            )
 
 
 @dataclass
@@ -240,6 +251,67 @@ def _common_window_nll(model: SourceModel, x: TimeSeriesMatrix, p_max: int) -> f
     return nll_csa(source_model_to_filter_bank(model), sub)
 
 
+def _worker_count(n_tasks: int, cap: Optional[int] = None) -> int:
+    """How many processes :func:`_pool_map` spreads ``n_tasks`` tasks over:
+    one per CPU this process may run on, at most one per task and at most
+    ``cap``. It is 1 (run in the calling process) inside a worker process, so
+    pools never nest; where ``fork`` is unavailable; and while other threads
+    run, since a forked child gets a copy of their locks but not the threads
+    that would release them."""
+    import multiprocessing
+    import threading
+
+    if (
+        multiprocessing.parent_process() is not None
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or threading.active_count() > 1
+    ):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(n_tasks, cpus, n_tasks if cap is None else cap))
+
+
+def _pool_map(fn: Callable, tasks: Sequence[tuple], cap: Optional[int] = None) -> list:
+    """``[fn(*task) for task in tasks]``, with the tasks spread over
+    :func:`_worker_count` forked processes.
+
+    ``fn`` must be a module-level function, because it is sent to the workers
+    by name. Results come back in task order, so a caller that reduces them
+    in that order gets the serial loop's numbers at every worker count. If a
+    task raises, the tasks not yet started are cancelled, the workers are
+    joined, and the exception of the first failed task in task order is
+    raised with its own type. No worker outlives the call.
+    """
+    workers = _worker_count(len(tasks), cap)
+    if workers == 1:
+        return [fn(*task) for task in tasks]
+    # imported here: ``import scsa`` should not pay for the pool machinery
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, not spawn: a spawned worker imports numpy and scipy afresh, which
+    # takes longer than the tasks it would run
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [pool.submit(fn, *task) for task in tasks]
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _bic_nll(x: TimeSeriesMatrix, method: str, p: int, p_max: int):
+    """Common-window NLL of the order-``p`` fit, or the exception that the fit
+    raised (a failed order is excluded by the caller, not fatal)."""
+    try:
+        model = fit_mvarica(x, p) if method == "MVARICA" else fit_csa(x, p)
+        return _common_window_nll(model, x, p_max)
+    except Exception as err:  # noqa: BLE001 - failed orders are skipped
+        return err
+
+
 def select_order_bic(
     x: TimeSeriesMatrix,
     method: str,
@@ -248,7 +320,8 @@ def select_order_bic(
     """Pick the MVAR order minimizing BIC on the common evaluation window.
 
     SCSA-family methods are scored with the unpenalized (CSA) fit; the
-    penalty weight is selected afterwards at the chosen order.
+    penalty weight is selected afterwards at the chosen order. The orders
+    are fitted in a process pool (:func:`_pool_map`).
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -257,16 +330,11 @@ def select_order_bic(
     candidates = sorted(set(int(p) for p in order_candidates))
     p_max = max(candidates)
     d, t = x.n_channels, x.n_samples
+    nlls = _pool_map(_bic_nll, [(x, method, p, p_max) for p in candidates])
     bic: Dict[int, float] = {}
-    for p in candidates:
-        try:
-            if method == "MVARICA":
-                model = fit_mvarica(x, p)
-            else:
-                model = fit_csa(x, p)
-            nll = _common_window_nll(model, x, p_max)
-        except Exception as err:  # noqa: BLE001 - failed orders are skipped
-            warnings.warn(f"order {p} failed and was excluded: {err}")
+    for p, nll in zip(candidates, nlls):
+        if isinstance(nll, Exception):
+            warnings.warn(f"order {p} failed and was excluded: {nll}")
             continue
         k = d * d * (p + 1)
         bic[p] = 2.0 * nll + k * np.log(t - p_max)
@@ -291,6 +359,27 @@ def _cv_blocks(t: int, folds: int, p: int) -> List[np.ndarray]:
     return blocks
 
 
+def _cv_fold(
+    data: np.ndarray, p: int, lambdas: Sequence[float], held: np.ndarray
+) -> List[float]:
+    """Held-out NLL at each λ of one fold.
+
+    The model is fitted on the runs before and after the held-out block
+    (columns ``held`` of ``data``), treated as separate segments, walking
+    ``lambdas`` in their order with warm starts from the fold's CSA fit.
+    """
+    runs = (data[:, : held[0]], data[:, held[-1] + 1 :])
+    stack = lag_stack([run for run in runs if run.shape[1]], p)
+    held_x = TimeSeriesMatrix(data[:, held])
+    warm, _ = _fit_csa(stack, p)
+    model = filter_bank_to_source_model(warm)
+    nlls = []
+    for lam in lambdas:
+        model, _ = _fit_scsa(stack, p, GroupPenaltySpec(lam), init=model)
+        nlls.append(_common_window_nll(model, held_x, p))
+    return nlls
+
+
 def select_lambda_cv(
     x: TimeSeriesMatrix,
     p: int,
@@ -303,26 +392,20 @@ def select_lambda_cv(
     model is fitted on the remaining blocks, treated as separate contiguous
     segments whose likelihoods are summed (no lag window straddles the
     held-out gap), and scored by the unpenalized NLL on the held-out block.
-    The grid is traversed in increasing order with warm starts.
+    The grid is traversed in increasing order with warm starts. The folds
+    run in a process pool (:func:`_pool_map`), and their scores are summed
+    in fold order.
     """
     if folds < 2:
         raise ValueError("folds must be >= 2")
     lambdas = sorted(float(l) for l in lambda_grid)
     if not lambdas:
         raise ValueError("lambda_grid must be nonempty")
-    t = x.n_samples
-    blocks = _cv_blocks(t, folds, p)
+    blocks = _cv_blocks(x.n_samples, folds, p)
     scores = {lam: 0.0 for lam in lambdas}
-    for k, held in enumerate(blocks):
-        # the training data are the runs before and after the held-out block
-        runs = (x.data[:, : held[0]], x.data[:, held[-1] + 1 :])
-        stack = lag_stack([run for run in runs if run.shape[1]], p)
-        held_x = TimeSeriesMatrix(x.data[:, held])
-        warm, _ = _fit_csa(stack, p)
-        warm_model = filter_bank_to_source_model(warm)
-        for lam in lambdas:
-            warm_model, _ = _fit_scsa(stack, p, GroupPenaltySpec(lam), init=warm_model)
-            scores[lam] += _common_window_nll(warm_model, held_x, p)
+    for nlls in _pool_map(_cv_fold, [(x.data, p, lambdas, held) for held in blocks]):
+        for lam, nll in zip(lambdas, nlls):
+            scores[lam] += nll
     curve = {lam: scores[lam] / folds for lam in lambdas}
     best = min(lambdas, key=lambda l: (curve[l], l))
     return best, curve
@@ -341,10 +424,8 @@ def fit(x: TimeSeriesMatrix, request: FitRequest) -> FitResult:
     lam: Optional[float] = None
     curve: Dict[float, float] = {}
     if request.method in ("SCSA", "SCSA_EM"):
-        grid = request.lambda_grid
+        grid = request.lambda_grid  # AUTO or a valid grid: FitRequest checks
         if isinstance(grid, str):
-            if grid != AUTO:
-                raise ValueError(f"unknown lambda_grid {grid!r}")
             grid = default_lambda_grid(x.n_samples)
         grid = list(grid)
         if len(grid) > 1:

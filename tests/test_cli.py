@@ -136,6 +136,15 @@ class TestFit:
         assert code == EXIT_USAGE
         assert not out.exists()
 
+    def test_bad_lambda_exits_before_order_selection(self, dataset_dir, monkeypatch):
+        def no_fitting(*args, **kwargs):
+            raise AssertionError("select_order_bic ran before lambda was checked")
+
+        monkeypatch.setattr(scsa.estimators, "select_order_bic", no_fitting)
+        code = run("fit", str(dataset_dir), "--method", "scsa", "--orders", "1..3",
+                   "--lambda", "nan")
+        assert code == EXIT_USAGE
+
     def test_orders_range_syntax(self):
         assert _parse_orders("1..4") == [1, 2, 3, 4]
         assert _parse_orders("2,5") == [2, 5]

@@ -1,4 +1,7 @@
 import logging
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -309,6 +312,73 @@ class TestSelectLambdaCv:
         assert wins >= 3
 
 
+def two_workers(n_tasks, cap=None):
+    """A worker count that makes a pool even on a one-CPU host."""
+    return min(n_tasks, 2)
+
+
+class TestWorkerPool:
+    def test_pooled_equals_serial(self, monkeypatch):
+        x, _, _ = mixed_dataset(18, d=2, p=1, t=600)
+        req = FitRequest(
+            method="SCSA", order_candidates=[1, 2, 3], lambda_grid=[0.1, 1.0, 10.0],
+            cv_folds=3,
+        )
+
+        def run():
+            return (
+                select_order_bic(x, "CSA", [1, 2, 3]),
+                select_lambda_cv(x, 2, [0.1, 1.0, 10.0], folds=3),
+                fit(x, req),
+            )
+
+        monkeypatch.setattr(estimators, "_worker_count", two_workers)
+        pooled = run()
+        monkeypatch.setattr(estimators, "_worker_count", lambda n_tasks, cap=None: 1)
+        serial = run()
+        assert pooled[0] == serial[0]
+        assert pooled[1] == serial[1]
+        a, b = pooled[2], serial[2]
+        assert (a.selected_order, a.selected_lambda) == (b.selected_order, b.selected_lambda)
+        assert a.bic_per_order == b.bic_per_order and a.cv_curve == b.cv_curve
+        np.testing.assert_array_equal(a.model.b, b.model.b)
+        np.testing.assert_array_equal(np.array(a.model.h.lags), np.array(b.model.h.lags))
+
+    def test_worker_count(self):
+        with ProcessPoolExecutor(1) as pool:
+            assert pool.submit(estimators._worker_count, 8).result() == 1
+        assert estimators._worker_count(1) == 1
+        assert estimators._worker_count(8, cap=1) == 1
+        assert estimators._worker_count(8) == min(8, len(os.sched_getaffinity(0)))
+
+    def test_failed_order_is_excluded(self, monkeypatch):
+        x, _, _ = mixed_dataset(12, d=2, p=1, t=400)
+        real = estimators.fit_csa
+
+        def fails_at_two(x, p):
+            if p == 2:
+                raise IllPosedError("no fit at order 2")
+            return real(x, p)
+
+        monkeypatch.setattr(estimators, "_worker_count", two_workers)
+        monkeypatch.setattr(estimators, "fit_csa", fails_at_two)
+        with pytest.warns(UserWarning, match="order 2 failed and was excluded"):
+            _, bic = select_order_bic(x, "CSA", [1, 2, 3])
+        assert set(bic) == {1, 3}
+
+    def test_task_error_keeps_its_type(self, monkeypatch):
+        x, _, _ = mixed_dataset(15, d=2, p=1, t=600)
+
+        def fails(*args, **kwargs):
+            raise NumericError("no CSA fit")
+
+        monkeypatch.setattr(estimators, "_worker_count", two_workers)
+        monkeypatch.setattr(estimators, "_fit_csa", fails)
+        with pytest.raises(NumericError, match="no CSA fit"):
+            select_lambda_cv(x, 1, [0.1, 1.0], folds=4)
+        assert multiprocessing.active_children() == []
+
+
 class TestDefaultLambdaGrid:
     def test_shape_and_scaling(self):
         g = default_lambda_grid(2000)
@@ -324,6 +394,13 @@ class TestFitDispatcher:
             FitRequest(method="NOPE")
         with pytest.raises(ValueError):
             FitRequest(method="CSA", order_candidates=[])
+
+    @pytest.mark.parametrize(
+        "grid", ["auto", [], [float("nan")], [1.0, float("inf")], [1.0, -0.5]]
+    )
+    def test_lambda_grid_validation(self, grid):
+        with pytest.raises(ValueError, match="lambda_grid"):
+            FitRequest(method="SCSA", lambda_grid=grid)
 
     @pytest.mark.parametrize("method", ["CSA", "ICA", "MVARICA", "SCSA", "SCSA_EM"])
     def test_each_method_runs(self, method):
