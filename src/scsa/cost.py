@@ -11,8 +11,10 @@ two matrix products per call, whatever the number of segments. SCSA is CSA
 with W = [B, -H^(1) B, ..., -H^(P) B], so its smooth gradient is the chain
 rule on G: grad_B = G_0 - sum_p H^(p)T G_p and grad_H^(p) = -G_p B^T. The
 group-lasso penalty of :func:`cost_scsa`/:func:`grad_scsa` is a thin layer
-on top of that smooth part: the groups of :func:`penalty_groups` in the
-optimizer's flat :class:`scsa.optim.GroupLayout`.
+on top of that smooth part: lam times the sum of the off-diagonal lag-group
+norms ||(H^(1) ... H^(P))_af||, a != f, as the groups of
+:func:`penalty_groups` in the optimizer's flat
+:class:`scsa.optim.GroupLayout`.
 
 Parameter layout contract (used by every optimizer in this package): the flat
 vector is ``[vec(B); vec(H^(1)); ...; vec(H^(P))]`` with row-major ``vec``.
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetri
@@ -37,7 +39,7 @@ from .model import (
     lag_stack,
     unchecked,
 )
-from .optim import GroupBlock, GroupLayout
+from .optim import GroupLayout
 
 LOG_PI = float(np.log(np.pi))
 LOG_2 = float(np.log(2.0))
@@ -48,24 +50,18 @@ Data = Union[np.ndarray, TimeSeriesMatrix]
 
 @dataclass
 class GroupPenaltySpec:
-    """Group-lasso penalty weights.
+    """Group-lasso penalty weight.
 
-    ``lam`` weights the off-diagonal interaction groups. When
-    ``penalize_diagonal`` is set, all diagonal (autocorrelation) coefficients
-    form one additional group weighted by ``lambda_diag`` (defaults to
-    ``lam``); by default they are left unpenalized.
+    ``lam`` weights each off-diagonal interaction group, the P lag
+    coefficients from source f to source a != f; the diagonal
+    (autocorrelation) coefficients are unpenalized.
     """
 
     lam: float = 0.0
-    penalize_diagonal: bool = False
-    lambda_diag: Optional[float] = None
 
     def __post_init__(self):
-        if self.lambda_diag is None:
-            self.lambda_diag = self.lam
-        for name in ("lam", "lambda_diag"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and nonnegative")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError("lam must be finite and nonnegative")
 
 
 @dataclass
@@ -195,26 +191,20 @@ def group_norms(h: MvarCoefficients, d: Optional[int] = None) -> np.ndarray:
     return np.sqrt(np.sum(h.as_array(dim) ** 2, axis=0))
 
 
-def penalty_groups(pen: GroupPenaltySpec, h_index: np.ndarray) -> List[GroupBlock]:
-    """Group-lasso groups of H as (index matrix, weights) blocks, given
+def penalty_groups(h_index: np.ndarray) -> np.ndarray:
+    """Group-lasso groups of H as a (D(D-1), P) index matrix, given
     ``h_index``, the (P, D, D) array of H's positions in a flat vector: one
-    row of P lag indices per off-diagonal (a, f) pair, row-major in (a, f),
-    and with ``penalize_diagonal`` one group of all P*D diagonal
-    coefficients."""
-    p, d, _ = h_index.shape
-    off = ~np.eye(d, dtype=bool)
-    groups = [(h_index[:, off].T, np.full(d * (d - 1), pen.lam))]
-    if pen.penalize_diagonal:
-        diag = h_index[:, np.arange(d), np.arange(d)].reshape(1, p * d)
-        groups.append((diag, np.array([pen.lambda_diag])))
-    return groups
+    row of P lag indices per off-diagonal (a, f) pair, row-major in (a, f)."""
+    d = h_index.shape[1]
+    return h_index[:, ~np.eye(d, dtype=bool)].T
 
 
 def _penalty_layout(pen: GroupPenaltySpec, hs: np.ndarray) -> Optional[GroupLayout]:
     """Flat layout of the penalized groups of the (P, D, D) array ``hs``, or
     None when nothing is penalized."""
-    if pen.lam > 0 or pen.penalize_diagonal:
-        return GroupLayout(penalty_groups(pen, np.arange(hs.size).reshape(hs.shape)))
+    if pen.lam > 0:
+        index = penalty_groups(np.arange(hs.size).reshape(hs.shape))
+        return GroupLayout(index, pen.lam)
     return None
 
 

@@ -7,7 +7,8 @@ demixing update ("E-step") is the B block at fixed lag coefficients; the
 penalty does not depend on B, so it is a smooth quasi-Newton solve. The
 coefficient update ("M-step") is the H block at B = I on the lag stack of the
 demixed sources s = B x: there log|det I| = 0 and W = [I, -H], so the SCSA
-cost is the sech prediction loss plus the group penalty, a convex problem.
+cost is the sech prediction loss plus lam times the off-diagonal lag-group
+norms, a convex problem.
 
 The M-step ends at the rounding floor: :data:`M_STEP_CONFIG` asks for a
 gradient no solve reaches, so the solve stops after five iterations whose
@@ -26,7 +27,6 @@ duality-gap checks; the solver itself works in the primal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,22 +45,6 @@ M_STEP_CONFIG = OptimizerConfig(grad_tol=1e-12, max_iters=2000, value_tol=1e-16)
 EM_COST_CHANGE_TOL = 1e-8
 
 
-@dataclass
-class DualVariables:
-    """Dual matrix of the conjugate sech loss, entries strictly inside (-1, 1)."""
-
-    a: np.ndarray
-
-    def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=float)
-        if np.any(np.abs(self.a) >= 1.0):
-            raise ValueError("dual variables must lie strictly inside (-1, 1)")
-
-
-def _as_array(a):
-    return a.a if isinstance(a, DualVariables) else np.asarray(a, dtype=float)
-
-
 def m_loss(s_tilde, s) -> float:
     """Sech loss of predictions against demixed sources (data term of the
     regularized cost, as a function of the predictions)."""
@@ -77,7 +61,7 @@ def m_loss_conjugate(a, s) -> float:
     Per entry: (1-a)/2 log((1-a)/2) + (1+a)/2 log((1+a)/2) - a s + log(2/pi),
     with the x log x -> 0 limit at the interval ends.
     """
-    a = _as_array(a)
+    a = np.asarray(a, dtype=float)
     s = np.asarray(s, dtype=float)
     if np.any(np.abs(a) > 1.0):
         raise ValueError("dual variables must lie in [-1, 1]")
@@ -92,7 +76,7 @@ def m_loss_conjugate_grad_hess(a, s):
     Gradient entry: atanh(a) - s = (1/2) log((1+a)/(1-a)) - s.
     Hessian diagonal entry: 1/(1 - a^2), the derivative of the gradient.
     """
-    a = _as_array(a)
+    a = np.asarray(a, dtype=float)
     s = np.asarray(s, dtype=float)
     if np.any(np.abs(a) >= 1.0):
         raise ValueError("dual variables must lie strictly inside (-1, 1)")
@@ -115,11 +99,9 @@ def m_step_dal(
     coefficients, at fixed demixed sources: the H block of the SCSA fit at
     B = I on the lag stack of ``s``.
 
-    Off-diagonal (d, f) groups carry weight ``pen.lam``; diagonal
-    autocorrelation coefficients are unpenalized unless
-    ``pen.penalize_diagonal`` is set, in which case they form one joint group
-    weighted by ``pen.lambda_diag``. All rows are solved together, warm-started
-    from ``h0`` when it has order ``P``. Raises
+    Each off-diagonal (d, f) lag group carries weight ``pen.lam``; the
+    diagonal autocorrelation coefficients are unpenalized. All rows are
+    solved together, warm-started from ``h0`` when it has order ``P``. Raises
     :class:`InsufficientDataError` when ``T <= P``.
     """
     if P == 0:

@@ -100,17 +100,13 @@ class FitResult:
 
 
 def _fit_csa(
-    stack: np.ndarray,
-    p: int,
-    cfg: Optional[OptimizerConfig] = None,
-    init: Optional[FilterBank] = None,
+    stack: np.ndarray, p: int, cfg: Optional[OptimizerConfig] = None
 ) -> Tuple[FilterBank, OptimizationTrace]:
     """Maximum-likelihood FIR fit on a lag stack (likelihoods summed over
-    its segments)."""
+    its segments), started from W = [I, 0, ..., 0]."""
     cfg = cfg or OptimizerConfig(max_iters=2000)
     d = stack.shape[0] // (p + 1)
-    if init is None:
-        init = FilterBank([np.eye(d)] + [np.zeros((d, d)) for _ in range(p)])
+    init = FilterBank([np.eye(d)] + [np.zeros((d, d)) for _ in range(p)])
 
     def objective(theta):
         rep = grad_csa(unpack_filter_bank(theta, d, p), stack)
@@ -178,7 +174,7 @@ def _fit_scsa(
         return cost_scsa(model_at(v), stack, pen0)
 
     h_index = np.arange(d * d, theta.size).reshape(p, d, d) - start  # in the block
-    groups = penalty_groups(pen, h_index) if stop > d * d else []
+    groups = (penalty_groups(h_index), pen.lam) if stop > d * d else ()
     what = f"SCSA fit (P={p}, lambda={pen.lam:g})" if whole else (
         "M-step" if start else "E-step")
     v, trace = keep_last_on_stagnation(
@@ -197,11 +193,10 @@ def fit_scsa(
     p: int,
     pen: GroupPenaltySpec,
     cfg: Optional[OptimizerConfig] = None,
-    init: Optional[SourceModel] = None,
 ) -> SourceModel:
     """SCSA: group-lasso regularized joint fit, warm-started from CSA.
     ``x`` may also be a sequence of segments."""
-    model, _ = _fit_scsa(lag_stack(x, p), p, pen, cfg, init)
+    model, _ = _fit_scsa(lag_stack(x, p), p, pen, cfg)
     return model
 
 

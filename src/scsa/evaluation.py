@@ -9,9 +9,7 @@ optimal least-squares rescaling.
 
 from __future__ import annotations
 
-import csv
 import json
-import pathlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -19,8 +17,15 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.stats import rankdata
 
+from .cost import group_norms
 from .exceptions import DegenerateModelError
-from .model import MixingMatrix, SourceModel, TimeSeriesMatrix, least_squares_mvar
+from .model import (
+    MixingMatrix,
+    MvarCoefficients,
+    SourceModel,
+    TimeSeriesMatrix,
+    least_squares_mvar,
+)
 
 
 @dataclass
@@ -149,24 +154,20 @@ def interaction_scores(
     """
     d = est_model.dim
     if est_model.order > 0:
-        hs = est_model.h.as_array(d)
+        h = est_model.h
     else:
         if x is None or mvar_order is None or mvar_order < 1:
             raise ValueError(
                 "order-0 model needs data and a positive mvar_order for scoring"
             )
         a, _, _ = least_squares_mvar(est_model.b @ x.data, mvar_order)
-        hs = a.reshape(d, mvar_order, d).transpose(1, 0, 2)
+        h = MvarCoefficients(list(a.reshape(d, mvar_order, d).transpose(1, 0, 2)))
+    scale = np.abs(pairing.scales)
+    scores = group_norms(h, d) * (scale[None, :] / scale[:, None])  # [f1, f2]
     inv_perm = np.empty(d, dtype=int)
     inv_perm[pairing.permutation] = np.arange(d)
-    scores = np.zeros((d, d))
-    for d1 in range(d):
-        for d2 in range(d):
-            if d1 == d2:
-                continue
-            f1, f2 = inv_perm[d1], inv_perm[d2]
-            group = (pairing.scales[f2] / pairing.scales[f1]) * hs[:, f1, f2]
-            scores[d1, d2] = float(np.linalg.norm(group))
+    scores = scores[np.ix_(inv_perm, inv_perm)]  # [d1, d2] in true source order
+    np.fill_diagonal(scores, 0.0)
     return scores
 
 
@@ -223,24 +224,3 @@ def evaluate(
         selected_lambda=selected_lambda,
         wall_time_s=wall_time_s,
     )
-
-
-CSV_FIELDS = [
-    "dataset",
-    "method",
-    "gof_error",
-    "auc",
-    "selected_order",
-    "selected_lambda",
-    "wall_time_s",
-]
-
-
-def write_reports_csv(rows: List[Dict], path) -> None:
-    """Write one row per (dataset, method) for external box-plot tooling."""
-    path = pathlib.Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS, extrasaction="ignore")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)

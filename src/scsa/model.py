@@ -266,12 +266,11 @@ def sample_sech(rng: np.random.Generator, size):
 def simulate_sources(
     h: MvarCoefficients,
     T: int,
-    innovation_sampler=sample_sech,
     seed=0,
     burn_in=None,
     dim=None,
 ):
-    """Simulate an MVAR process driven by i.i.d. innovations.
+    """Simulate an MVAR process driven by i.i.d. sech innovations.
 
     Returns ``(sources, innovations)`` as TimeSeriesMatrix pairs of shape
     D x T; the recurrence s(t) = sum_p H^(p) s(t-p) + eps(t) holds on the
@@ -279,8 +278,6 @@ def simulate_sources(
 
     Parameters
     ----------
-    innovation_sampler : callable
-        ``sampler(rng, shape) -> array``; defaults to the sech density.
     burn_in : int, optional
         Samples discarded before recording; defaults to 10 * order.
     dim : int, optional
@@ -299,7 +296,7 @@ def simulate_sources(
         burn_in = BURN_IN_PER_LAG * p
     rng = np.random.default_rng(seed)
     total = burn_in + T
-    eps = np.asarray(innovation_sampler(rng, (d, total)), dtype=float)
+    eps = sample_sech(rng, (d, total))
     s = np.empty((d, total))
     hs = h.as_array(d)
     s[:, :p] = eps[:, :p]

@@ -1,6 +1,6 @@
 """Limited-memory BFGS on flat vectors: one core serves :func:`minimize`
 (smooth objectives) and :func:`minimize_with_group_truncation` (smooth part
-plus sum_g w_g ||x_g||_2, groups given as (G, k) index matrices and weights).
+plus w sum_g ||x_g||_2, the groups given as the rows of a (G, k) index matrix).
 
 Directions use the compact L-BFGS form (Byrd, Nocedal & Schnabel, Math.
 Prog. 63, 1994), updated one pair at a time. Penalized groups are handled as
@@ -24,7 +24,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -47,10 +47,6 @@ _BARRIER_ERRORS = (
     FloatingPointError,
     np.linalg.LinAlgError,
 )
-
-# (index matrix of shape (G, k), weights of shape (G,)): G groups of k
-# flat indices each.
-GroupBlock = Tuple[np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -133,28 +129,25 @@ class _LbfgsMemory:
 
 
 class GroupLayout:
-    """The penalized groups (weight > 0, at least one member) in one flat
-    layout: ``members`` holds the flat indices of every group back to back,
-    ``owner`` the group of each member, and ``starts`` where each group
-    begins in ``members``. A group with no members has norm 0 and adds
-    nothing to the penalty, so it is left out."""
+    """The rows of a (G, k) index matrix as groups of flat indices, all with
+    one weight, in one flat layout: ``members`` holds the flat indices of
+    every group back to back, ``owner`` the group of each member, ``starts``
+    where each group begins in ``members``, and ``weights`` the weight of
+    each group. The layout is inactive, and adds no penalty, when the weight
+    is 0 or the groups have no members (the lag groups of an order-0 model)."""
 
-    def __init__(self, groups: Sequence[GroupBlock]):
-        members, sizes, weights = [np.zeros(0, dtype=int)], [], [np.zeros(0)]
-        for index, w in groups:
-            w = np.asarray(w, dtype=float)
-            index = np.asarray(index, dtype=int)
-            if index.shape[1] == 0:
-                continue
-            index = index[w > 0]
-            members.append(index.ravel())
-            sizes.extend([index.shape[1]] * len(index))
-            weights.append(w[w > 0])
-        self.members = np.concatenate(members)
-        self.weights = np.concatenate(weights)
-        self.owner = np.repeat(np.arange(len(sizes)), sizes)
-        self.starts = np.cumsum([0] + sizes)[:-1]
-        self.active = bool(sizes)
+    def __init__(
+        self, index: np.ndarray = np.empty((0, 0), dtype=int), weight: float = 0.0
+    ):
+        index = np.asarray(index, dtype=int)
+        n_groups, size = index.shape
+        self.active = weight > 0 and size > 0
+        if not self.active:
+            n_groups = 0
+        self.members = index[:n_groups].ravel()
+        self.weights = np.full(n_groups, float(weight))
+        self.owner = np.repeat(np.arange(n_groups), size)
+        self.starts = size * np.arange(n_groups)
 
     def norms(self, v):
         vm = v[self.members]
@@ -237,7 +230,7 @@ def _line_search(trial, project, x, f, g, d, trace):
 
 def _lbfgs(objective, x0, cfg, value_fn, groups):
     cfg = cfg or OptimizerConfig()
-    layout = GroupLayout(groups)
+    layout = GroupLayout(*groups)
 
     def trial(v, first):
         """Penalized value at a trial point (+inf outside the domain) and the
@@ -328,7 +321,7 @@ def minimize(
 def minimize_with_group_truncation(
     smooth_objective: Callable[[np.ndarray], Tuple[float, np.ndarray]],
     x0: np.ndarray,
-    groups: Sequence[GroupBlock],
+    groups: Union[Tuple[np.ndarray, float], Tuple[()]],
     cfg: Optional[OptimizerConfig] = None,
     value_fn: Optional[Callable[[np.ndarray], float]] = None,
 ) -> Tuple[np.ndarray, OptimizationTrace]:
@@ -337,9 +330,10 @@ def minimize_with_group_truncation(
 
     ``smooth_objective`` returns the value and gradient of the smooth part
     only, and ``value_fn`` (optional) its value; the penalty and its
-    (sub)gradient are handled here. ``groups`` is a sequence of (index
-    matrix, weights) blocks; groups with weight 0 are ignored. Stopping
-    rules and errors are those of :func:`minimize`.
+    (sub)gradient are handled here. ``groups`` is an (index matrix, weight)
+    pair, each row of the (G, k) matrix the flat indices of one group, or
+    ``()`` for no penalty (:class:`GroupLayout`). Stopping rules and errors
+    are those of :func:`minimize`.
     """
     return _lbfgs(smooth_objective, x0, cfg, value_fn, groups)
 

@@ -82,6 +82,8 @@ class SimulationSpec:
             raise ValueError(f"need 0 <= p < t, got p = {self.p}, t = {self.t}")
         if self.n_interactions > self.d_sources * (self.d_sources - 1):
             raise ValueError("n_interactions exceeds D(D-1)")
+        if self.p == 0 and self.n_interactions > 0:
+            raise ValueError("order-0 sources cannot interact; need n_interactions = 0")
         if not 0 < self.snr < np.inf:
             raise ValueError(f"snr must be positive and finite, got {self.snr}")
         if self.sensor_count < self.d_sources:
@@ -236,7 +238,7 @@ def generate(spec: SimulationSpec) -> Dataset:
     rng = np.random.default_rng(spec.seed)
     sub = rng.integers(0, 2**63 - 1, size=4)
     h = sample_sparse_mvar(spec.d_sources, spec.p, spec.n_interactions, int(sub[0]))
-    sources, _ = simulate_sources(h, spec.t, seed=int(sub[1]))
+    sources, _ = simulate_sources(h, spec.t, seed=int(sub[1]), dim=spec.d_sources)
     m_full = _draw_mixing(
         np.random.default_rng(int(sub[2])), spec.sensor_count, spec.d_sources
     )

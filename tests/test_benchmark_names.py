@@ -32,6 +32,16 @@ def test_traced_names_resolve(tracing):
         assert callable(getattr(importlib.import_module(module_name), attr)), attr
 
 
+def test_traced_functions_are_distinct(tracing):
+    # two names bound to one function object would have it wrapped twice,
+    # and every call counted twice
+    seen = {}
+    for module_name, attr, _ in tracing.TARGETS:
+        fn = getattr(importlib.import_module(module_name), attr)
+        other = seen.setdefault(id(fn), f"{module_name}.{attr}")
+        assert other == f"{module_name}.{attr}", f"{module_name}.{attr} is {other}"
+
+
 def test_stagnation_error_resolves():
     from scsa import exceptions
 

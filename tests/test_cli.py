@@ -88,6 +88,23 @@ class TestSimulate:
         assert run(*args, "--out", str(out)) == EXIT_USAGE
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "interactions,code", [("0", EXIT_OK), ("2", EXIT_USAGE)], ids=["none", "two"]
+    )
+    def test_order_zero(self, tmp_path, interactions, code):
+        # order-0 sources are independent: no interaction can be drawn
+        args = list(SIM_ARGS)
+        args[args.index("--order") + 1] = "0"
+        args[args.index("--interactions") + 1] = interactions
+        out = tmp_path / "p0"
+        assert run(*args, "--out", str(out)) == code
+        if code == EXIT_OK:
+            ds = load_dataset(out)
+            assert ds.x.data.shape == (2, 300)
+            assert ds.true_h.order == 0 and not ds.true_support.any()
+        else:
+            assert not out.exists()
+
 
 class TestFit:
     def test_fit_writes_model(self, dataset_dir, tmp_path):

@@ -239,19 +239,6 @@ class TestGradScsa:
         rep = grad_scsa(model, x, GroupPenaltySpec(0.1))
         assert isinstance(rep, CostReport)
 
-    def test_diagonal_penalty_gradient(self):
-        rng = np.random.default_rng(13)
-        d, p, t = 2, 2, 25
-        model = random_model(rng, d, p, scale=0.5)
-        x = TimeSeriesMatrix(rng.standard_normal((d, t)))
-        pen = GroupPenaltySpec(0.2, penalize_diagonal=True, lambda_diag=0.4)
-        analytic = grad_scsa(model, x, pen).gradient
-        num = fd_gradient(
-            lambda th: cost_scsa(unpack_source_model(th, d, p), x, pen),
-            pack_source_model(model),
-        )
-        np.testing.assert_allclose(analytic, num, rtol=1e-5, atol=1e-6)
-
 
 def rel_close(got, want, rel=1e-12):
     scale = np.max(np.abs(want))
@@ -288,14 +275,10 @@ class TestLagStack:
         segs = [rng.standard_normal((d, 30)), rng.standard_normal((d, 20))]
         stack = lag_stack(segs, p)
         model = random_model(rng, d, p)
-        pen = GroupPenaltySpec(0.4, penalize_diagonal=True, lambda_diag=0.3)
+        pen = GroupPenaltySpec(0.4)
         smooth = cost_scsa(model, stack, GroupPenaltySpec(0.0))
         norms = group_norms(model.h, d)
-        hs = model.h.as_array(d)
-        i = np.arange(d)
-        penalty = pen.lam * (norms.sum() - np.trace(norms))
-        penalty += pen.lambda_diag * np.linalg.norm(hs[:, i, i])
-        want = smooth + penalty
+        want = smooth + pen.lam * (norms.sum() - np.trace(norms))
         assert cost_scsa(model, stack, pen) == pytest.approx(want, rel=1e-14)
         assert grad_scsa(model, stack, pen).value == pytest.approx(want, rel=1e-14)
 
@@ -325,11 +308,8 @@ class TestLagStack:
 
 
 @settings(max_examples=30, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    penalize_diagonal=st.booleans(),
-)
-def test_signed_permutation_relabels_sources(seed, penalize_diagonal):
+@given(seed=st.integers(0, 2**32 - 1))
+def test_signed_permutation_relabels_sources(seed):
     # relabelling the sources by a signed permutation pi (B -> pi B,
     # H^(p) -> pi H^(p) pi^T) leaves the cost unchanged and maps the gradient
     # the same way
@@ -340,7 +320,7 @@ def test_signed_permutation_relabels_sources(seed, penalize_diagonal):
     pi = np.zeros((d, d))
     pi[np.arange(d), rng.permutation(d)] = rng.choice([-1.0, 1.0], d)
     moved = SourceModel(pi @ model.b, MvarCoefficients([pi @ hp @ pi.T for hp in model.h.lags]))
-    pen = GroupPenaltySpec(0.5, penalize_diagonal=penalize_diagonal, lambda_diag=0.7)
+    pen = GroupPenaltySpec(0.5)
     assert cost_scsa(moved, x, pen) == pytest.approx(cost_scsa(model, x, pen), rel=1e-12)
     rep, rep_moved = grad_scsa(model, x, pen), grad_scsa(moved, x, pen)
     assert rep_moved.value == pytest.approx(rep.value, rel=1e-12)

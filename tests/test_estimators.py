@@ -137,12 +137,11 @@ class TestFitScsa:
         nonzero = off > 0
         assert nonzero.sum() == 1
 
-    @pytest.mark.parametrize("diag", [False, True])
-    def test_order_zero_with_penalty_is_ica(self, diag):
+    def test_order_zero_with_penalty_is_ica(self):
         # at P = 0 every penalty group is empty, so any lambda leaves the
         # unpenalized instantaneous fit
         x, _, _ = mixed_dataset(6, d=3, p=1, t=600)
-        pen = GroupPenaltySpec(0.5, penalize_diagonal=diag, lambda_diag=2.0)
+        pen = GroupPenaltySpec(0.5)
         model = fit_scsa(x, 0, pen)
         assert model.order == 0
         pen0 = GroupPenaltySpec(0.0)
@@ -151,20 +150,12 @@ class TestFitScsa:
             cost_scsa(fit_ica(x), x, pen0), abs=1e-6
         )
 
-    def test_huge_diagonal_weight_zeroes_diagonal(self):
-        x, _, _ = mixed_dataset(5, d=3, p=2, t=600)
-        pen = GroupPenaltySpec(0.5, penalize_diagonal=True, lambda_diag=1e6)
-        model = fit_scsa(x, 2, pen)
-        hs = model.h.as_array()
-        assert np.all(hs[:, np.arange(3), np.arange(3)] == 0.0)
-        assert np.any(hs != 0.0)
-
-    def test_kkt_with_diagonal_group(self):
-        # the joint diagonal group (P*D coefficients) sits next to the
-        # off-diagonal groups (P each); both must satisfy the KKT conditions
-        d, p, lam, lam_diag = 3, 2, 120.0, 150.0
+    def test_kkt_conditions(self):
+        # B and the unpenalized diagonal coefficients have a zero gradient,
+        # and the off-diagonal groups (P each) satisfy the KKT conditions
+        d, p, lam = 3, 2, 120.0
         x, _, _ = mixed_dataset(8, d=d, p=p, t=1000)
-        pen = GroupPenaltySpec(lam, penalize_diagonal=True, lambda_diag=lam_diag)
+        pen = GroupPenaltySpec(lam)
         cfg = OptimizerConfig(max_iters=5000, grad_tol=1e-10, value_tol=1e-15)
         model = fit_scsa(x, p, pen, cfg=cfg)
         g = grad_scsa(model, x, GroupPenaltySpec(0.0)).gradient
@@ -173,21 +164,21 @@ class TestFitScsa:
         tol = 1e-6 * x.n_samples
         assert np.max(np.abs(g[: d * d])) <= tol
         i = np.arange(d)
-        groups = [(hs[:, i, i].ravel(), gh[:, i, i].ravel(), lam_diag)]
-        groups += [
-            (hs[:, a, f], gh[:, a, f], lam)
-            for a in range(d) for f in range(d) if a != f
-        ]
-        states = []
-        for xg, gg, w in groups:
-            if np.all(xg == 0.0):
-                assert np.linalg.norm(gg) <= w * (1 + 1e-6)
-            else:
-                stat = gg + w * xg / np.linalg.norm(xg)
-                assert np.max(np.abs(stat)) <= tol
-            states.append(bool(np.all(xg == 0.0)))
-        # the diagonal group is active and some interaction group is not
-        assert not states[0] and any(states[1:])
+        assert np.max(np.abs(gh[:, i, i])) <= tol
+        zero = []
+        for a in range(d):
+            for f in range(d):
+                if a == f:
+                    continue
+                xg, gg = hs[:, a, f], gh[:, a, f]
+                if np.all(xg == 0.0):
+                    assert np.linalg.norm(gg) <= lam * (1 + 1e-6)
+                else:
+                    stat = gg + lam * xg / np.linalg.norm(xg)
+                    assert np.max(np.abs(stat)) <= tol
+                zero.append(bool(np.all(xg == 0.0)))
+        # some interaction group is zero and some is not
+        assert any(zero) and not all(zero)
 
     @pytest.mark.parametrize("free", ["B", "H"])
     def test_block_solve_holds_the_other_block(self, free):
@@ -217,22 +208,15 @@ class TestPenaltyGroups:
     @pytest.mark.parametrize("d,p", [(1, 2), (2, 1), (3, 2), (4, 3)])
     def test_matches_loop_layout(self, d, p):
         # reference: one list of lag indices per ordered off-diagonal pair,
-        # then the joint diagonal group, in the flat [vec(B); vec(H)] layout
-        pen = GroupPenaltySpec(0.5, penalize_diagonal=True, lambda_diag=2.0)
+        # in the flat [vec(B); vec(H)] layout
         theta_index = d * d + np.arange(p * d * d).reshape(p, d, d)
-        (off, w_off), (diag, w_diag) = penalty_groups(pen, theta_index)
         want = [
             [d * d + lag * d * d + a * d + f for lag in range(p)]
             for a in range(d) for f in range(d) if a != f
         ]
-        np.testing.assert_array_equal(off, np.array(want, dtype=int).reshape(-1, p))
-        np.testing.assert_array_equal(w_off, np.full(len(want), 0.5))
-        want_diag = [
-            d * d + lag * d * d + a * d + a for lag in range(p) for a in range(d)
-        ]
-        np.testing.assert_array_equal(diag, [want_diag])
-        np.testing.assert_array_equal(w_diag, [2.0])
-        assert len(penalty_groups(GroupPenaltySpec(0.5), theta_index)) == 1
+        np.testing.assert_array_equal(
+            penalty_groups(theta_index), np.array(want, dtype=int).reshape(-1, p)
+        )
 
 
 class TestFitScsaEm:

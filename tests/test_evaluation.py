@@ -18,7 +18,6 @@ from scsa.evaluation import (
     pattern_gof,
     per_pattern_gof,
     regression_coefficient,
-    write_reports_csv,
 )
 from scsa.exceptions import DegenerateModelError
 from scsa.model import (
@@ -238,6 +237,27 @@ class TestConnectivityAuc:
         assert scores[0, 1] == pytest.approx(abs(2.0 / -1.0) * 0.9)
         assert scores[1, 0] == pytest.approx(0.0, abs=1e-14)
 
+    def test_scores_match_loop_reference(self):
+        # reference: one true pair (d1, d2) at a time, from the estimated
+        # group of its paired sources (f1, f2), rescaled inside the norm
+        rng = np.random.default_rng(7)
+        d, p = 4, 3
+        hs = rng.standard_normal((p, d, d))
+        model = SourceModel(b=np.eye(d), h=MvarCoefficients(list(hs)))
+        scales = rng.choice([-1.0, 1.0], d) * rng.uniform(0.5, 2, d)
+        pairing = PairingResult(np.array([2, 0, 3, 1]), scales, 0.0)
+        inv = np.argsort(pairing.permutation)
+        want = np.zeros((d, d))
+        for d1 in range(d):
+            for d2 in range(d):
+                if d1 != d2:
+                    f1, f2 = inv[d1], inv[d2]
+                    c = pairing.scales[f2] / pairing.scales[f1]
+                    want[d1, d2] = np.linalg.norm(c * hs[:, f1, f2])
+        # the scale is applied outside the norm, a few roundings apart
+        got = interaction_scores(model, pairing)
+        np.testing.assert_allclose(got, want, rtol=8 * np.finfo(float).eps, atol=0)
+
     def test_order_zero_uses_posthoc_mvar(self):
         h = MvarCoefficients([np.array([[0.5, 0.7], [0.0, 0.4]])])
         s, _ = simulate_sources(h, T=4000, seed=6)
@@ -270,30 +290,3 @@ class TestEvaluateAndSerialization:
         assert payload["gof_error"] == pytest.approx(0.0, abs=1e-12)
         assert payload["auc"] == 1.0
         assert payload["selected_lambda"] == 1.5
-
-    def test_csv_writer(self, tmp_path):
-        rows = [
-            {
-                "dataset": "ds0",
-                "method": "CSA",
-                "gof_error": 0.1,
-                "auc": 0.9,
-                "selected_order": 2,
-                "selected_lambda": None,
-                "wall_time_s": 1.0,
-            },
-            {
-                "dataset": "ds0",
-                "method": "SCSA",
-                "gof_error": 0.05,
-                "auc": 0.95,
-                "selected_order": 2,
-                "selected_lambda": 0.5,
-                "wall_time_s": 2.0,
-            },
-        ]
-        out = tmp_path / "summary.csv"
-        write_reports_csv(rows, out)
-        lines = out.read_text().strip().splitlines()
-        assert len(lines) == 3
-        assert lines[0].startswith("dataset,method,gof_error,auc")

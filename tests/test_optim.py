@@ -56,7 +56,7 @@ class TestMinimize:
 
         with pytest.raises(NumericError, match="starting point"):
             minimize(obj, np.zeros(3))
-        groups = [(np.array([[0, 1]]), np.array([1.0]))]
+        groups = (np.array([[0, 1]]), 1.0)
         with pytest.raises(NumericError, match="starting point"):
             minimize_with_group_truncation(obj, np.zeros(3), groups)
 
@@ -89,23 +89,23 @@ def make_group_lasso(seed, n_groups=6, group_size=3, n_obs=40, weight=1.0):
         return float(0.5 * np.dot(r, r)), a.T @ r
 
     index = np.arange(n).reshape(n_groups, group_size)
-    return smooth, [(index, np.full(n_groups, float(weight)))], a, b
+    return smooth, (index, float(weight)), a, b
 
 
 def assert_group_kkt(smooth, groups, x, trace, cfg):
     """Group-lasso optimality: a zero group's smooth gradient lies in the
     weight ball; a nonzero group's gradient balances its penalty term."""
     _, gs = smooth(x)
-    for block, weights in groups:
-        for idx, lam in zip(block, weights):
-            xg, gg = x[idx], gs[idx]
-            if np.all(xg == 0.0):
-                assert np.linalg.norm(gg) <= lam * (1 + 1e-6)
-            else:
-                res = gg + lam * xg / np.linalg.norm(xg)
-                assert np.max(np.abs(res)) <= cfg.grad_tol * 10 * max(
-                    1.0, abs(trace.final_value)
-                )
+    index, lam = groups
+    for idx in index:
+        xg, gg = x[idx], gs[idx]
+        if np.all(xg == 0.0):
+            assert np.linalg.norm(gg) <= lam * (1 + 1e-6)
+        else:
+            res = gg + lam * xg / np.linalg.norm(xg)
+            assert np.max(np.abs(res)) <= cfg.grad_tol * 10 * max(
+                1.0, abs(trace.final_value)
+            )
 
 
 class TestGroupTruncation:
@@ -119,10 +119,10 @@ class TestGroupTruncation:
         np.testing.assert_allclose(x1, x2, atol=1e-7)
 
     def test_large_weight_keeps_all_groups_zero(self):
-        smooth, [(index, _)], _, _ = make_group_lasso(3)
+        smooth, (index, _), _, _ = make_group_lasso(3)
         _, g0 = smooth(np.zeros(18))
         big = 10 * np.max(np.linalg.norm(g0[index], axis=1))
-        groups = [(index, np.full(len(index), big))]
+        groups = (index, big)
         x, _ = minimize_with_group_truncation(smooth, np.zeros(18), groups)
         assert np.all(x == 0.0)
 
@@ -200,20 +200,6 @@ class TestGroupTruncation:
         assert calls["value"] == trace.backtracks
         assert calls["smooth"] <= 1 + 2 * trace.iterations
 
-    def test_blocks_of_different_group_sizes(self):
-        # a block of pairs and a block holding one group of six
-        smooth, [(index, _)], _, _ = make_group_lasso(6, n_obs=60)
-        flat = index.ravel()
-        groups = [
-            (flat[:12].reshape(6, 2), np.full(6, 4.0)),
-            (flat[12:].reshape(1, 6), np.array([40.0])),
-        ]
-        cfg = OptimizerConfig(grad_tol=1e-9, max_iters=3000, value_tol=1e-14)
-        x, trace = minimize_with_group_truncation(smooth, np.zeros(18), groups, cfg)
-        assert_group_kkt(smooth, groups, x, trace, cfg)
-        assert np.all(x[flat[12:]] == 0.0)
-        assert np.any(x[flat[:12]] != 0.0)
-
 
 @pytest.mark.parametrize("penalized", [False, True])
 def test_degenerate_trial_iterate_backtracks(penalized):
@@ -227,7 +213,7 @@ def test_degenerate_trial_iterate_backtracks(penalized):
 
     cfg = OptimizerConfig(grad_tol=1e-10)
     if penalized:
-        groups = [(np.array([[0, 1, 2]]), np.array([0.1]))]
+        groups = (np.array([[0, 1, 2]]), 0.1)
         x, trace = minimize_with_group_truncation(obj, np.zeros(3), groups, cfg)
         np.testing.assert_allclose(x, c * (1 - 0.05 / np.linalg.norm(c)), atol=1e-8)
     else:
@@ -237,12 +223,12 @@ def test_degenerate_trial_iterate_backtracks(penalized):
     assert trace.backtracks >= 1
 
 
-def zero_group_pseudo_gradient(group_grads, weights):
+def zero_group_pseudo_gradient(group_grads, weight):
     """Pseudo-gradient at 0 of a layout with one group per row of
     ``group_grads``, returned row by row."""
     group_grads = np.atleast_2d(group_grads)
     g, k = group_grads.shape
-    layout = GroupLayout([(np.arange(g * k).reshape(g, k), np.broadcast_to(weights, g))])
+    layout = GroupLayout(np.arange(g * k).reshape(g, k), weight)
     x = np.zeros(g * k)
     pg, ref = layout.pseudo_gradient(x, group_grads.ravel(), layout.norms(x))
     np.testing.assert_array_equal(ref, -pg)
@@ -261,45 +247,105 @@ class TestMinNormSubgradient:
 
     def test_rows_are_groups(self):
         rows = np.array([[0.3, -0.2], [3.0, 4.0], [0.0, 0.0]])
-        weights = np.array([1.0, 2.0, 0.5])
-        out = zero_group_pseudo_gradient(rows, weights)
-        for row, w, got in zip(rows, weights, out):
-            np.testing.assert_array_equal(got, zero_group_pseudo_gradient(row, w)[0])
+        out = zero_group_pseudo_gradient(rows, 2.0)
+        for row, got in zip(rows, out):
+            np.testing.assert_array_equal(got, zero_group_pseudo_gradient(row, 2.0)[0])
         np.testing.assert_allclose(out[1], rows[1] * 0.6)
         assert np.all(out[[0, 2]] == 0.0)
 
     def test_nonzero_group_adds_weighted_direction(self):
-        layout = GroupLayout([(np.array([[0, 1]]), np.array([2.0]))])
+        layout = GroupLayout(np.array([[0, 1]]), 2.0)
         x, g = np.array([3.0, 4.0, 1.0]), np.array([1.0, -1.0, 5.0])
         pg, ref = layout.pseudo_gradient(x, g, layout.norms(x))
         np.testing.assert_allclose(pg, g + 2.0 * np.array([0.6, 0.8, 0.0]))
         np.testing.assert_array_equal(ref, x)
 
 
+def loop_layout(index, weight, v, g_smooth, u):
+    """Reference for an active :class:`GroupLayout`, one group (row of
+    ``index``) at a time: the norms, penalty and penalty gradient at v, the
+    pseudo-gradient and orthant reference for the smooth gradient g_smooth,
+    and u projected on that reference with whether any group was zeroed."""
+    norms = np.array([np.linalg.norm(v[row]) for row in index])
+    grad, pg, ref, u = np.zeros_like(v), g_smooth.copy(), v.copy(), u.copy()
+    zeroed = False
+    for row, n in zip(index, norms):
+        if n > 0:
+            grad[row] = weight * v[row] / n
+            pg[row] += grad[row]
+        else:
+            gn = np.linalg.norm(pg[row])
+            pg[row] *= max(0.0, 1.0 - weight / gn) if gn > 0 else 1.0
+            ref[row] = -pg[row]
+    for row in index:
+        if u[row] @ ref[row] <= 0:
+            u[row] = 0.0
+            zeroed = True
+    return norms, weight * norms.sum(), grad, pg, ref, u, zeroed
+
+
 class TestGroupLayout:
+    # the flat layout sums in another order than the loop
+    RTOL = 16 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("g,k,weight", [(6, 1, 0.5), (6, 3, 2.0), (8, 4, 1.0)])
+    def test_matches_per_row_loop(self, g, k, weight):
+        rng = np.random.default_rng(100 * g + k)
+        n = g * k + 5
+        # the groups are scattered over a longer vector; some coordinates
+        # are in no group
+        index = rng.permutation(n)[: g * k].reshape(g, k)
+        v = rng.standard_normal(n)
+        # every other group is zero, its smooth gradient alternately inside
+        # and outside the weight ball
+        zero = index[::2]
+        v[zero] = 0.0
+        g_smooth = rng.standard_normal(n)
+        radii = weight * np.resize([0.5, 2.0], len(zero))[:, None]
+        g_smooth[zero] *= radii / np.linalg.norm(g_smooth[zero], axis=1, keepdims=True)
+        u = v + rng.standard_normal(n)
+        layout = GroupLayout(index, weight)
+        assert layout.active
+        norms, penalty, grad, pg, ref, u_ref, zeroed = loop_layout(
+            index, weight, v, g_smooth, u
+        )
+        got_norms = layout.norms(v)
+        np.testing.assert_allclose(got_norms, norms, rtol=self.RTOL)
+        assert layout.penalty(v) == pytest.approx(penalty, rel=self.RTOL)
+        np.testing.assert_allclose(layout.gradient(v, got_norms), grad, rtol=self.RTOL)
+        got_pg, got_ref = layout.pseudo_gradient(v, g_smooth, got_norms)
+        np.testing.assert_allclose(got_pg, pg, rtol=self.RTOL, atol=0)
+        np.testing.assert_allclose(got_ref, ref, rtol=self.RTOL, atol=0)
+        assert layout.project(u, got_ref) == zeroed
+        np.testing.assert_allclose(u, u_ref, rtol=self.RTOL, atol=0)
+        assert zeroed and np.any(u[index] != 0.0)  # both projection outcomes
+
     def test_empty_and_unweighted_groups_are_left_out(self):
-        # groups with no members (an order-0 model's H groups) or weight 0
-        # contribute nothing; the layout keeps only the remaining group
-        layout = GroupLayout([
-            (np.zeros((3, 0), dtype=int), np.full(3, 0.5)),
-            (np.array([[0, 1], [2, 3]]), np.array([0.0, 1.5])),
-            (np.zeros((1, 0), dtype=int), np.array([0.7])),
-        ])
-        x = np.array([1.0, 1.0, 3.0, 4.0])
-        np.testing.assert_array_equal(layout.norms(x), [5.0])
-        assert layout.penalty(x) == 7.5
-        u = np.array([1.0, 1.0, -3.0, -4.0])
-        assert layout.project(u, x)
-        np.testing.assert_array_equal(u, [1.0, 1.0, 0.0, 0.0])
+        # groups with no members (an order-0 model's H groups) or with weight
+        # 0 make an inactive layout, which adds nothing
+        for layout in (
+            GroupLayout(),
+            GroupLayout(np.zeros((3, 0), dtype=int), 0.5),
+            GroupLayout(np.array([[0, 1], [2, 3]]), 0.0),
+        ):
+            assert not layout.active
+            x, g = np.array([1.0, -2.0, 3.0, 4.0]), np.array([0.5, 0.5, -1.0, 2.0])
+            assert layout.norms(x).size == 0
+            assert layout.penalty(x) == 0.0
+            np.testing.assert_array_equal(layout.gradient(x, layout.norms(x)), 0.0)
+            pg, ref = layout.pseudo_gradient(x, g, layout.norms(x))
+            assert pg is g and ref is x
+            u = -x
+            assert not layout.project(u, ref)
+            np.testing.assert_array_equal(u, -x)
 
     def test_only_empty_groups_is_smooth(self):
-        layout = GroupLayout([(np.zeros((2, 0), dtype=int), np.full(2, 0.5))])
-        assert not layout.active
-        x, g = np.array([1.0, -2.0]), np.array([0.5, 0.5])
-        assert layout.penalty(x) == 0.0
-        pg, ref = layout.pseudo_gradient(x, g, layout.norms(x))
-        np.testing.assert_array_equal(pg, g)
-        assert not layout.project(x.copy(), ref)
+        # an order-0 fit has groups of no members: the solve is the smooth one
+        smooth, (index, _), _, _ = make_group_lasso(4, weight=5.0)
+        x1, t1 = minimize(smooth, np.ones(18))
+        x2, t2 = minimize_with_group_truncation(smooth, np.ones(18), (index[:, :0], 5.0))
+        np.testing.assert_array_equal(x1, x2)
+        assert t1.value_history == t2.value_history
 
 
 def two_loop_direction(pairs, g):
