@@ -104,7 +104,6 @@ def _fit_csa(
 ) -> Tuple[FilterBank, OptimizationTrace]:
     """Maximum-likelihood FIR fit on a lag stack (likelihoods summed over
     its segments), started from W = [I, 0, ..., 0]."""
-    cfg = cfg or OptimizerConfig(max_iters=2000)
     d = stack.shape[0] // (p + 1)
     init = FilterBank([np.eye(d)] + [np.zeros((d, d)) for _ in range(p)])
 
@@ -150,7 +149,6 @@ def _fit_scsa(
     block ``slice(0, D*D)`` or the H block ``slice(D*D, None)``. The penalty
     does not depend on B, so a B-block solve leaves it out.
     """
-    cfg = cfg or OptimizerConfig(max_iters=2000)
     d = stack.shape[0] // (p + 1)
     if init is None:
         fb, _ = _fit_csa(stack, p, cfg)

@@ -4,8 +4,8 @@ plus w sum_g ||x_g||_2, the groups given as the rows of a (G, k) index matrix).
 
 Directions use the compact L-BFGS form (Byrd, Nocedal & Schnabel, Math.
 Prog. 63, 1994), updated one pair at a time. Penalized groups are handled as
-in OWL-QN (Andrew & Gao, ICML 2007), with groups for coordinates, on one
-flat layout of all group members. Directions and L-BFGS pairs use the
+in OWL-QN (Andrew & Gao, ICML 2007), with groups for coordinates, as the
+rows of one index matrix. Directions and L-BFGS pairs use the
 pseudo-gradient, the minimum-norm subgradient: on a zero group, the smooth
 gradient shrunk radially by the weight, or zero inside the weight ball. Each
 line-search trial is projected before it is evaluated: a group is zeroed
@@ -13,6 +13,13 @@ when its trial block has a non-positive inner product with its reference,
 the current group when nonzero and minus its pseudo-gradient when zero (so a
 zero group whose subdifferential holds 0 stays at zero). The Armijo test uses
 the actual displacement of the projected trial.
+
+A solve ends in one of three ways. It has converged when the sup-norm of the
+pseudo-gradient is at most ``grad_tol * max(1, |f|)``, the one stop rule. It
+stagnates, and raises :class:`StagnationError`, when no line-search trial
+lowers the value, as at the rounding floor of a tolerance tighter than the
+value can resolve. Otherwise it returns after ``max_iters`` iterations,
+neither converged nor stagnated.
 
 The line search keeps the smooth gradient of its first trial, so an accepted
 first trial costs one evaluation in all; later trials call the value-only
@@ -34,7 +41,6 @@ MEMORY = 10  # L-BFGS pairs kept
 ARMIJO_C = 1e-4  # sufficient-decrease constant
 BACKTRACK = 0.5  # step shrink per rejected trial
 MAX_BACKTRACKS = 60
-VALUE_TOL_ITERS = 5  # consecutive flat iterations that end a solve
 
 logger = logging.getLogger("scsa")
 
@@ -51,17 +57,22 @@ _BARRIER_ERRORS = (
 
 @dataclass
 class OptimizerConfig:
-    max_iters: int = 500
+    max_iters: int = 2000
     grad_tol: float = 1e-6
-    value_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.grad_tol <= 0 or self.value_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.grad_tol <= 0:
+            raise ValueError("grad_tol must be positive")
 
 
 @dataclass
 class OptimizationTrace:
+    """What a solve did. ``converged`` is set exactly when the final
+    pseudo-gradient sup-norm ``final_grad_norm`` is at most ``grad_tol *
+    max(1, |final_value|)``; ``stagnated`` when no line-search trial lowered
+    the value and :func:`keep_last_on_stagnation` kept the last iterate. A
+    solve that ran out of iterations has neither set."""
+
     iterations: int = 0
     final_value: float = np.nan
     final_grad_norm: float = np.nan
@@ -130,39 +141,32 @@ class _LbfgsMemory:
 
 class GroupLayout:
     """The rows of a (G, k) index matrix as groups of flat indices, all with
-    one weight, in one flat layout: ``members`` holds the flat indices of
-    every group back to back, ``owner`` the group of each member, ``starts``
-    where each group begins in ``members``, and ``weights`` the weight of
-    each group. The layout is inactive, and adds no penalty, when the weight
-    is 0 or the groups have no members (the lag groups of an order-0 model)."""
+    one weight. Norms, the pseudo-gradient's shrink and the projection are
+    row sums over ``v[index]``. The layout is inactive, and adds no penalty,
+    when the weight is 0 or the groups have no members (the lag groups of an
+    order-0 model)."""
 
     def __init__(
         self, index: np.ndarray = np.empty((0, 0), dtype=int), weight: float = 0.0
     ):
         index = np.asarray(index, dtype=int)
-        n_groups, size = index.shape
-        self.active = weight > 0 and size > 0
-        if not self.active:
-            n_groups = 0
-        self.members = index[:n_groups].ravel()
-        self.weights = np.full(n_groups, float(weight))
-        self.owner = np.repeat(np.arange(n_groups), size)
-        self.starts = size * np.arange(n_groups)
+        self.active = weight > 0 and index.shape[1] > 0
+        self.index = index if self.active else index[:0]
+        self.weight = float(weight)
 
     def norms(self, v):
-        vm = v[self.members]
-        return np.sqrt(np.add.reduceat(vm * vm, self.starts))
+        return _row_norms(v[self.index])
 
     def penalty(self, v) -> float:
-        return float(self.weights @ self.norms(v)) if self.active else 0.0
+        return self.weight * float(self.norms(v).sum())
 
     def gradient(self, v, n):
         """Gradient of the penalty at v, whose group norms are n: w v/||v||
         on the nonzero groups, 0 on the zero ones (where it has none)."""
         g = np.zeros_like(v)
         if self.active:
-            idx = self.members
-            g[idx] = v[idx] * (self.weights / np.where(n == 0, np.inf, n))[self.owner]
+            idx = self.index
+            g[idx] = v[idx] * (self.weight / np.where(n == 0, np.inf, n))[:, None]
         return g
 
     def pseudo_gradient(self, v, g_smooth, n):
@@ -173,13 +177,11 @@ class GroupLayout:
         g, ref = g_smooth + self.gradient(v, n), v.copy()
         zero = n == 0
         if zero.any():
-            idx, owner = self.members, self.owner
-            gm = g[idx]
-            gnorm = np.sqrt(np.add.reduceat(gm * gm, self.starts))
-            gm *= np.where(zero, _shrink(gnorm, self.weights), 1.0)[owner]
-            g[idx] = gm
-            on_zero = zero[owner]
-            ref[idx[on_zero]] = -gm[on_zero]
+            idx = self.index[zero]
+            gz = g[idx]
+            gz *= _shrink(_row_norms(gz), self.weight)[:, None]
+            g[idx] = gz
+            ref[idx] = -gz
         return g, ref
 
     def project(self, u, ref) -> bool:
@@ -187,24 +189,30 @@ class GroupLayout:
         group of ref is <= 0; returns whether any group was zeroed."""
         if not self.active:
             return False
-        idx = self.members
-        cut = np.add.reduceat(u[idx] * ref[idx], self.starts) <= 0
+        idx = self.index
+        cut = (u[idx] * ref[idx]).sum(axis=1) <= 0
         if not cut.any():
             return False
-        u[idx[cut[self.owner]]] = 0.0
+        u[idx[cut]] = 0.0
         return True
 
 
-def _shrink(norms, weights):
+def _row_norms(m):
+    return np.sqrt((m * m).sum(axis=1))
+
+
+def _shrink(norms, weight):
     """max(0, 1 - weight/norm), the radial shrink of a zero group's gradient
     to its minimum-norm subgradient (1 where the norm, so the gradient, is 0)."""
-    return np.maximum(1.0 - weights / np.where(norms > 0, norms, np.inf), 0.0)
+    return np.maximum(1.0 - weight / np.where(norms > 0, norms, np.inf), 0.0)
 
 
 def _line_search(trial, project, x, f, g, d, trace):
     """Backtracking Armijo search along d, each trial projected by ``project``
-    before it is evaluated. Returns (x_new, f_new, smooth_grad) or None;
-    smooth_grad is None when the accepted trial computed no gradient."""
+    before it is evaluated. A trial is accepted only when its value is below
+    f, so a search that cannot lower the value fails. Returns (x_new, f_new,
+    smooth_grad) or None; smooth_grad is None when the accepted trial computed
+    no gradient."""
     slope = float(np.dot(g, d))
     if slope >= 0:
         d = -g
@@ -219,9 +227,11 @@ def _line_search(trial, project, x, f, g, d, trace):
             # the predicted decrease follows the actual displacement; a trial
             # that does not move downhill (x itself among them) is rejected
             decrease = ARMIJO_C * float(np.dot(g, x_new - x))
+        if k and not (x_new != x).any():
+            break  # the trial is x itself, and so is every shorter one
         if decrease < 0:
             f_new, g_new = trial(x_new, k == 0)
-            if f_new <= f + decrease:
+            if f_new < f and f_new <= f + decrease:
                 return x_new, f_new, g_new
         trace.backtracks += 1
         step *= BACKTRACK
@@ -248,21 +258,17 @@ def _lbfgs(objective, x0, cfg, value_fn, groups):
     x = np.asarray(x0, dtype=float).copy()
     n = layout.norms(x)
     f_smooth, g_smooth = objective(x)
-    f = f_smooth + float(layout.weights @ n)
+    f = f_smooth + layout.weight * float(n.sum())
     if not np.isfinite(f):
         raise NumericError("objective not finite at the starting point")
     g, ref = layout.pseudo_gradient(x, g_smooth, n)
 
     memory = _LbfgsMemory(MEMORY, x.size)
     trace = OptimizationTrace(value_history=[f])
-    flat_count = 0
     for it in range(cfg.max_iters + 1):
         gnorm = float(np.max(np.abs(g))) if g.size else 0.0
         trace.iterations, trace.final_value, trace.final_grad_norm = it, f, gnorm
-        if (
-            gnorm <= cfg.grad_tol * max(1.0, abs(f))
-            or flat_count >= VALUE_TOL_ITERS
-        ):
+        if gnorm <= cfg.grad_tol * max(1.0, abs(f)):
             trace.converged = True
             return x, trace
         if it == cfg.max_iters:
@@ -280,14 +286,10 @@ def _lbfgs(objective, x0, cfg, value_fn, groups):
         n_new = layout.norms(x_new)
         if g_smooth is None:
             f_smooth, g_smooth = objective(x_new)
-            f_new = f_smooth + float(layout.weights @ n_new)
+            f_new = f_smooth + layout.weight * float(n_new.sum())
         g_new, ref = layout.pseudo_gradient(x_new, g_smooth, n_new)
         memory.push(x_new - x, g_new - g)
         trace.active_set_changes += bool(np.any((n_new == 0) != (n == 0)))
-        if abs(f - f_new) <= cfg.value_tol * max(1.0, abs(f)):
-            flat_count += 1
-        else:
-            flat_count = 0
         x, f, g, n = x_new, f_new, g_new, n_new
         trace.value_history.append(f)
 
@@ -300,9 +302,8 @@ def minimize(
 ) -> Tuple[np.ndarray, OptimizationTrace]:
     """Minimize a smooth objective given its value-and-gradient callable.
 
-    Stops when the gradient sup-norm drops below ``grad_tol * max(1, |f|)``
-    or the relative value change stays below ``value_tol`` for
-    ``VALUE_TOL_ITERS`` consecutive iterations.
+    Converges when the gradient sup-norm drops to ``grad_tol * max(1, |f|)``,
+    and otherwise returns unconverged after ``max_iters`` iterations.
 
     ``value_fn``, when given, is a cheaper value-only callable used for the
     line-search trials after the first.
@@ -312,8 +313,8 @@ def minimize(
     NumericError
         If the objective is not finite at ``x0``.
     StagnationError
-        If no backtracking step achieves sufficient decrease; the error
-        carries the last iterate and trace.
+        If no backtracking step lowers the value with sufficient decrease;
+        the error carries the last iterate and trace.
     """
     return _lbfgs(objective, x0, cfg, value_fn, ())
 

@@ -194,11 +194,11 @@ class TestGradScsa:
         rng = np.random.default_rng(9)
         d, p, t = 3, 2, 40
         pen = GroupPenaltySpec(0.3)
-        for _ in range(5):
-            model = random_model(rng, d, p, scale=0.4)
-            # keep all group norms well away from the kink
-            if np.min(group_norms(model.h)) < 0.1:
-                continue
+        # keep all group norms well away from the kink
+        draws = (random_model(rng, d, p, scale=0.4) for _ in range(30))
+        models = [m for m in draws if np.min(group_norms(m.h)) >= 0.1][:5]
+        assert len(models) == 5
+        for model in models:
             x = TimeSeriesMatrix(rng.standard_normal((d, t)))
             theta = pack_source_model(model)
             analytic = grad_scsa(model, x, pen).gradient

@@ -21,7 +21,7 @@ from scsa.model import (
     simulate_sources,
     source_model_to_filter_bank,
 )
-from scsa.optim import OptimizerConfig, minimize
+from scsa.optim import OptimizerConfig, keep_last_on_stagnation, minimize
 
 from test_model import stable_random_mvar
 
@@ -219,7 +219,10 @@ class TestMStepDal:
             grad = np.tanh(s_tilde - s.data[:, 1:]) @ s.data[:, :-1].T
             return val, grad.ravel()
 
-        theta, _ = minimize(obj, np.zeros(4), OptimizerConfig(grad_tol=1e-10))
+        theta, _ = keep_last_on_stagnation(
+            lambda: minimize(obj, np.zeros(4), OptimizerConfig(grad_tol=1e-10)),
+            "reference solve",
+        )
         want = obj(theta)[0]
         assert got == pytest.approx(want, abs=1e-6)
 

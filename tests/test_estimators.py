@@ -9,6 +9,7 @@ from scipy.optimize import linear_sum_assignment
 
 from scsa import em_dal, estimators
 from scsa.cost import (
+    CostReport,
     GroupPenaltySpec,
     cost_scsa,
     grad_scsa,
@@ -156,7 +157,7 @@ class TestFitScsa:
         d, p, lam = 3, 2, 120.0
         x, _, _ = mixed_dataset(8, d=d, p=p, t=1000)
         pen = GroupPenaltySpec(lam)
-        cfg = OptimizerConfig(max_iters=5000, grad_tol=1e-10, value_tol=1e-15)
+        cfg = OptimizerConfig(max_iters=5000, grad_tol=1e-10)
         model = fit_scsa(x, p, pen, cfg=cfg)
         g = grad_scsa(model, x, GroupPenaltySpec(0.0)).gradient
         gh = g[d * d :].reshape(p, d, d)
@@ -179,6 +180,25 @@ class TestFitScsa:
                 zero.append(bool(np.all(xg == 0.0)))
         # some interaction group is zero and some is not
         assert any(zero) and not all(zero)
+
+    def test_uphill_direction_stagnates(self, monkeypatch):
+        # with the smooth gradient negated the search directions point uphill
+        # in the data term, so the fit soon finds no trial that lowers the
+        # value: it stagnates, keeps its last iterate and is not converged
+        x, _, _ = mixed_dataset(17, d=2, p=1, t=500)
+        stack = lag_stack(x, 1)
+        init = fit_csa(x, 1)
+
+        def uphill(model, data, pen):
+            rep = grad_scsa(model, data, pen)
+            return CostReport(rep.value, -rep.gradient)
+
+        monkeypatch.setattr(estimators, "grad_scsa", uphill)
+        model, trace = estimators._fit_scsa(
+            stack, 1, GroupPenaltySpec(1.0), init=init
+        )
+        assert trace.stagnated and not trace.converged
+        assert trace.final_value <= cost_scsa(init, stack, GroupPenaltySpec(1.0))
 
     @pytest.mark.parametrize("free", ["B", "H"])
     def test_block_solve_holds_the_other_block(self, free):

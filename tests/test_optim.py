@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from scsa.exceptions import DegenerateModelError, NumericError
+from scsa.exceptions import DegenerateModelError, NumericError, StagnationError
 from scsa.optim import (
     GroupLayout,
     OptimizerConfig,
     _LbfgsMemory,
+    keep_last_on_stagnation,
     minimize,
     minimize_with_group_truncation,
 )
@@ -74,6 +75,75 @@ class TestMinimize:
         assert np.max(np.abs(g)) <= cfg.grad_tol * max(1.0, abs(trace.final_value))
 
 
+def solve_to_floor(solve, *args):
+    """Run a solve whose tolerance may lie below the rounding of its value,
+    keeping the last iterate if it stagnates there."""
+    return keep_last_on_stagnation(lambda: solve(*args), "test solve")
+
+
+def least_squares(seed, n_obs=30, n=8):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n_obs, n))
+    b = rng.standard_normal(n_obs)
+
+    def obj(x):
+        r = a @ x - b
+        return float(0.5 * np.dot(r, r)), a.T @ r
+
+    return obj
+
+
+class TestEndStates:
+    # one solve per end state: it meets the tolerance; the tolerance lies
+    # below the rounding of the value, so no step can lower it far enough;
+    # it runs out of iterations
+    @pytest.mark.parametrize(
+        "end,grad_tol,max_iters",
+        [("converged", 1e-6, 2000), ("stagnated", 1e-14, 2000), ("capped", 1e-10, 3)],
+    )
+    def test_converged_is_the_gradient_test(self, end, grad_tol, max_iters):
+        cfg = OptimizerConfig(max_iters=max_iters, grad_tol=grad_tol)
+        for seed in range(3):
+            obj = least_squares(seed)
+            if end == "stagnated":
+                with pytest.raises(StagnationError) as err:
+                    minimize(obj, np.ones(8), cfg)
+                assert not err.value.trace.converged
+            _, trace = solve_to_floor(minimize, obj, np.ones(8), cfg)
+            bound = cfg.grad_tol * max(1.0, abs(trace.final_value))
+            assert trace.converged == (trace.final_grad_norm <= bound)
+            assert trace.converged == (end == "converged")
+            assert trace.stagnated == (end == "stagnated")
+            if end == "capped":
+                assert trace.iterations == 3
+
+    def test_stagnating_search_evaluates_no_point_twice(self):
+        # once a shorter step rounds back to x itself, the search ends
+        obj, points = least_squares(0), []
+
+        def counted(x):
+            points.append(x.tobytes())
+            return obj(x)
+
+        with pytest.raises(StagnationError):
+            minimize(counted, np.ones(8), OptimizerConfig(grad_tol=1e-14))
+        assert len(set(points)) == len(points)
+
+    def test_penalized_iteration_cap(self):
+        smooth, groups, _, _ = make_group_lasso(1, weight=5.0)
+        _, trace = minimize_with_group_truncation(
+            smooth, np.ones(18), groups, OptimizerConfig(max_iters=3)
+        )
+        assert trace.iterations == 3 and len(trace.value_history) == 4
+        assert not trace.converged and not trace.stagnated
+
+    def test_config_defaults(self):
+        cfg = OptimizerConfig()
+        assert (cfg.max_iters, cfg.grad_tol) == (2000, 1e-6)
+        with pytest.raises(ValueError):
+            OptimizerConfig(grad_tol=0.0)
+
+
 def make_group_lasso(seed, n_groups=6, group_size=3, n_obs=40, weight=1.0):
     """Least-squares group lasso; groups are consecutive index triples."""
     rng = np.random.default_rng(seed)
@@ -112,10 +182,9 @@ class TestGroupTruncation:
     def test_zero_weight_matches_smooth_minimize(self):
         smooth, groups, _, _ = make_group_lasso(2, weight=0.0)
         x0 = np.zeros(18)
-        x1, _ = minimize(smooth, x0, OptimizerConfig(grad_tol=1e-10))
-        x2, _ = minimize_with_group_truncation(
-            smooth, x0, groups, OptimizerConfig(grad_tol=1e-10)
-        )
+        cfg = OptimizerConfig(grad_tol=1e-10)
+        x1, _ = solve_to_floor(minimize, smooth, x0, cfg)
+        x2, _ = solve_to_floor(minimize_with_group_truncation, smooth, x0, groups, cfg)
         np.testing.assert_allclose(x1, x2, atol=1e-7)
 
     def test_large_weight_keeps_all_groups_zero(self):
@@ -130,9 +199,9 @@ class TestGroupTruncation:
         lam = 8.0
         for seed in range(5):
             smooth, groups, _, _ = make_group_lasso(seed, n_obs=60, weight=lam)
-            cfg = OptimizerConfig(grad_tol=1e-9, max_iters=3000, value_tol=1e-14)
-            x, trace = minimize_with_group_truncation(
-                smooth, np.zeros(18), groups, cfg
+            cfg = OptimizerConfig(grad_tol=1e-9, max_iters=3000)
+            x, trace = solve_to_floor(
+                minimize_with_group_truncation, smooth, np.zeros(18), groups, cfg
             )
             assert_group_kkt(smooth, groups, x, trace, cfg)
 
@@ -142,9 +211,9 @@ class TestGroupTruncation:
         for lam in (8.0, 20.0):
             for seed in range(5):
                 smooth, groups, _, _ = make_group_lasso(seed, n_obs=60, weight=lam)
-                cfg = OptimizerConfig(grad_tol=1e-9, max_iters=3000, value_tol=1e-14)
-                x, trace = minimize_with_group_truncation(
-                    smooth, np.ones(18), groups, cfg
+                cfg = OptimizerConfig(grad_tol=1e-9, max_iters=3000)
+                x, trace = solve_to_floor(
+                    minimize_with_group_truncation, smooth, np.ones(18), groups, cfg
                 )
                 assert_group_kkt(smooth, groups, x, trace, cfg)
                 assert trace.iterations <= 30
