@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -245,14 +246,14 @@ def _common_window_nll(model: SourceModel, x: TimeSeriesMatrix, p_max: int) -> f
 
 
 def _worker_count(n_tasks: int, cap: Optional[int] = None) -> int:
-    """How many processes :func:`_pool_map` spreads ``n_tasks`` tasks over:
-    one per CPU this process may run on, at most one per task and at most
-    ``cap``. It is 1 (run in the calling process) inside a worker process, so
-    pools never nest; where ``fork`` is unavailable; and while other threads
-    run, since a forked child gets a copy of their locks but not the threads
-    that would release them."""
+    """How many processes a pool spreads ``n_tasks`` tasks over: one per CPU
+    this process may run on, at most one per task and at most ``cap``. A pool
+    asks once, when it opens, and :func:`fit` opens one pool for both of its
+    stages (:class:`_Pool`). It is 1 (run in the calling process) inside a
+    worker process, so pools never nest; where ``fork`` is unavailable; and
+    while other threads run, since a forked child gets a copy of their locks
+    but not the threads that would release them."""
     import multiprocessing
-    import threading
 
     if (
         multiprocessing.parent_process() is not None
@@ -267,40 +268,83 @@ def _worker_count(n_tasks: int, cap: Optional[int] = None) -> int:
     return max(1, min(n_tasks, cpus, n_tasks if cap is None else cap))
 
 
+class _Pool:
+    """The fork pool of one :func:`fit` call, or of one :func:`_pool_map`
+    call outside a fit. It opens when the first stage with two or more tasks
+    runs, sized then, once, by :func:`_worker_count` for ``n_tasks`` tasks
+    (the largest stage). Inside its ``with`` block every :func:`_pool_map`
+    call of this thread runs on it; leaving the block joins its workers,
+    also on error. A fit also keeps on it the full-data model BIC fitted at
+    each order (``bic_models``)."""
+
+    def __init__(self, n_tasks: int, cap: Optional[int] = None):
+        self.n_tasks, self.cap = n_tasks, cap
+        self.pid = os.getpid()  # a forked worker's copy is not its pool
+        self.workers = 0  # 0 until sized
+        self.executor = None
+        self.bic_models: Dict[int, SourceModel] = {}
+
+    def __enter__(self) -> "_Pool":
+        self.outer, _scope.pool = _scope.pool, self
+        return self
+
+    def __exit__(self, *exc_info):
+        _scope.pool = self.outer
+        if self.executor is not None:
+            self.executor.shutdown(wait=True, cancel_futures=True)
+
+    def map(self, fn: Callable, tasks: Sequence[tuple]) -> list:
+        if len(tasks) > 1 and not self.workers:
+            self.workers = _worker_count(self.n_tasks, self.cap)
+            if self.workers > 1:
+                # imported here: ``import scsa`` should not pay for the pool
+                import multiprocessing
+                from concurrent.futures import ProcessPoolExecutor
+
+                # fork, not spawn: a spawned worker imports numpy and scipy
+                # afresh, which takes longer than the tasks it would run
+                self.executor = ProcessPoolExecutor(
+                    self.workers, mp_context=multiprocessing.get_context("fork")
+                )
+        if self.executor is None:
+            return [fn(*task) for task in tasks]
+        futures = [self.executor.submit(fn, *task) for task in tasks]
+        return [future.result() for future in futures]
+
+
+class _Scope(threading.local):
+    pool: Optional[_Pool] = None  # the pool whose block this thread is in
+
+
+_scope = _Scope()
+
+
 def _pool_map(fn: Callable, tasks: Sequence[tuple], cap: Optional[int] = None) -> list:
-    """``[fn(*task) for task in tasks]``, with the tasks spread over
-    :func:`_worker_count` forked processes.
+    """``[fn(*task) for task in tasks]``, with the tasks spread over forked
+    processes: the pool of the running :func:`fit`, or else a pool of this
+    call's own, sized by :func:`_worker_count` with ``cap``.
 
     ``fn`` must be a module-level function, because it is sent to the workers
     by name. Results come back in task order, so a caller that reduces them
     in that order gets the serial loop's numbers at every worker count. If a
-    task raises, the tasks not yet started are cancelled, the workers are
-    joined, and the exception of the first failed task in task order is
-    raised with its own type. No worker outlives the call.
+    task raises, the exception of the first failed task in task order is
+    raised with its own type, and closing the pool (at the end of this call,
+    or of the fit's stages) cancels the tasks not yet started and joins the
+    workers. No worker outlives the call, or the fit.
     """
-    workers = _worker_count(len(tasks), cap)
-    if workers == 1:
-        return [fn(*task) for task in tasks]
-    # imported here: ``import scsa`` should not pay for the pool machinery
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # fork, not spawn: a spawned worker imports numpy and scipy afresh, which
-    # takes longer than the tasks it would run
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        futures = [pool.submit(fn, *task) for task in tasks]
-        return [future.result() for future in futures]
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+    pool = _scope.pool
+    if pool is not None and pool.pid == os.getpid():
+        return pool.map(fn, tasks)
+    with _Pool(len(tasks), cap) as pool:
+        return pool.map(fn, tasks)
 
 
-def _bic_nll(x: TimeSeriesMatrix, method: str, p: int, p_max: int):
-    """Common-window NLL of the order-``p`` fit, or the exception that the fit
-    raised (a failed order is excluded by the caller, not fatal)."""
+def _bic_fit(x: TimeSeriesMatrix, method: str, p: int, p_max: int):
+    """The order-``p`` fit and its common-window NLL, or the exception that
+    the fit raised (a failed order is excluded by the caller, not fatal)."""
     try:
         model = fit_mvarica(x, p) if method == "MVARICA" else fit_csa(x, p)
-        return _common_window_nll(model, x, p_max)
+        return _common_window_nll(model, x, p_max), model
     except Exception as err:  # noqa: BLE001 - failed orders are skipped
         return err
 
@@ -314,7 +358,9 @@ def select_order_bic(
 
     SCSA-family methods are scored with the unpenalized (CSA) fit; the
     penalty weight is selected afterwards at the chosen order. The orders
-    are fitted in a process pool (:func:`_pool_map`).
+    are fitted in a process pool (:func:`_pool_map`); inside :func:`fit`,
+    the fit's pool keeps each order's full-data fit, whose CSA model is the
+    warm start of the final SCSA or SCSA-EM fit.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -323,16 +369,20 @@ def select_order_bic(
     candidates = sorted(set(int(p) for p in order_candidates))
     p_max = max(candidates)
     d, t = x.n_channels, x.n_samples
-    nlls = _pool_map(_bic_nll, [(x, method, p, p_max) for p in candidates])
+    fits = _pool_map(_bic_fit, [(x, method, p, p_max) for p in candidates])
     bic: Dict[int, float] = {}
-    for p, nll in zip(candidates, nlls):
-        if isinstance(nll, Exception):
-            warnings.warn(f"order {p} failed and was excluded: {nll}")
+    models: Dict[int, SourceModel] = {}
+    for p, result in zip(candidates, fits):
+        if isinstance(result, Exception):
+            warnings.warn(f"order {p} failed and was excluded: {result}")
             continue
+        nll, models[p] = result
         k = d * d * (p + 1)
         bic[p] = 2.0 * nll + k * np.log(t - p_max)
     if not bic:
         raise IllPosedError("every candidate order failed to fit")
+    if _scope.pool is not None:  # inside fit
+        _scope.pool.bic_models = models
     best = min(bic, key=lambda p: (bic[p], p))
     return best, bic
 
@@ -406,24 +456,34 @@ def select_lambda_cv(
 
 def fit(x: TimeSeriesMatrix, request: FitRequest) -> FitResult:
     """Run the full estimation pipeline: order selection, penalty selection
-    where the method uses one, and the final fit."""
+    where the method uses one, and the final fit.
+
+    The selection stages share one fork pool, opened by the first stage with
+    two or more tasks, sized once for the larger stage and closed, its
+    workers joined, before the final fit, also on error. The final SCSA or
+    SCSA-EM fit starts from BIC's CSA fit at the selected order, so the
+    order's CSA fit runs once."""
     start = time.perf_counter()
     candidates = list(request.order_candidates)
-    if len(candidates) > 1:
-        p, bic = select_order_bic(x, request.method, candidates)
-    else:
-        p = int(candidates[0])
-        bic = {}
-    lam: Optional[float] = None
-    curve: Dict[float, float] = {}
+    grid: List[float] = []
     if request.method in ("SCSA", "SCSA_EM"):
         grid = request.lambda_grid  # AUTO or a valid grid: FitRequest checks
         if isinstance(grid, str):
             grid = default_lambda_grid(x.n_samples)
         grid = list(grid)
-        if len(grid) > 1:
-            lam, curve = select_lambda_cv(x, p, grid, folds=request.cv_folds)
+    bic_tasks = len(set(candidates)) if len(candidates) > 1 else 0
+    cv_tasks = request.cv_folds if len(grid) > 1 else 0
+    with _Pool(max(bic_tasks, cv_tasks)) as pool:
+        if len(candidates) > 1:
+            p, bic = select_order_bic(x, request.method, candidates)
         else:
+            p = int(candidates[0])
+            bic = {}
+        lam: Optional[float] = None
+        curve: Dict[float, float] = {}
+        if cv_tasks:
+            lam, curve = select_lambda_cv(x, p, grid, folds=request.cv_folds)
+        elif grid:
             lam = float(grid[0])
 
     trace = OptimizationTrace()
@@ -435,16 +495,21 @@ def fit(x: TimeSeriesMatrix, request: FitRequest) -> FitResult:
         model = filter_bank_to_source_model(fb)
     elif request.method == "MVARICA":
         model, trace = _fit_mvarica(x, p)
-    elif request.method == "SCSA":
-        model, trace = _fit_scsa(lag_stack(x, p), p, GroupPenaltySpec(lam))
-    else:  # SCSA_EM
-        model, history = em_dal.fit_scsa_em(x, p, GroupPenaltySpec(lam))
-        trace = OptimizationTrace(
-            iterations=len(history) - 1,
-            final_value=history[-1],
-            converged=em_dal.em_converged(history),
-            value_history=list(history),
-        )
+    else:
+        # BIC scored the SCSA family's orders with the CSA fit
+        pen, csa = GroupPenaltySpec(lam), pool.bic_models.get(p)
+        if request.method == "SCSA":
+            model, trace = _fit_scsa(lag_stack(x, p), p, pen, init=csa)
+        else:  # SCSA_EM; given no warm start, it fits SCSA from CSA itself
+            warm = {} if csa is None else {
+                "init": _fit_scsa(lag_stack(x, p), p, pen, init=csa)[0]}
+            model, history = em_dal.fit_scsa_em(x, p, pen, **warm)
+            trace = OptimizationTrace(
+                iterations=len(history) - 1,
+                final_value=history[-1],
+                converged=em_dal.em_converged(history),
+                value_history=list(history),
+            )
     return FitResult(
         model=model,
         method=request.method,

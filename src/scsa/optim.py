@@ -17,8 +17,9 @@ the actual displacement of the projected trial.
 A solve ends in one of three ways. It has converged when the sup-norm of the
 pseudo-gradient is at most ``grad_tol * max(1, |f|)``, the one stop rule. It
 stagnates, and raises :class:`StagnationError`, when no line-search trial
-lowers the value, as at the rounding floor of a tolerance tighter than the
-value can resolve. Otherwise it returns after ``max_iters`` iterations,
+lowers the value before the step's predicted decrease falls to one ulp of
+the value, as at the rounding floor of a tolerance tighter than the value
+can resolve. Otherwise it returns after ``max_iters`` iterations,
 neither converged nor stagnated.
 
 The line search keeps the smooth gradient of its first trial, so an accepted
@@ -41,6 +42,9 @@ MEMORY = 10  # L-BFGS pairs kept
 ARMIJO_C = 1e-4  # sufficient-decrease constant
 BACKTRACK = 0.5  # step shrink per rejected trial
 MAX_BACKTRACKS = 60
+# A search fails once its linear model predicts a decrease of at most
+# ROUNDING_FLOOR * eps * |f|, no more than one ulp of f.
+ROUNDING_FLOOR = 0.5
 
 logger = logging.getLogger("scsa")
 
@@ -210,17 +214,22 @@ def _shrink(norms, weight):
 def _line_search(trial, project, x, f, g, d, trace):
     """Backtracking Armijo search along d, each trial projected by ``project``
     before it is evaluated. A trial is accepted only when its value is below
-    f, so a search that cannot lower the value fails. Returns (x_new, f_new,
-    smooth_grad) or None; smooth_grad is None when the accepted trial computed
-    no gradient."""
+    f, so a search that cannot lower the value fails. It also fails once the
+    linear model's decrease step·|slope| is at most one ulp of f
+    (``ROUNDING_FLOOR``), where only a rounding accident could lower the
+    value. Returns (x_new, f_new, smooth_grad) or None; smooth_grad is None
+    when the accepted trial computed no gradient."""
     slope = float(np.dot(g, d))
     if slope >= 0:
         d = -g
         slope = -float(np.dot(g, g))
         if slope == 0.0:
             return None
+    floor = ROUNDING_FLOOR * np.finfo(float).eps * abs(f)
     step = 1.0
     for k in range(MAX_BACKTRACKS):
+        if -step * slope <= floor:
+            break
         x_new = x + step * d
         decrease = ARMIJO_C * step * slope
         if project(x_new):

@@ -383,6 +383,72 @@ class TestWorkerPool:
         assert multiprocessing.active_children() == []
 
 
+class TestOnePoolPerFit:
+    GRID = [0.1, 1.0, 10.0]
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The pools constructed while the test runs, at two workers."""
+        import concurrent.futures
+
+        made = []
+
+        class Counted(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "_worker_count", two_workers)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+        return made
+
+    def test_bic_and_cv_share_one_pool(self, pools):
+        x, _, _ = mixed_dataset(18, d=2, p=1, t=600)
+        fit(x, FitRequest("SCSA", [1, 2, 3], self.GRID, cv_folds=3))
+        assert len(pools) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_no_pool_without_a_stage(self, pools):
+        x, _, _ = mixed_dataset(18, d=2, p=1, t=600)
+        fit(x, FitRequest("SCSA", [1], [1.0], cv_folds=3))
+        assert pools == []
+
+    def test_failed_cv_task_keeps_its_type(self, pools, monkeypatch):
+        x, _, _ = mixed_dataset(18, d=2, p=1, t=600)
+
+        def fails(*args, **kwargs):
+            raise NumericError("no SCSA fit")
+
+        monkeypatch.setattr(estimators, "_fit_scsa", fails)
+        with pytest.raises(NumericError, match="no SCSA fit"):
+            fit(x, FitRequest("SCSA", [1, 2, 3], self.GRID, cv_folds=3))
+        assert len(pools) == 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("method", ["SCSA", "SCSA_EM"])
+    def test_reused_warm_start_is_bit_identical(self, method, pools, monkeypatch):
+        x, _, _ = mixed_dataset(18, d=2, p=1, t=600)
+        csa_fits = []
+        real = estimators._fit_csa
+
+        def counted(*args, **kwargs):
+            csa_fits.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "_fit_csa", counted)
+        res = fit(x, FitRequest(method, [1, 2, 3], self.GRID, cv_folds=3))
+        # BIC and CV ran in the workers, and the final fit started from
+        # BIC's CSA fit
+        assert csa_fits == []
+        p, pen = res.selected_order, GroupPenaltySpec(res.selected_lambda)
+        if method == "SCSA":
+            cold, _ = estimators._fit_scsa(lag_stack(x, p), p, pen)
+        else:
+            cold, _ = em_dal.fit_scsa_em(x, p, pen)
+        np.testing.assert_array_equal(res.model.b, cold.b)
+        np.testing.assert_array_equal(np.array(res.model.h.lags), np.array(cold.h.lags))
+
+
 class TestDefaultLambdaGrid:
     def test_shape_and_scaling(self):
         g = default_lambda_grid(2000)

@@ -129,6 +129,23 @@ class TestEndStates:
             minimize(counted, np.ones(8), OptimizerConfig(grad_tol=1e-14))
         assert len(set(points)) == len(points)
 
+    def test_search_ends_at_the_rounding_floor(self):
+        # started at the minimum to within the rounding of f, no step's
+        # predicted decrease exceeds one ulp of f: at most one trial
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((12, 8))
+        hess, c = a.T @ a, rng.standard_normal(8)
+        calls = []
+
+        def obj(x):
+            calls.append(x)
+            r = x - c
+            return float(0.5 * r @ hess @ r) + 100.0, hess @ r
+
+        with pytest.raises(StagnationError) as err:
+            minimize(obj, c + 1e-10 * rng.standard_normal(8), OptimizerConfig(grad_tol=1e-14))
+        assert len(calls) <= 2 and err.value.trace.backtracks <= 1
+
     def test_penalized_iteration_cap(self):
         smooth, groups, _, _ = make_group_lasso(1, weight=5.0)
         _, trace = minimize_with_group_truncation(
