@@ -271,18 +271,18 @@ def _worker_count(n_tasks: int, cap: Optional[int] = None) -> int:
 class _Pool:
     """The fork pool of one :func:`fit` call, or of one :func:`_pool_map`
     call outside a fit. It opens when the first stage with two or more tasks
-    runs, sized then, once, by :func:`_worker_count` for ``n_tasks`` tasks
-    (the largest stage). Inside its ``with`` block every :func:`_pool_map`
-    call of this thread runs on it; leaving the block joins its workers,
-    also on error. A fit also keeps on it the full-data model BIC fitted at
-    each order (``bic_models``)."""
+    runs, sized then, once, by :func:`_worker_count` for ``n_tasks`` tasks.
+    A fit passes its largest stage's task count: one task per order of
+    :func:`_candidate_orders` for BIC, one per fold for CV, as
+    :func:`select_order_bic` and :func:`select_lambda_cv` build them. Inside
+    its ``with`` block every :func:`_pool_map` call of this thread runs on
+    it; leaving the block joins its workers, also on error."""
 
     def __init__(self, n_tasks: int, cap: Optional[int] = None):
         self.n_tasks, self.cap = n_tasks, cap
         self.pid = os.getpid()  # a forked worker's copy is not its pool
         self.workers = 0  # 0 until sized
         self.executor = None
-        self.bic_models: Dict[int, SourceModel] = {}
 
     def __enter__(self) -> "_Pool":
         self.outer, _scope.pool = _scope.pool, self
@@ -349,6 +349,20 @@ def _bic_fit(x: TimeSeriesMatrix, method: str, p: int, p_max: int):
         return err
 
 
+class _OrderScores(dict):
+    """BIC per order, as returned by :func:`select_order_bic`, with each
+    scored order's full-data fit in ``models``."""
+
+    def __init__(self, bic: Dict[int, float], models: Dict[int, SourceModel]):
+        super().__init__(bic)
+        self.models = models
+
+
+def _candidate_orders(order_candidates: Sequence[int]) -> List[int]:
+    """The distinct orders BIC scores, one task each, in increasing order."""
+    return sorted(set(int(p) for p in order_candidates))
+
+
 def select_order_bic(
     x: TimeSeriesMatrix,
     method: str,
@@ -358,15 +372,16 @@ def select_order_bic(
 
     SCSA-family methods are scored with the unpenalized (CSA) fit; the
     penalty weight is selected afterwards at the chosen order. The orders
-    are fitted in a process pool (:func:`_pool_map`); inside :func:`fit`,
-    the fit's pool keeps each order's full-data fit, whose CSA model is the
-    warm start of the final SCSA or SCSA-EM fit.
+    are fitted in a process pool (:func:`_pool_map`). The returned BIC dict
+    also carries each order's full-data fit as its ``models`` attribute; for
+    the SCSA family, :func:`fit` starts its final fit from the selected
+    order's CSA model.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if not order_candidates:
         raise ValueError("order_candidates must be nonempty")
-    candidates = sorted(set(int(p) for p in order_candidates))
+    candidates = _candidate_orders(order_candidates)
     p_max = max(candidates)
     d, t = x.n_channels, x.n_samples
     fits = _pool_map(_bic_fit, [(x, method, p, p_max) for p in candidates])
@@ -381,10 +396,8 @@ def select_order_bic(
         bic[p] = 2.0 * nll + k * np.log(t - p_max)
     if not bic:
         raise IllPosedError("every candidate order failed to fit")
-    if _scope.pool is not None:  # inside fit
-        _scope.pool.bic_models = models
     best = min(bic, key=lambda p: (bic[p], p))
-    return best, bic
+    return best, _OrderScores(bic, models)
 
 
 def default_lambda_grid(t: int, n_points: int = 12) -> np.ndarray:
@@ -471,14 +484,13 @@ def fit(x: TimeSeriesMatrix, request: FitRequest) -> FitResult:
         if isinstance(grid, str):
             grid = default_lambda_grid(x.n_samples)
         grid = list(grid)
-    bic_tasks = len(set(candidates)) if len(candidates) > 1 else 0
+    bic_tasks = len(_candidate_orders(candidates)) if len(candidates) > 1 else 0
     cv_tasks = request.cv_folds if len(grid) > 1 else 0
-    with _Pool(max(bic_tasks, cv_tasks)) as pool:
+    with _Pool(max(bic_tasks, cv_tasks)):
         if len(candidates) > 1:
             p, bic = select_order_bic(x, request.method, candidates)
         else:
-            p = int(candidates[0])
-            bic = {}
+            p, bic = int(candidates[0]), _OrderScores({}, {})
         lam: Optional[float] = None
         curve: Dict[float, float] = {}
         if cv_tasks:
@@ -496,14 +508,12 @@ def fit(x: TimeSeriesMatrix, request: FitRequest) -> FitResult:
     elif request.method == "MVARICA":
         model, trace = _fit_mvarica(x, p)
     else:
-        # BIC scored the SCSA family's orders with the CSA fit
-        pen, csa = GroupPenaltySpec(lam), pool.bic_models.get(p)
-        if request.method == "SCSA":
-            model, trace = _fit_scsa(lag_stack(x, p), p, pen, init=csa)
-        else:  # SCSA_EM; given no warm start, it fits SCSA from CSA itself
-            warm = {} if csa is None else {
-                "init": _fit_scsa(lag_stack(x, p), p, pen, init=csa)[0]}
-            model, history = em_dal.fit_scsa_em(x, p, pen, **warm)
+        # BIC scored the SCSA family's orders with the CSA fit; without BIC,
+        # _fit_scsa fits CSA itself
+        pen = GroupPenaltySpec(lam)
+        model, trace = _fit_scsa(lag_stack(x, p), p, pen, init=bic.models.get(p))
+        if request.method == "SCSA_EM":
+            model, history = em_dal.fit_scsa_em(x, p, pen, init=model)
             trace = OptimizationTrace(
                 iterations=len(history) - 1,
                 final_value=history[-1],
@@ -515,7 +525,7 @@ def fit(x: TimeSeriesMatrix, request: FitRequest) -> FitResult:
         method=request.method,
         selected_order=p,
         selected_lambda=lam,
-        bic_per_order=bic,
+        bic_per_order=dict(bic),
         cv_curve=curve,
         trace=trace,
         wall_time=time.perf_counter() - start,

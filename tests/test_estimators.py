@@ -447,6 +447,16 @@ class TestOnePoolPerFit:
             cold, _ = em_dal.fit_scsa_em(x, p, pen)
         np.testing.assert_array_equal(res.model.b, cold.b)
         np.testing.assert_array_equal(np.array(res.model.h.lags), np.array(cold.h.lags))
+        assert type(res.bic_per_order) is dict
+
+    def test_bic_scores_carry_each_orders_fit(self, pools):
+        x, _, _ = mixed_dataset(18, d=2, p=1, t=600)
+        _, bic = select_order_bic(x, "CSA", [1, 2])
+        assert sorted(bic.models) == [1, 2] == sorted(bic)
+        for p, model in bic.models.items():
+            cold = fit_csa(x, p)
+            np.testing.assert_array_equal(model.b, cold.b)
+            np.testing.assert_array_equal(np.array(model.h.lags), np.array(cold.h.lags))
 
 
 class TestDefaultLambdaGrid:
@@ -509,7 +519,7 @@ class TestFitDispatcher:
         monkeypatch.setattr(
             em_dal,
             "fit_scsa_em",
-            lambda *a, **k: one_step(*a, em_steps=1, init=start, **k),
+            lambda *a, init, **k: one_step(*a, em_steps=1, init=start, **k),
         )
         res = fit(x, req)
         assert res.trace.iterations == 2
