@@ -96,6 +96,7 @@ def _model_to_json(result) -> str:
             "iterations": result.trace.iterations,
             "final_value": _jsonable(result.trace.final_value),
             "converged": result.trace.converged,
+            "stagnated": result.trace.stagnated,
         },
         "wall_time": result.wall_time,
     }
@@ -247,6 +248,9 @@ def cmd_bench(args) -> int:
     methods = config.get("methods")
     if not methods:
         raise UsageError("config needs a nonempty 'methods' list")
+    bad = [m for m in methods if not isinstance(m, dict) or "method" not in m]
+    if bad:
+        raise UsageError(f"methods entry {bad[0]!r} is not an object with a 'method' key")
     master_seed = int(config.get("master_seed", 0))
     workers = int(config.get("parallelism", args.threads))
     out_dir = pathlib.Path(config.get("output_dir", args.out or "."))

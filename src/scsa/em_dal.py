@@ -10,7 +10,7 @@ demixed sources s = B x: there log|det I| = 0 and W = [I, -H], so the SCSA
 cost is the sech prediction loss plus lam times the off-diagonal lag-group
 norms, a convex problem.
 
-The M-step asks for a gradient (:data:`M_STEP_CONFIG`) finer than the
+The M-step asks for a gradient (:data:`M_STEP_GRAD_TOL`) finer than the
 rounding of its value can resolve, so it ends where no step lowers the value,
 as a stagnation that the block fit keeps and logs.
 
@@ -30,12 +30,12 @@ from scipy.special import xlogy
 
 from .cost import Data, GroupPenaltySpec, cost_scsa, log_sech_density
 from .model import MvarCoefficients, SourceModel, TimeSeriesMatrix, lag_stack, unchecked
-from .optim import OptimizerConfig
+from .optim import GRAD_TOL
 
 LOG_2_OVER_PI = float(np.log(2.0 / np.pi))
 
 # The M-step tolerance: it ends at the rounding floor (module docstring).
-M_STEP_CONFIG = OptimizerConfig(grad_tol=1e-12)
+M_STEP_GRAD_TOL = 1e-12
 
 # Relative change of the composite cost over one EM step that ends the loop.
 EM_COST_CHANGE_TOL = 1e-8
@@ -109,7 +109,7 @@ def m_step_dal(
         h0 = MvarCoefficients(list(np.zeros((P, d, d))))
     init = unchecked(SourceModel, b=np.eye(d), h=h0)
     model, _ = _fit_scsa(
-        lag_stack(s, P), P, pen, M_STEP_CONFIG, init, block=slice(d * d, None)
+        lag_stack(s, P), P, pen, M_STEP_GRAD_TOL, init, block=slice(d * d, None)
     )
     return model.h
 
@@ -118,17 +118,18 @@ def e_step(
     x: Data,
     h: MvarCoefficients,
     b0: np.ndarray,
-    cfg: Optional[OptimizerConfig] = None,
+    grad_tol: float = GRAD_TOL,
 ) -> np.ndarray:
     """Update the demixing matrix at fixed lag coefficients: the B block of
-    the unpenalized SCSA fit (the penalty is constant in B). ``x`` is the data
-    or its lag stack at the order of ``h``."""
+    the unpenalized SCSA fit (the penalty is constant in B), solved to the
+    gradient tolerance ``grad_tol``. ``x`` is the data or its lag stack at
+    the order of ``h``."""
     from .estimators import _fit_scsa  # deferred: estimators imports us
 
     stack = x if isinstance(x, np.ndarray) else lag_stack(x, h.order)
     init = unchecked(SourceModel, b=b0, h=h)
     model, _ = _fit_scsa(
-        stack, h.order, GroupPenaltySpec(0.0), cfg, init,
+        stack, h.order, GroupPenaltySpec(0.0), grad_tol, init,
         block=slice(0, b0.size),
     )
     return model.b

@@ -25,7 +25,6 @@ import numpy as np
 from . import em_dal
 from .cost import (
     GroupPenaltySpec,
-    cost_scsa,
     grad_csa,
     grad_scsa,
     nll_csa,
@@ -47,8 +46,8 @@ from .model import (
     source_model_to_filter_bank,
 )
 from .optim import (
+    GRAD_TOL,
     OptimizationTrace,
-    OptimizerConfig,
     keep_last_on_stagnation,
     minimize,
     minimize_with_group_truncation,
@@ -101,7 +100,7 @@ class FitResult:
 
 
 def _fit_csa(
-    stack: np.ndarray, p: int, cfg: Optional[OptimizerConfig] = None
+    stack: np.ndarray, p: int, grad_tol: float = GRAD_TOL
 ) -> Tuple[FilterBank, OptimizationTrace]:
     """Maximum-likelihood FIR fit on a lag stack (likelihoods summed over
     its segments), started from W = [I, 0, ..., 0]."""
@@ -112,11 +111,8 @@ def _fit_csa(
         rep = grad_csa(unpack_filter_bank(theta, d, p), stack)
         return rep.value, rep.gradient
 
-    def value_only(theta):
-        return nll_csa(unpack_filter_bank(theta, d, p), stack)
-
     theta, trace = keep_last_on_stagnation(
-        lambda: minimize(objective, pack_filter_bank(init), cfg, value_fn=value_only),
+        lambda: minimize(objective, pack_filter_bank(init), grad_tol),
         f"CSA fit (P={p})",
     )
     return unpack_filter_bank(theta, d, p), trace
@@ -138,7 +134,7 @@ def _fit_scsa(
     stack: np.ndarray,
     p: int,
     pen: GroupPenaltySpec,
-    cfg: Optional[OptimizerConfig] = None,
+    grad_tol: float = GRAD_TOL,
     init: Optional[SourceModel] = None,
     block: slice = slice(None),
 ) -> Tuple[SourceModel, OptimizationTrace]:
@@ -152,34 +148,26 @@ def _fit_scsa(
     """
     d = stack.shape[0] // (p + 1)
     if init is None:
-        fb, _ = _fit_csa(stack, p, cfg)
+        fb, _ = _fit_csa(stack, p, grad_tol)
         init = filter_bank_to_source_model(fb)
     theta = pack_source_model(init)
     start, stop, _ = block.indices(theta.size)
     whole = stop - start == theta.size
     pen0 = GroupPenaltySpec(0.0)
 
-    def model_at(v):
+    def smooth(v):
         if not whole:  # the held block stays at init
             theta[block] = v
             v = theta
-        return unpack_source_model(v, d, p)
-
-    def smooth(v):
-        rep = grad_scsa(model_at(v), stack, pen0)
+        rep = grad_scsa(unpack_source_model(v, d, p), stack, pen0)
         return rep.value, rep.gradient[block]
-
-    def smooth_value(v):
-        return cost_scsa(model_at(v), stack, pen0)
 
     h_index = np.arange(d * d, theta.size).reshape(p, d, d) - start  # in the block
     groups = (penalty_groups(h_index), pen.lam) if stop > d * d else ()
     what = f"SCSA fit (P={p}, lambda={pen.lam:g})" if whole else (
         "M-step" if start else "E-step")
     v, trace = keep_last_on_stagnation(
-        lambda: minimize_with_group_truncation(
-            smooth, theta[block], groups, cfg, value_fn=smooth_value
-        ),
+        lambda: minimize_with_group_truncation(smooth, theta[block], groups, grad_tol),
         what,
     )
     theta[block] = v
@@ -191,11 +179,11 @@ def fit_scsa(
     x: TimeSeriesMatrix,
     p: int,
     pen: GroupPenaltySpec,
-    cfg: Optional[OptimizerConfig] = None,
+    grad_tol: float = GRAD_TOL,
 ) -> SourceModel:
     """SCSA: group-lasso regularized joint fit, warm-started from CSA.
     ``x`` may also be a sequence of segments."""
-    model, _ = _fit_scsa(lag_stack(x, p), p, pen, cfg)
+    model, _ = _fit_scsa(lag_stack(x, p), p, pen, grad_tol)
     return model
 
 
@@ -448,13 +436,13 @@ def select_lambda_cv(
     model is fitted on the remaining blocks, treated as separate contiguous
     segments whose likelihoods are summed (no lag window straddles the
     held-out gap), and scored by the unpenalized NLL on the held-out block.
-    The grid is traversed in increasing order with warm starts. The folds
-    run in a process pool (:func:`_pool_map`), and their scores are summed
-    in fold order.
+    Each distinct λ of the grid is fitted once, in increasing order with
+    warm starts. The folds run in a process pool (:func:`_pool_map`), and
+    their scores are summed in fold order.
     """
     if folds < 2:
         raise ValueError("folds must be >= 2")
-    lambdas = sorted(float(l) for l in lambda_grid)
+    lambdas = sorted(set(float(l) for l in lambda_grid))
     if not lambdas:
         raise ValueError("lambda_grid must be nonempty")
     blocks = _cv_blocks(x.n_samples, folds, p)
@@ -469,7 +457,8 @@ def select_lambda_cv(
 
 def fit(x: TimeSeriesMatrix, request: FitRequest) -> FitResult:
     """Run the full estimation pipeline: order selection, penalty selection
-    where the method uses one, and the final fit.
+    where the method uses one, and the final fit. Cross-validation runs
+    only when the λ grid has two or more distinct values.
 
     The selection stages share one fork pool, opened by the first stage with
     two or more tasks, sized once for the larger stage and closed, its
@@ -485,7 +474,7 @@ def fit(x: TimeSeriesMatrix, request: FitRequest) -> FitResult:
             grid = default_lambda_grid(x.n_samples)
         grid = list(grid)
     bic_tasks = len(_candidate_orders(candidates)) if len(candidates) > 1 else 0
-    cv_tasks = request.cv_folds if len(grid) > 1 else 0
+    cv_tasks = request.cv_folds if len(set(grid)) > 1 else 0
     with _Pool(max(bic_tasks, cv_tasks)):
         if len(candidates) > 1:
             p, bic = select_order_bic(x, request.method, candidates)

@@ -19,12 +19,12 @@ pseudo-gradient is at most ``grad_tol * max(1, |f|)``, the one stop rule. It
 stagnates, and raises :class:`StagnationError`, when no line-search trial
 lowers the value before the step's predicted decrease falls to one ulp of
 the value, as at the rounding floor of a tolerance tighter than the value
-can resolve. Otherwise it returns after ``max_iters`` iterations,
+can resolve. Otherwise it returns after ``MAX_ITERS`` iterations,
 neither converged nor stagnated.
 
-The line search keeps the smooth gradient of its first trial, so an accepted
-first trial costs one evaluation in all; later trials call the value-only
-callable when one is given.
+Every line-search trial calls the one value-and-gradient callable inside
+the domain barrier (``_BARRIER_ERRORS``), and the accepted trial's gradient
+is kept: one evaluation per trial.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Tuple, Union
 
 import numpy as np
 
@@ -45,6 +45,8 @@ MAX_BACKTRACKS = 60
 # A search fails once its linear model predicts a decrease of at most
 # ROUNDING_FLOOR * eps * |f|, no more than one ulp of f.
 ROUNDING_FLOOR = 0.5
+GRAD_TOL = 1e-6  # default tolerance of the gradient test
+MAX_ITERS = 2000  # iterations before a solve returns unconverged
 
 logger = logging.getLogger("scsa")
 
@@ -57,16 +59,6 @@ _BARRIER_ERRORS = (
     FloatingPointError,
     np.linalg.LinAlgError,
 )
-
-
-@dataclass
-class OptimizerConfig:
-    max_iters: int = 2000
-    grad_tol: float = 1e-6
-
-    def __post_init__(self):
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
 
 
 @dataclass
@@ -217,8 +209,7 @@ def _line_search(trial, project, x, f, g, d, trace):
     f, so a search that cannot lower the value fails. It also fails once the
     linear model's decrease step·|slope| is at most one ulp of f
     (``ROUNDING_FLOOR``), where only a rounding accident could lower the
-    value. Returns (x_new, f_new, smooth_grad) or None; smooth_grad is None
-    when the accepted trial computed no gradient."""
+    value. Returns (x_new, f_new, smooth_grad) or None."""
     slope = float(np.dot(g, d))
     if slope >= 0:
         d = -g
@@ -239,7 +230,7 @@ def _line_search(trial, project, x, f, g, d, trace):
         if k and not (x_new != x).any():
             break  # the trial is x itself, and so is every shorter one
         if decrease < 0:
-            f_new, g_new = trial(x_new, k == 0)
+            f_new, g_new = trial(x_new)
             if f_new < f and f_new <= f + decrease:
                 return x_new, f_new, g_new
         trace.backtracks += 1
@@ -247,18 +238,14 @@ def _line_search(trial, project, x, f, g, d, trace):
     return None
 
 
-def _lbfgs(objective, x0, cfg, value_fn, groups):
-    cfg = cfg or OptimizerConfig()
+def _lbfgs(objective, x0, grad_tol, groups):
     layout = GroupLayout(*groups)
 
-    def trial(v, first):
+    def trial(v):
         """Penalized value at a trial point (+inf outside the domain) and the
-        smooth gradient there when it was computed."""
+        smooth gradient there."""
         try:
-            if first or value_fn is None:
-                f_smooth, g_smooth = objective(v)
-            else:
-                f_smooth, g_smooth = value_fn(v), None
+            f_smooth, g_smooth = objective(v)
             f_new = f_smooth + layout.penalty(v)
         except _BARRIER_ERRORS:
             return np.inf, None
@@ -274,13 +261,13 @@ def _lbfgs(objective, x0, cfg, value_fn, groups):
 
     memory = _LbfgsMemory(MEMORY, x.size)
     trace = OptimizationTrace(value_history=[f])
-    for it in range(cfg.max_iters + 1):
+    for it in range(MAX_ITERS + 1):
         gnorm = float(np.max(np.abs(g))) if g.size else 0.0
         trace.iterations, trace.final_value, trace.final_grad_norm = it, f, gnorm
-        if gnorm <= cfg.grad_tol * max(1.0, abs(f)):
+        if gnorm <= grad_tol * max(1.0, abs(f)):
             trace.converged = True
             return x, trace
-        if it == cfg.max_iters:
+        if it == MAX_ITERS:
             return x, trace
         result = _line_search(
             trial,
@@ -293,9 +280,6 @@ def _lbfgs(objective, x0, cfg, value_fn, groups):
             )
         x_new, f_new, g_smooth = result
         n_new = layout.norms(x_new)
-        if g_smooth is None:
-            f_smooth, g_smooth = objective(x_new)
-            f_new = f_smooth + layout.weight * float(n_new.sum())
         g_new, ref = layout.pseudo_gradient(x_new, g_smooth, n_new)
         memory.push(x_new - x, g_new - g)
         trace.active_set_changes += bool(np.any((n_new == 0) != (n == 0)))
@@ -306,16 +290,13 @@ def _lbfgs(objective, x0, cfg, value_fn, groups):
 def minimize(
     objective: Callable[[np.ndarray], Tuple[float, np.ndarray]],
     x0: np.ndarray,
-    cfg: Optional[OptimizerConfig] = None,
-    value_fn: Optional[Callable[[np.ndarray], float]] = None,
+    grad_tol: float = GRAD_TOL,
 ) -> Tuple[np.ndarray, OptimizationTrace]:
     """Minimize a smooth objective given its value-and-gradient callable.
 
     Converges when the gradient sup-norm drops to ``grad_tol * max(1, |f|)``,
-    and otherwise returns unconverged after ``max_iters`` iterations.
-
-    ``value_fn``, when given, is a cheaper value-only callable used for the
-    line-search trials after the first.
+    and otherwise returns unconverged after ``MAX_ITERS`` iterations. A trial
+    where the objective raises a domain error or is not finite is backtracked.
 
     Raises
     ------
@@ -325,27 +306,25 @@ def minimize(
         If no backtracking step lowers the value with sufficient decrease;
         the error carries the last iterate and trace.
     """
-    return _lbfgs(objective, x0, cfg, value_fn, ())
+    return _lbfgs(objective, x0, grad_tol, ())
 
 
 def minimize_with_group_truncation(
     smooth_objective: Callable[[np.ndarray], Tuple[float, np.ndarray]],
     x0: np.ndarray,
     groups: Union[Tuple[np.ndarray, float], Tuple[()]],
-    cfg: Optional[OptimizerConfig] = None,
-    value_fn: Optional[Callable[[np.ndarray], float]] = None,
+    grad_tol: float = GRAD_TOL,
 ) -> Tuple[np.ndarray, OptimizationTrace]:
     """Minimize smooth(x) + sum_g weight_g * ||x_g||_2 by L-BFGS whose
     line-search trials are projected onto the group orthant (module docstring).
 
     ``smooth_objective`` returns the value and gradient of the smooth part
-    only, and ``value_fn`` (optional) its value; the penalty and its
-    (sub)gradient are handled here. ``groups`` is an (index matrix, weight)
-    pair, each row of the (G, k) matrix the flat indices of one group, or
-    ``()`` for no penalty (:class:`GroupLayout`). Stopping rules and errors
-    are those of :func:`minimize`.
+    only; the penalty and its (sub)gradient are handled here. ``groups`` is
+    an (index matrix, weight) pair, each row of the (G, k) matrix the flat
+    indices of one group, or ``()`` for no penalty (:class:`GroupLayout`).
+    Stopping rules, trials and errors are those of :func:`minimize`.
     """
-    return _lbfgs(smooth_objective, x0, cfg, value_fn, groups)
+    return _lbfgs(smooth_objective, x0, grad_tol, groups)
 
 
 def keep_last_on_stagnation(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import scsa.cli
+from scsa import estimators
 from scsa.cli import (
     EXIT_ESTIMATOR,
     EXIT_IO,
@@ -17,6 +18,7 @@ from scsa.cli import (
     run_seed,
 )
 from scsa.cost import GroupPenaltySpec, cost_scsa
+from scsa.exceptions import NumericError
 from scsa.simulator import load_dataset
 
 
@@ -117,6 +119,25 @@ class TestFit:
         payload = load_model_file(out)
         assert payload["model"].dim == 2
         assert payload["selected_order"] == 1
+
+    def test_model_records_a_kept_stagnation(self, dataset_dir, tmp_path, monkeypatch):
+        # every point but the start leaves the domain, so the fit stagnates
+        # at once and keeps the start
+        real, calls = estimators.grad_csa, []
+
+        def start_only(*args):
+            calls.append(args)
+            if len(calls) > 1:
+                raise NumericError("outside the domain")
+            return real(*args)
+
+        monkeypatch.setattr(estimators, "grad_csa", start_only)
+        out = tmp_path / "model.json"
+        code = run("fit", str(dataset_dir), "--method", "csa", "--out", str(out))
+        assert code == EXIT_OK
+        trace = json.loads(out.read_text())["trace"]
+        assert trace["stagnated"] and not trace["converged"]
+        assert trace["iterations"] == 0
 
     def test_ica_has_order_zero(self, dataset_dir, tmp_path):
         out = tmp_path / "ica.json"
@@ -293,6 +314,13 @@ class TestBench:
     def test_bad_config(self, tmp_path):
         cfg = self._config(tmp_path, methods=[])
         assert run("bench", str(cfg)) == EXIT_USAGE
+
+    @pytest.mark.parametrize("entry", [{"order_candidates": [1]}, "CSA"])
+    def test_bad_method_entry_is_usage_error(self, tmp_path, capsys, entry):
+        cfg = self._config(tmp_path, methods=[{"method": "CSA"}, entry])
+        assert run("bench", str(cfg)) == EXIT_USAGE
+        assert repr(entry) in capsys.readouterr().err
+        assert not (tmp_path / "bench" / "results.csv").exists()
 
     def test_seed_derivation_distinct(self):
         seeds = {

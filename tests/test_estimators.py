@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from scsa import em_dal, estimators
+from scsa import em_dal, estimators, optim
 from scsa.cost import (
     CostReport,
     GroupPenaltySpec,
@@ -32,7 +32,6 @@ from scsa.estimators import (
     select_order_bic,
 )
 from scsa.exceptions import IllPosedError, NumericError, PartitionError
-from scsa.optim import OptimizerConfig
 from scsa.model import (
     MvarCoefficients,
     SourceModel,
@@ -151,14 +150,14 @@ class TestFitScsa:
             cost_scsa(fit_ica(x), x, pen0), abs=1e-6
         )
 
-    def test_kkt_conditions(self):
+    def test_kkt_conditions(self, monkeypatch):
         # B and the unpenalized diagonal coefficients have a zero gradient,
         # and the off-diagonal groups (P each) satisfy the KKT conditions
+        monkeypatch.setattr(optim, "MAX_ITERS", 5000)
         d, p, lam = 3, 2, 120.0
         x, _, _ = mixed_dataset(8, d=d, p=p, t=1000)
         pen = GroupPenaltySpec(lam)
-        cfg = OptimizerConfig(max_iters=5000, grad_tol=1e-10)
-        model = fit_scsa(x, p, pen, cfg=cfg)
+        model = fit_scsa(x, p, pen, grad_tol=1e-10)
         g = grad_scsa(model, x, GroupPenaltySpec(0.0)).gradient
         gh = g[d * d :].reshape(p, d, d)
         hs = model.h.as_array()
@@ -209,13 +208,12 @@ class TestFitScsa:
         b_start, h_start = init.b.copy(), init.h.as_array().copy()
         block = slice(0, d * d) if free == "B" else slice(d * d, None)
         pen = GroupPenaltySpec(0.0 if free == "B" else 2.0)
-        cfg = OptimizerConfig()
-        model, _ = estimators._fit_scsa(lag_stack(x, p), p, pen, cfg, init, block)
+        model, _ = estimators._fit_scsa(lag_stack(x, p), p, pen, init=init, block=block)
         b, hs = model.b, model.h.as_array()
         if free == "B":
             assert np.array_equal(hs, h_start)  # bit for bit
             assert not np.array_equal(b, b_start)
-            np.testing.assert_array_equal(b, em_dal.e_step(x, init.h, b0, cfg))
+            np.testing.assert_array_equal(b, em_dal.e_step(x, init.h, b0))
         else:
             assert np.array_equal(b, b_start)
             assert not np.array_equal(hs, h_start)
@@ -295,6 +293,15 @@ class TestSelectLambdaCv:
         out1 = select_lambda_cv(x, 1, [0.1, 1.0], folds=3)
         out2 = select_lambda_cv(x, 1, [0.1, 1.0], folds=3)
         assert out1 == out2
+
+    def test_duplicate_lambdas_are_fitted_once(self):
+        x, _, _ = mixed_dataset(15, d=2, p=1, t=600)
+        assert select_lambda_cv(x, 1, [0.1, 1.0, 1.0], folds=3) == select_lambda_cv(
+            x, 1, [0.1, 1.0], folds=3
+        )
+        # one distinct value is no choice: fit runs no cross-validation
+        res = fit(x, FitRequest("SCSA", [1], lambda_grid=[1.0, 1.0], cv_folds=3))
+        assert res.selected_lambda == 1.0 and res.cv_curve == {}
 
     def test_degenerate_fold_raises(self):
         x = TimeSeriesMatrix(np.random.default_rng(0).standard_normal((2, 12)))
@@ -527,12 +534,9 @@ class TestFitDispatcher:
         assert not res.trace.converged
 
     @pytest.mark.parametrize(
-        "method,kernel,value_kernel",
-        [("CSA", "grad_csa", "nll_csa"), ("SCSA", "grad_scsa", "cost_scsa")],
+        "method,kernel", [("CSA", "grad_csa"), ("SCSA", "grad_scsa")]
     )
-    def test_stagnation_is_reported(
-        self, method, kernel, value_kernel, monkeypatch, caplog
-    ):
+    def test_stagnation_is_reported(self, method, kernel, monkeypatch, caplog):
         # every point but the start leaves the domain, so the first line
         # search rejects all its trials
         x, _, _ = mixed_dataset(17, d=2, p=1, t=500)
@@ -545,11 +549,7 @@ class TestFitDispatcher:
                 raise NumericError("outside the domain")
             return real(*args)
 
-        def outside(*args):
-            raise NumericError("outside the domain")
-
         monkeypatch.setattr(estimators, kernel, start_only)
-        monkeypatch.setattr(estimators, value_kernel, outside)
         req = FitRequest(method=method, order_candidates=[1], lambda_grid=[1.0])
         with caplog.at_level(logging.DEBUG, logger="scsa"):
             res = fit(x, req)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from scsa import estimators, optim
 from scsa.exceptions import DegenerateModelError, NumericError, StagnationError
+from scsa.model import TimeSeriesMatrix, lag_stack, sample_sech
 from scsa.optim import (
     GroupLayout,
-    OptimizerConfig,
     _LbfgsMemory,
     keep_last_on_stagnation,
     minimize,
@@ -19,7 +20,7 @@ class TestMinimize:
         def obj(x):
             return float(np.sum((x - c) ** 2)), 2 * (x - c)
 
-        x, trace = minimize(obj, np.zeros(4), OptimizerConfig(grad_tol=1e-10))
+        x, trace = minimize(obj, np.zeros(4), grad_tol=1e-10)
         assert trace.converged
         assert trace.iterations <= 30
         np.testing.assert_allclose(x, c, atol=1e-8)
@@ -33,9 +34,7 @@ class TestMinimize:
             )
             return f, g
 
-        x, trace = minimize(
-            obj, np.array([-1.2, 1.0]), OptimizerConfig(max_iters=2000, grad_tol=1e-10)
-        )
+        x, trace = minimize(obj, np.array([-1.2, 1.0]), grad_tol=1e-10)
         np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-6)
 
     def test_value_history_nonincreasing(self):
@@ -69,10 +68,10 @@ class TestMinimize:
             r = a @ x - 1.0
             return float(0.5 * np.dot(r, r)), a.T @ r
 
-        cfg = OptimizerConfig(grad_tol=1e-8)
-        x, trace = minimize(obj, np.zeros(8), cfg)
+        grad_tol = 1e-8
+        x, trace = minimize(obj, np.zeros(8), grad_tol)
         _, g = obj(x)
-        assert np.max(np.abs(g)) <= cfg.grad_tol * max(1.0, abs(trace.final_value))
+        assert np.max(np.abs(g)) <= grad_tol * max(1.0, abs(trace.final_value))
 
 
 def solve_to_floor(solve, *args):
@@ -101,16 +100,18 @@ class TestEndStates:
         "end,grad_tol,max_iters",
         [("converged", 1e-6, 2000), ("stagnated", 1e-14, 2000), ("capped", 1e-10, 3)],
     )
-    def test_converged_is_the_gradient_test(self, end, grad_tol, max_iters):
-        cfg = OptimizerConfig(max_iters=max_iters, grad_tol=grad_tol)
+    def test_converged_is_the_gradient_test(
+        self, end, grad_tol, max_iters, monkeypatch
+    ):
+        monkeypatch.setattr(optim, "MAX_ITERS", max_iters)
         for seed in range(3):
             obj = least_squares(seed)
             if end == "stagnated":
                 with pytest.raises(StagnationError) as err:
-                    minimize(obj, np.ones(8), cfg)
+                    minimize(obj, np.ones(8), grad_tol)
                 assert not err.value.trace.converged
-            _, trace = solve_to_floor(minimize, obj, np.ones(8), cfg)
-            bound = cfg.grad_tol * max(1.0, abs(trace.final_value))
+            _, trace = solve_to_floor(minimize, obj, np.ones(8), grad_tol)
+            bound = grad_tol * max(1.0, abs(trace.final_value))
             assert trace.converged == (trace.final_grad_norm <= bound)
             assert trace.converged == (end == "converged")
             assert trace.stagnated == (end == "stagnated")
@@ -126,7 +127,7 @@ class TestEndStates:
             return obj(x)
 
         with pytest.raises(StagnationError):
-            minimize(counted, np.ones(8), OptimizerConfig(grad_tol=1e-14))
+            minimize(counted, np.ones(8), grad_tol=1e-14)
         assert len(set(points)) == len(points)
 
     def test_search_ends_at_the_rounding_floor(self):
@@ -143,22 +144,18 @@ class TestEndStates:
             return float(0.5 * r @ hess @ r) + 100.0, hess @ r
 
         with pytest.raises(StagnationError) as err:
-            minimize(obj, c + 1e-10 * rng.standard_normal(8), OptimizerConfig(grad_tol=1e-14))
+            minimize(obj, c + 1e-10 * rng.standard_normal(8), grad_tol=1e-14)
         assert len(calls) <= 2 and err.value.trace.backtracks <= 1
 
-    def test_penalized_iteration_cap(self):
+    def test_penalized_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(optim, "MAX_ITERS", 3)
         smooth, groups, _, _ = make_group_lasso(1, weight=5.0)
-        _, trace = minimize_with_group_truncation(
-            smooth, np.ones(18), groups, OptimizerConfig(max_iters=3)
-        )
+        _, trace = minimize_with_group_truncation(smooth, np.ones(18), groups)
         assert trace.iterations == 3 and len(trace.value_history) == 4
         assert not trace.converged and not trace.stagnated
 
     def test_config_defaults(self):
-        cfg = OptimizerConfig()
-        assert (cfg.max_iters, cfg.grad_tol) == (2000, 1e-6)
-        with pytest.raises(ValueError):
-            OptimizerConfig(grad_tol=0.0)
+        assert (optim.MAX_ITERS, optim.GRAD_TOL) == (2000, 1e-6)
 
 
 def make_group_lasso(seed, n_groups=6, group_size=3, n_obs=40, weight=1.0):
@@ -179,7 +176,7 @@ def make_group_lasso(seed, n_groups=6, group_size=3, n_obs=40, weight=1.0):
     return smooth, (index, float(weight)), a, b
 
 
-def assert_group_kkt(smooth, groups, x, trace, cfg):
+def assert_group_kkt(smooth, groups, x, trace, grad_tol):
     """Group-lasso optimality: a zero group's smooth gradient lies in the
     weight ball; a nonzero group's gradient balances its penalty term."""
     _, gs = smooth(x)
@@ -190,7 +187,7 @@ def assert_group_kkt(smooth, groups, x, trace, cfg):
             assert np.linalg.norm(gg) <= lam * (1 + 1e-6)
         else:
             res = gg + lam * xg / np.linalg.norm(xg)
-            assert np.max(np.abs(res)) <= cfg.grad_tol * 10 * max(
+            assert np.max(np.abs(res)) <= grad_tol * 10 * max(
                 1.0, abs(trace.final_value)
             )
 
@@ -199,9 +196,8 @@ class TestGroupTruncation:
     def test_zero_weight_matches_smooth_minimize(self):
         smooth, groups, _, _ = make_group_lasso(2, weight=0.0)
         x0 = np.zeros(18)
-        cfg = OptimizerConfig(grad_tol=1e-10)
-        x1, _ = solve_to_floor(minimize, smooth, x0, cfg)
-        x2, _ = solve_to_floor(minimize_with_group_truncation, smooth, x0, groups, cfg)
+        x1, _ = solve_to_floor(minimize, smooth, x0, 1e-10)
+        x2, _ = solve_to_floor(minimize_with_group_truncation, smooth, x0, groups, 1e-10)
         np.testing.assert_allclose(x1, x2, atol=1e-7)
 
     def test_large_weight_keeps_all_groups_zero(self):
@@ -212,27 +208,27 @@ class TestGroupTruncation:
         x, _ = minimize_with_group_truncation(smooth, np.zeros(18), groups)
         assert np.all(x == 0.0)
 
-    def test_kkt_conditions_at_solution(self):
+    def test_kkt_conditions_at_solution(self, monkeypatch):
+        monkeypatch.setattr(optim, "MAX_ITERS", 3000)
         lam = 8.0
         for seed in range(5):
             smooth, groups, _, _ = make_group_lasso(seed, n_obs=60, weight=lam)
-            cfg = OptimizerConfig(grad_tol=1e-9, max_iters=3000)
             x, trace = solve_to_floor(
-                minimize_with_group_truncation, smooth, np.zeros(18), groups, cfg
+                minimize_with_group_truncation, smooth, np.zeros(18), groups, 1e-9
             )
-            assert_group_kkt(smooth, groups, x, trace, cfg)
+            assert_group_kkt(smooth, groups, x, trace, 1e-9)
 
-    def test_converges_in_few_iterations(self):
+    def test_converges_in_few_iterations(self, monkeypatch):
         # The projection zeroes a group as soon as a trial step carries it
         # across zero, so zero groups cost no extra iterations.
+        monkeypatch.setattr(optim, "MAX_ITERS", 3000)
         for lam in (8.0, 20.0):
             for seed in range(5):
                 smooth, groups, _, _ = make_group_lasso(seed, n_obs=60, weight=lam)
-                cfg = OptimizerConfig(grad_tol=1e-9, max_iters=3000)
                 x, trace = solve_to_floor(
-                    minimize_with_group_truncation, smooth, np.ones(18), groups, cfg
+                    minimize_with_group_truncation, smooth, np.ones(18), groups, 1e-9
                 )
-                assert_group_kkt(smooth, groups, x, trace, cfg)
+                assert_group_kkt(smooth, groups, x, trace, 1e-9)
                 assert trace.iterations <= 30
 
     def test_active_set_changes_counted(self):
@@ -266,26 +262,6 @@ class TestGroupTruncation:
             assert len(points) <= 1 + trials
             assert len({x.tobytes() for x in points}) == len(points)
 
-    def test_value_fn_serves_backtracking_trials(self):
-        smooth, groups, _, _ = make_group_lasso(5, weight=5.0)
-        calls = {"smooth": 0, "value": 0}
-
-        def counted(x):
-            calls["smooth"] += 1
-            return smooth(x)
-
-        def value(x):
-            calls["value"] += 1
-            return smooth(x)[0]
-
-        x1, trace = minimize_with_group_truncation(
-            counted, np.zeros(18), groups, value_fn=value
-        )
-        x2, _ = minimize_with_group_truncation(smooth, np.zeros(18), groups)
-        np.testing.assert_array_equal(x1, x2)
-        assert calls["value"] == trace.backtracks
-        assert calls["smooth"] <= 1 + 2 * trace.iterations
-
 
 @pytest.mark.parametrize("penalized", [False, True])
 def test_degenerate_trial_iterate_backtracks(penalized):
@@ -297,16 +273,40 @@ def test_degenerate_trial_iterate_backtracks(penalized):
             raise DegenerateModelError("condition number above the bound")
         return float(np.sum((x - c) ** 2)), 2 * (x - c)
 
-    cfg = OptimizerConfig(grad_tol=1e-10)
     if penalized:
         groups = (np.array([[0, 1, 2]]), 0.1)
-        x, trace = minimize_with_group_truncation(obj, np.zeros(3), groups, cfg)
+        x, trace = minimize_with_group_truncation(obj, np.zeros(3), groups, 1e-10)
         np.testing.assert_allclose(x, c * (1 - 0.05 / np.linalg.norm(c)), atol=1e-8)
     else:
-        x, trace = minimize(obj, np.zeros(3), cfg)
+        x, trace = minimize(obj, np.zeros(3), 1e-10)
         np.testing.assert_allclose(x, c, atol=1e-8)
     assert trace.converged
     assert trace.backtracks >= 1
+
+
+def test_gradient_error_at_a_backtracked_trial_backtracks(monkeypatch):
+    # The CSA fit's first line search from W = I backtracks through trials
+    # with W[0, 0] < 0.9, the last of them (W[0, 0] = 0.83) low enough to
+    # accept, while its minimizer has W[0, 0] = 1.12. There the gradient
+    # kernel raises NumericError, as it does for a nonfinite gradient, and
+    # the value stays finite: each such trial is backtracked, and the fit
+    # ends outside that region instead of raising.
+    rng = np.random.default_rng(0)
+    mixing = np.array([[1.0, 0.5], [0.3, 1.0]])
+    x = TimeSeriesMatrix(mixing @ sample_sech(rng, (2, 300)))
+    real, raised = estimators.grad_csa, []
+
+    def grad_csa(fb, data):
+        if fb.w[0][0, 0] < 0.9:
+            raised.append(fb.w[0][0, 0])
+            raise NumericError("nonfinite gradient entries")
+        return real(fb, data)
+
+    monkeypatch.setattr(estimators, "grad_csa", grad_csa)
+    fb, trace = estimators._fit_csa(lag_stack(x, 0), 0)
+    assert len(raised) > 1  # trials after the first reached the region
+    assert trace.converged or trace.stagnated
+    assert fb.w[0][0, 0] >= 0.9
 
 
 def zero_group_pseudo_gradient(group_grads, weight):
