@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -187,27 +188,16 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _bench_run(sim_kwargs, method_kwargs, rep, noise, master_seed) -> Dict:
-    method = method_kwargs["method"]
-    row = {
-        "dataset": f"rep{rep}",
-        "noise": noise,
-        "method": method,
-        "gof": "",
-        "auc": "",
-        "order": "",
-        "lambda": "",
-        "seconds": "",
-        "error": "",
-    }
+def _bench_run(spec: SimulationSpec, request: FitRequest, rep, master_seed) -> Dict:
+    row = dict.fromkeys(BENCH_FIELDS, "")
+    row.update(dataset=f"rep{rep}", noise=spec.noise_kind, method=request.method)
     try:
-        seed = run_seed(master_seed, rep, noise, method)
-        spec = SimulationSpec(**{**sim_kwargs, "noise_kind": noise, "seed": seed})
+        seed = run_seed(master_seed, rep, spec.noise_kind, request.method)
+        spec = dataclasses.replace(spec, seed=seed)
         ds = generate(spec)
-        request = FitRequest(**method_kwargs)
         result = fit(ds.x, request)
         report = evaluate(
-            method,
+            request.method,
             result.model,
             ds.true_mixing,
             ds.true_support,
@@ -228,6 +218,14 @@ def _bench_run(sim_kwargs, method_kwargs, rep, noise, master_seed) -> Dict:
     return row
 
 
+def _config_entry(cls, what: str, entry):
+    """``cls(**entry)``, or a :class:`UsageError` naming the entry."""
+    try:
+        return cls(**entry)
+    except (TypeError, ValueError) as err:
+        raise UsageError(f"{what} {entry!r} does not build: {err}") from err
+
+
 def _quartiles(values: List[float]):
     arr = np.array(values)
     return np.percentile(arr, 25), np.median(arr), np.percentile(arr, 75)
@@ -238,29 +236,26 @@ def cmd_bench(args) -> int:
     repetitions = int(config.get("repetitions", 1))
     if repetitions < 1:
         raise UsageError("repetitions must be >= 1")
-    sim_kwargs = dict(config.get("simulation", {}))
-    noise_kinds = config.get("noise_kinds") or [sim_kwargs.get("noise_kind", "N0")]
-    for kind in noise_kinds:
-        if kind not in NOISE_KINDS:
-            raise UsageError(f"unknown noise kind {kind!r}")
-    sim_kwargs.pop("noise_kind", None)
-    sim_kwargs.pop("seed", None)
+    sim = dict(config.get("simulation", {}))
+    noise_kinds = config.get("noise_kinds") or [sim.get("noise_kind", "N0")]
+    specs = [
+        _config_entry(SimulationSpec, "simulation", {**sim, "noise_kind": kind})
+        for kind in noise_kinds
+    ]
     methods = config.get("methods")
     if not methods:
         raise UsageError("config needs a nonempty 'methods' list")
-    bad = [m for m in methods if not isinstance(m, dict) or "method" not in m]
-    if bad:
-        raise UsageError(f"methods entry {bad[0]!r} is not an object with a 'method' key")
+    requests = [_config_entry(FitRequest, "methods entry", m) for m in methods]
     master_seed = int(config.get("master_seed", 0))
     workers = int(config.get("parallelism", args.threads))
     out_dir = pathlib.Path(config.get("output_dir", args.out or "."))
     out_dir.mkdir(parents=True, exist_ok=True)
 
     tasks = [
-        (sim_kwargs, dict(m), rep, noise, master_seed)
+        (spec, request, rep, master_seed)
         for rep in range(repetitions)
-        for noise in noise_kinds
-        for m in methods
+        for spec in specs
+        for request in requests
     ]
     # each worker's fits run serially: pools do not nest
     rows = _pool_map(_bench_run, tasks, cap=workers)
@@ -276,21 +271,21 @@ def cmd_bench(args) -> int:
 
     summary_lines = ["noise,method,n,gof_q1,gof_median,gof_q3,auc_median"]
     for noise in noise_kinds:
-        for m in methods:
+        for method in (request.method for request in requests):
             sub = [
                 r
                 for r in rows
-                if r["noise"] == noise and r["method"] == m["method"] and not r["error"]
+                if r["noise"] == noise and r["method"] == method and not r["error"]
             ]
             if not sub:
-                summary_lines.append(f"{noise},{m['method']},0,,,,")
+                summary_lines.append(f"{noise},{method},0,,,,")
                 continue
             gofs = [float(r["gof"]) for r in sub]
             q1, med, q3 = _quartiles(gofs)
             aucs = [float(r["auc"]) for r in sub if r["auc"] != ""]
             auc_med = f"{np.median(aucs):.6f}" if aucs else ""
             summary_lines.append(
-                f"{noise},{m['method']},{len(sub)},{q1:.6f},{med:.6f},{q3:.6f},{auc_med}"
+                f"{noise},{method},{len(sub)},{q1:.6f},{med:.6f},{q3:.6f},{auc_med}"
             )
     _atomic_write_text(out_dir / "summary.csv", "\n".join(summary_lines) + "\n")
     n_failed = sum(1 for r in rows if r["error"])

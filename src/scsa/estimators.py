@@ -12,6 +12,7 @@ its own lag windows only. Each fit stacks its lag windows once
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import threading
@@ -121,8 +122,7 @@ def _fit_csa(
 def fit_csa(x: TimeSeriesMatrix, p: int) -> SourceModel:
     """CSA: maximum-likelihood fit of the FIR filter bank, returned in
     (B, H) coordinates. ``x`` may also be a sequence of segments."""
-    fb, _ = _fit_csa(lag_stack(x, p), p)
-    return filter_bank_to_source_model(fb)
+    return _order_fit(x, "CSA", p)[0]
 
 
 def fit_ica(x: TimeSeriesMatrix) -> SourceModel:
@@ -235,12 +235,11 @@ def _common_window_nll(model: SourceModel, x: TimeSeriesMatrix, p_max: int) -> f
 
 def _worker_count(n_tasks: int, cap: Optional[int] = None) -> int:
     """How many processes a pool spreads ``n_tasks`` tasks over: one per CPU
-    this process may run on, at most one per task and at most ``cap``. A pool
-    asks once, when it opens, and :func:`fit` opens one pool for both of its
-    stages (:class:`_Pool`). It is 1 (run in the calling process) inside a
-    worker process, so pools never nest; where ``fork`` is unavailable; and
-    while other threads run, since a forked child gets a copy of their locks
-    but not the threads that would release them."""
+    this process may run on, at most one per task and at most ``cap``.
+    :func:`_pool` asks once, when it is made. It is 1 (run in the calling
+    process) inside a worker process, so pools never nest; where ``fork`` is
+    unavailable; and while other threads run, since a forked child gets a
+    copy of their locks but not the threads that would release them."""
     import multiprocessing
 
     if (
@@ -256,61 +255,50 @@ def _worker_count(n_tasks: int, cap: Optional[int] = None) -> int:
     return max(1, min(n_tasks, cpus, n_tasks if cap is None else cap))
 
 
-class _Pool:
-    """The fork pool of one :func:`fit` call, or of one :func:`_pool_map`
-    call outside a fit. It opens when the first stage with two or more tasks
-    runs, sized then, once, by :func:`_worker_count` for ``n_tasks`` tasks.
-    A fit passes its largest stage's task count: one task per order of
-    :func:`_candidate_orders` for BIC, one per fold for CV, as
-    :func:`select_order_bic` and :func:`select_lambda_cv` build them. Inside
-    its ``with`` block every :func:`_pool_map` call of this thread runs on
-    it; leaving the block joins its workers, also on error."""
-
-    def __init__(self, n_tasks: int, cap: Optional[int] = None):
-        self.n_tasks, self.cap = n_tasks, cap
-        self.pid = os.getpid()  # a forked worker's copy is not its pool
-        self.workers = 0  # 0 until sized
-        self.executor = None
-
-    def __enter__(self) -> "_Pool":
-        self.outer, _scope.pool = _scope.pool, self
-        return self
-
-    def __exit__(self, *exc_info):
-        _scope.pool = self.outer
-        if self.executor is not None:
-            self.executor.shutdown(wait=True, cancel_futures=True)
-
-    def map(self, fn: Callable, tasks: Sequence[tuple]) -> list:
-        if len(tasks) > 1 and not self.workers:
-            self.workers = _worker_count(self.n_tasks, self.cap)
-            if self.workers > 1:
-                # imported here: ``import scsa`` should not pay for the pool
-                import multiprocessing
-                from concurrent.futures import ProcessPoolExecutor
-
-                # fork, not spawn: a spawned worker imports numpy and scipy
-                # afresh, which takes longer than the tasks it would run
-                self.executor = ProcessPoolExecutor(
-                    self.workers, mp_context=multiprocessing.get_context("fork")
-                )
-        if self.executor is None:
-            return [fn(*task) for task in tasks]
-        futures = [self.executor.submit(fn, *task) for task in tasks]
-        return [future.result() for future in futures]
-
-
 class _Scope(threading.local):
-    pool: Optional[_Pool] = None  # the pool whose block this thread is in
+    # (pid, executor or None) of the pool whose block this thread is in; a
+    # forked worker's copy has its parent's pid, so it is not the worker's pool
+    pool: Optional[tuple] = None
 
 
 _scope = _Scope()
 
 
+@contextlib.contextmanager
+def _pool(n_tasks: int, cap: Optional[int] = None):
+    """The fork pool of one :func:`fit` call, or of one :func:`_pool_map`
+    call outside a fit, for stages of up to ``n_tasks`` tasks. A fit passes
+    its larger stage's task count: one task per distinct order for BIC, one
+    per fold for CV. The executor is made here, with :func:`_worker_count`
+    processes, only when that is two or more; it forks them at its first
+    task. Inside the block every :func:`_pool_map` call of this thread runs
+    on it; leaving the block joins its workers, also on error."""
+    executor = None
+    workers = _worker_count(n_tasks, cap) if n_tasks > 1 else 1
+    if workers > 1:
+        # imported here: ``import scsa`` should not pay for the pool
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork, not spawn: a spawned worker imports numpy and scipy afresh,
+        # which takes longer than the tasks it would run
+        executor = ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork")
+        )
+    outer, _scope.pool = _scope.pool, (os.getpid(), executor)
+    try:
+        yield
+    finally:
+        _scope.pool = outer
+        if executor is not None:
+            executor.shutdown(wait=True, cancel_futures=True)
+
+
 def _pool_map(fn: Callable, tasks: Sequence[tuple], cap: Optional[int] = None) -> list:
     """``[fn(*task) for task in tasks]``, with the tasks spread over forked
-    processes: the pool of the running :func:`fit`, or else a pool of this
-    call's own, sized by :func:`_worker_count` with ``cap``.
+    processes: the pool of the running :func:`fit`, or else a :func:`_pool`
+    of this call's own, sized for its tasks with ``cap``. Without workers
+    the tasks run here, in order.
 
     ``fn`` must be a module-level function, because it is sent to the workers
     by name. Results come back in task order, so a caller that reduces them
@@ -320,30 +308,44 @@ def _pool_map(fn: Callable, tasks: Sequence[tuple], cap: Optional[int] = None) -
     or of the fit's stages) cancels the tasks not yet started and joins the
     workers. No worker outlives the call, or the fit.
     """
-    pool = _scope.pool
-    if pool is not None and pool.pid == os.getpid():
-        return pool.map(fn, tasks)
-    with _Pool(len(tasks), cap) as pool:
-        return pool.map(fn, tasks)
+    if _scope.pool is None or _scope.pool[0] != os.getpid():
+        with _pool(len(tasks), cap):
+            return _pool_map(fn, tasks)
+    executor = _scope.pool[1]
+    if executor is None:
+        return [fn(*task) for task in tasks]
+    futures = [executor.submit(fn, *task) for task in tasks]
+    return [future.result() for future in futures]
+
+
+def _order_fit(
+    x: TimeSeriesMatrix, method: str, p: int
+) -> Tuple[SourceModel, OptimizationTrace]:
+    """The unpenalized order-``p`` fit of ``method`` and its trace: MVARICA's
+    fit for MVARICA, the CSA fit for every other method."""
+    if method == "MVARICA":
+        return _fit_mvarica(x, p)
+    fb, trace = _fit_csa(lag_stack(x, p), p)
+    return filter_bank_to_source_model(fb), trace
 
 
 def _bic_fit(x: TimeSeriesMatrix, method: str, p: int, p_max: int):
-    """The order-``p`` fit and its common-window NLL, or the exception that
-    the fit raised (a failed order is excluded by the caller, not fatal)."""
+    """The common-window NLL and ``(model, trace)`` of :func:`_order_fit`, or
+    its exception (a failed order is excluded by the caller, not fatal)."""
     try:
-        model = fit_mvarica(x, p) if method == "MVARICA" else fit_csa(x, p)
-        return _common_window_nll(model, x, p_max), model
+        model, trace = _order_fit(x, method, p)
+        return _common_window_nll(model, x, p_max), (model, trace)
     except Exception as err:  # noqa: BLE001 - failed orders are skipped
         return err
 
 
 class _OrderScores(dict):
     """BIC per order, as returned by :func:`select_order_bic`, with each
-    scored order's full-data fit in ``models``."""
+    scored order's full-data ``(model, trace)`` in ``fits``."""
 
-    def __init__(self, bic: Dict[int, float], models: Dict[int, SourceModel]):
+    def __init__(self, bic: Dict[int, float], fits: Dict[int, tuple]):
         super().__init__(bic)
-        self.models = models
+        self.fits = fits
 
 
 def _candidate_orders(order_candidates: Sequence[int]) -> List[int]:
@@ -361,9 +363,8 @@ def select_order_bic(
     SCSA-family methods are scored with the unpenalized (CSA) fit; the
     penalty weight is selected afterwards at the chosen order. The orders
     are fitted in a process pool (:func:`_pool_map`). The returned BIC dict
-    also carries each order's full-data fit as its ``models`` attribute; for
-    the SCSA family, :func:`fit` starts its final fit from the selected
-    order's CSA model.
+    also carries each order's full-data ``(model, trace)`` of :func:`_order_fit`
+    as its ``fits`` attribute; :func:`fit` returns or starts from the selected one.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -374,18 +375,18 @@ def select_order_bic(
     d, t = x.n_channels, x.n_samples
     fits = _pool_map(_bic_fit, [(x, method, p, p_max) for p in candidates])
     bic: Dict[int, float] = {}
-    models: Dict[int, SourceModel] = {}
+    order_fits = {}
     for p, result in zip(candidates, fits):
         if isinstance(result, Exception):
             warnings.warn(f"order {p} failed and was excluded: {result}")
             continue
-        nll, models[p] = result
+        nll, order_fits[p] = result
         k = d * d * (p + 1)
         bic[p] = 2.0 * nll + k * np.log(t - p_max)
     if not bic:
         raise IllPosedError("every candidate order failed to fit")
     best = min(bic, key=lambda p: (bic[p], p))
-    return best, _OrderScores(bic, models)
+    return best, _OrderScores(bic, order_fits)
 
 
 def default_lambda_grid(t: int, n_points: int = 12) -> np.ndarray:
@@ -457,29 +458,29 @@ def select_lambda_cv(
 
 def fit(x: TimeSeriesMatrix, request: FitRequest) -> FitResult:
     """Run the full estimation pipeline: order selection, penalty selection
-    where the method uses one, and the final fit. Cross-validation runs
-    only when the λ grid has two or more distinct values.
+    where the method uses one, and the final fit. BIC runs only when the
+    request has two or more distinct orders, and cross-validation only when
+    the λ grid has two or more distinct values.
 
-    The selection stages share one fork pool, opened by the first stage with
-    two or more tasks, sized once for the larger stage and closed, its
-    workers joined, before the final fit, also on error. The final SCSA or
-    SCSA-EM fit starts from BIC's CSA fit at the selected order, so the
-    order's CSA fit runs once."""
+    The selection stages share one fork pool (:func:`_pool`), sized for the
+    larger stage and closed, its workers joined, before the final fit, also
+    on error. Each order is fitted once: CSA and MVARICA return BIC's fit of
+    the selected order, and SCSA and SCSA-EM start from it."""
     start = time.perf_counter()
-    candidates = list(request.order_candidates)
+    orders = _candidate_orders(request.order_candidates)
     grid: List[float] = []
     if request.method in ("SCSA", "SCSA_EM"):
         grid = request.lambda_grid  # AUTO or a valid grid: FitRequest checks
         if isinstance(grid, str):
             grid = default_lambda_grid(x.n_samples)
         grid = list(grid)
-    bic_tasks = len(_candidate_orders(candidates)) if len(candidates) > 1 else 0
+    bic_tasks = len(orders) if len(orders) > 1 else 0
     cv_tasks = request.cv_folds if len(set(grid)) > 1 else 0
-    with _Pool(max(bic_tasks, cv_tasks)):
-        if len(candidates) > 1:
-            p, bic = select_order_bic(x, request.method, candidates)
+    with _pool(max(bic_tasks, cv_tasks)):
+        if bic_tasks:
+            p, bic = select_order_bic(x, request.method, orders)
         else:
-            p, bic = int(candidates[0]), _OrderScores({}, {})
+            p, bic = orders[0], _OrderScores({}, {})
         lam: Optional[float] = None
         curve: Dict[float, float] = {}
         if cv_tasks:
@@ -487,20 +488,13 @@ def fit(x: TimeSeriesMatrix, request: FitRequest) -> FitResult:
         elif grid:
             lam = float(grid[0])
 
-    trace = OptimizationTrace()
-    if request.method in ("CSA", "ICA"):
-        # for ICA, P is used downstream only for a post-hoc MVAR on the
-        # demixed sources (evaluation module); the fitted model has order 0
-        order = p if request.method == "CSA" else 0
-        fb, trace = _fit_csa(lag_stack(x, order), order)
-        model = filter_bank_to_source_model(fb)
-    elif request.method == "MVARICA":
-        model, trace = _fit_mvarica(x, p)
-    else:
-        # BIC scored the SCSA family's orders with the CSA fit; without BIC,
-        # _fit_scsa fits CSA itself
+    # for ICA, P is used downstream only for a post-hoc MVAR on the demixed
+    # sources (evaluation module); the fitted model has order 0
+    order = 0 if request.method == "ICA" else p
+    model, trace = bic.fits.get(order) or _order_fit(x, request.method, order)
+    if grid:
         pen = GroupPenaltySpec(lam)
-        model, trace = _fit_scsa(lag_stack(x, p), p, pen, init=bic.models.get(p))
+        model, trace = _fit_scsa(lag_stack(x, p), p, pen, init=model)
         if request.method == "SCSA_EM":
             model, history = em_dal.fit_scsa_em(x, p, pen, init=model)
             trace = OptimizationTrace(

@@ -15,7 +15,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.stats import rankdata
 
 from .cost import group_norms
 from .exceptions import DegenerateModelError
@@ -179,9 +178,8 @@ def auc_from_scores(scores: np.ndarray, labels: np.ndarray) -> Optional[float]:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
-    ranks = rankdata(scores)
-    rank_sum = float(ranks[labels].sum())
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    d = scores[labels][:, None] - scores[~labels]
+    return float(((d > 0).sum() + 0.5 * (d == 0).sum()) / (n_pos * n_neg))
 
 
 def connectivity_auc(

@@ -22,7 +22,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, Optional
 
 import numpy as np
-from scipy.signal import lfilter
 
 from . import __version__
 from .cost import group_norms
@@ -154,6 +153,9 @@ def _ar_filter_coefficients(rng, order):
 
 
 def _colored_noise(rng, shape, order):
+    # imported here: only the colored-noise kinds use it, and it is slow to import
+    from scipy.signal import lfilter
+
     white = rng.standard_normal(shape)
     out = np.empty(shape)
     for ch in range(shape[0]):

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -315,11 +318,27 @@ class TestBench:
         cfg = self._config(tmp_path, methods=[])
         assert run("bench", str(cfg)) == EXIT_USAGE
 
-    @pytest.mark.parametrize("entry", [{"order_candidates": [1]}, "CSA"])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"order_candidates": [1]},
+            "CSA",
+            {"method": "FOO"},
+            {"method": "CSA", "lambda": 1},
+        ],
+    )
     def test_bad_method_entry_is_usage_error(self, tmp_path, capsys, entry):
         cfg = self._config(tmp_path, methods=[{"method": "CSA"}, entry])
         assert run("bench", str(cfg)) == EXIT_USAGE
         assert repr(entry) in capsys.readouterr().err
+        assert not (tmp_path / "bench" / "results.csv").exists()
+
+    @pytest.mark.parametrize("simulation", [{"d_sources": 0}, {"sources": 2}])
+    def test_bad_simulation_is_usage_error(self, tmp_path, capsys, simulation):
+        cfg = self._config(tmp_path, simulation=simulation)
+        assert run("bench", str(cfg)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "simulation" in err and repr(simulation)[1:-1] in err
         assert not (tmp_path / "bench" / "results.csv").exists()
 
     def test_seed_derivation_distinct(self):
@@ -331,6 +350,19 @@ class TestBench:
         }
         assert len(seeds) == 12
 
+
+def test_import_skips_slow_scipy_modules():
+    # scipy.stats and scipy.signal take most of a second to import; only the
+    # colored-noise kinds need scipy.signal, and nothing needs scipy.stats
+    code = (
+        "import sys, scsa.cli; "
+        "print([m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(pathlib.Path(scsa.cli.__file__).parents[1])},
+    )
+    assert out.stdout.strip() == "[]"
 
 class TestExitCodes:
     def test_unknown_flag_is_usage(self):

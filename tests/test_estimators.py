@@ -364,15 +364,15 @@ class TestWorkerPool:
 
     def test_failed_order_is_excluded(self, monkeypatch):
         x, _, _ = mixed_dataset(12, d=2, p=1, t=400)
-        real = estimators.fit_csa
+        real = estimators._fit_csa
 
-        def fails_at_two(x, p):
+        def fails_at_two(stack, p, *args):
             if p == 2:
                 raise IllPosedError("no fit at order 2")
-            return real(x, p)
+            return real(stack, p, *args)
 
         monkeypatch.setattr(estimators, "_worker_count", two_workers)
-        monkeypatch.setattr(estimators, "fit_csa", fails_at_two)
+        monkeypatch.setattr(estimators, "_fit_csa", fails_at_two)
         with pytest.warns(UserWarning, match="order 2 failed and was excluded"):
             _, bic = select_order_bic(x, "CSA", [1, 2, 3])
         assert set(bic) == {1, 3}
@@ -459,12 +459,47 @@ class TestOnePoolPerFit:
     def test_bic_scores_carry_each_orders_fit(self, pools):
         x, _, _ = mixed_dataset(18, d=2, p=1, t=600)
         _, bic = select_order_bic(x, "CSA", [1, 2])
-        assert sorted(bic.models) == [1, 2] == sorted(bic)
-        for p, model in bic.models.items():
+        assert sorted(bic.fits) == [1, 2] == sorted(bic)
+        for p in bic.fits:
+            model = bic.fits[p][0]
             cold = fit_csa(x, p)
             np.testing.assert_array_equal(model.b, cold.b)
             np.testing.assert_array_equal(np.array(model.h.lags), np.array(cold.h.lags))
 
+
+    @pytest.mark.parametrize("method", ["CSA", "MVARICA"])
+    def test_unpenalized_fit_is_bics(self, method, pools, monkeypatch):
+        x, _, _ = mixed_dataset(18, d=2, p=1, t=600)
+        in_process = []
+        for name in ("_fit_csa", "_fit_mvarica"):
+            real = getattr(estimators, name)
+
+            def counted(*args, real=real, **kwargs):
+                in_process.append(args[1])
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(estimators, name, counted)
+        res = fit(x, FitRequest(method, [1, 2, 3]))
+        # every order was fitted in the workers, and none again here
+        assert in_process == []
+        model, trace = estimators._order_fit(x, method, res.selected_order)
+        np.testing.assert_array_equal(res.model.b, model.b)
+        np.testing.assert_array_equal(np.array(res.model.h.lags), np.array(model.h.lags))
+        assert res.trace == trace
+
+    def test_repeated_order_runs_no_bic(self, monkeypatch):
+        x, _, _ = mixed_dataset(18, d=2, p=1, t=600)
+        calls = []
+        real = estimators.select_order_bic
+
+        def counted(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(estimators, "select_order_bic", counted)
+        res = fit(x, FitRequest("CSA", [2, 2]))
+        assert calls == []
+        assert res.bic_per_order == {} and res.selected_order == 2
 
 class TestDefaultLambdaGrid:
     def test_shape_and_scaling(self):

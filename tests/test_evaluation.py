@@ -204,6 +204,21 @@ class TestAuc:
             got = auc_from_scores(scores, labels)
             assert got == pytest.approx(auc_trapezoid(scores, labels), abs=1e-12)
 
+    def test_matches_rank_sum_with_ties(self):
+        from scipy.stats import rankdata
+
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            n = int(rng.integers(2, 40))
+            scores = np.round(rng.random(n), 1)  # many ties
+            labels = rng.random(n) < 0.4
+            n_pos, n_neg = int(labels.sum()), int((~labels).sum())
+            if not n_pos or not n_neg:
+                continue
+            rank_sum = float(rankdata(scores)[labels].sum())
+            expected = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+            assert auc_from_scores(scores, labels) == expected
+
     def test_degenerate_truth_absent(self):
         assert auc_from_scores([1.0, 2.0], [True, True]) is None
         assert auc_from_scores([1.0, 2.0], [False, False]) is None
