@@ -48,6 +48,7 @@ BENCH_FIELDS = [
     "order",
     "lambda",
     "seconds",
+    "entry",
     "error",
 ]
 
@@ -188,9 +189,13 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _bench_run(spec: SimulationSpec, request: FitRequest, rep, master_seed) -> Dict:
+def _bench_run(
+    spec: SimulationSpec, request: FitRequest, entry: int, rep, master_seed
+) -> Dict:
     row = dict.fromkeys(BENCH_FIELDS, "")
-    row.update(dataset=f"rep{rep}", noise=spec.noise_kind, method=request.method)
+    row.update(
+        dataset=f"rep{rep}", noise=spec.noise_kind, method=request.method, entry=entry
+    )
     try:
         seed = run_seed(master_seed, rep, spec.noise_kind, request.method)
         spec = dataclasses.replace(spec, seed=seed)
@@ -251,16 +256,15 @@ def cmd_bench(args) -> int:
     out_dir = pathlib.Path(config.get("output_dir", args.out or "."))
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    # rows in task order: repetition, then noise kind and methods entry as
+    # configured; each worker's fits run serially, as pools do not nest
     tasks = [
-        (spec, request, rep, master_seed)
+        (spec, request, entry, rep, master_seed)
         for rep in range(repetitions)
         for spec in specs
-        for request in requests
+        for entry, request in enumerate(requests)
     ]
-    # each worker's fits run serially: pools do not nest
     rows = _pool_map(_bench_run, tasks, cap=workers)
-    # rows in (dataset, noise, method) order, whatever the order of the config
-    rows.sort(key=lambda r: (r["dataset"], r["noise"], r["method"]))
 
     long_path = out_dir / "results.csv"
     buf = io.StringIO()
@@ -269,23 +273,24 @@ def cmd_bench(args) -> int:
     writer.writerows(rows)
     _atomic_write_text(long_path, buf.getvalue())
 
-    summary_lines = ["noise,method,n,gof_q1,gof_median,gof_q3,auc_median"]
+    summary_lines = ["noise,entry,method,n,gof_q1,gof_median,gof_q3,auc_median"]
     for noise in noise_kinds:
-        for method in (request.method for request in requests):
+        for entry, request in enumerate(requests):
             sub = [
                 r
                 for r in rows
-                if r["noise"] == noise and r["method"] == method and not r["error"]
+                if r["noise"] == noise and r["entry"] == entry and not r["error"]
             ]
+            key = f"{noise},{entry},{request.method}"
             if not sub:
-                summary_lines.append(f"{noise},{method},0,,,,")
+                summary_lines.append(f"{key},0,,,,")
                 continue
             gofs = [float(r["gof"]) for r in sub]
             q1, med, q3 = _quartiles(gofs)
             aucs = [float(r["auc"]) for r in sub if r["auc"] != ""]
             auc_med = f"{np.median(aucs):.6f}" if aucs else ""
             summary_lines.append(
-                f"{noise},{method},{len(sub)},{q1:.6f},{med:.6f},{q3:.6f},{auc_med}"
+                f"{key},{len(sub)},{q1:.6f},{med:.6f},{q3:.6f},{auc_med}"
             )
     _atomic_write_text(out_dir / "summary.csv", "\n".join(summary_lines) + "\n")
     n_failed = sum(1 for r in rows if r["error"])

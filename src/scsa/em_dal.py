@@ -5,10 +5,10 @@ block solve of the one SCSA fit (:func:`scsa.estimators._fit_scsa`), over
 one block of the flat vector ``[vec(B); vec(H)]`` with the other held. The
 demixing update ("E-step") is the B block at fixed lag coefficients; the
 penalty does not depend on B, so it is a smooth quasi-Newton solve. The
-coefficient update ("M-step") is the H block at B = I on the lag stack of the
-demixed sources s = B x: there log|det I| = 0 and W = [I, -H], so the SCSA
-cost is the sech prediction loss plus lam times the off-diagonal lag-group
-norms, a convex problem.
+coefficient update ("M-step") is the H block at the current B on the same
+lag stack: with s = B x, the SCSA cost is the sech prediction loss of s plus
+lam times the off-diagonal lag-group norms, less (T-P) log|det B|, a convex
+problem in H.
 
 The M-step asks for a gradient (:data:`M_STEP_GRAD_TOL`) finer than the
 rounding of its value can resolve, so it ends where no step lowers the value,
@@ -86,30 +86,30 @@ def m_loss_conjugate_grad_hess(a, s):
 
 
 def m_step_dal(
-    s: TimeSeriesMatrix,
+    s: Data,
     P: int,
     pen: GroupPenaltySpec,
-    h0: Optional[MvarCoefficients] = None,
+    init: Optional[SourceModel] = None,
 ) -> MvarCoefficients:
     """Minimize the sech prediction loss plus group penalty over the lag
-    coefficients, at fixed demixed sources: the H block of the SCSA fit at
-    B = I on the lag stack of ``s``.
+    coefficients: the H block of the SCSA fit on ``s`` (the data or its lag
+    stack at order ``P``), B held at ``init.b`` and H started at ``init.h``,
+    or at B = I from H = 0 without ``init``.
 
     Each off-diagonal (d, f) lag group carries weight ``pen.lam``; the
-    diagonal autocorrelation coefficients are unpenalized. All rows are
-    solved together, warm-started from ``h0`` when it has order ``P``. Raises
+    diagonal autocorrelation coefficients are unpenalized. Raises
     :class:`InsufficientDataError` when ``T <= P``.
     """
     if P == 0:
         return MvarCoefficients([])
     from .estimators import _fit_scsa  # deferred: estimators imports us
 
-    d = s.n_channels
-    if h0 is None or h0.order != P:
-        h0 = MvarCoefficients(list(np.zeros((P, d, d))))
-    init = unchecked(SourceModel, b=np.eye(d), h=h0)
+    stack = s if isinstance(s, np.ndarray) else lag_stack(s, P)
+    if init is None:
+        d = stack.shape[0] // (P + 1)
+        init = SourceModel(np.eye(d), MvarCoefficients(list(np.zeros((P, d, d)))))
     model, _ = _fit_scsa(
-        lag_stack(s, P), P, pen, M_STEP_GRAD_TOL, init, block=slice(d * d, None)
+        stack, P, pen, M_STEP_GRAD_TOL, init, block=slice(init.b.size, None)
     )
     return model.h
 
@@ -142,35 +142,27 @@ def fit_scsa_em(
     em_steps: int = 20,
     init: Optional[SourceModel] = None,
 ) -> Tuple[SourceModel, List[float]]:
-    """Alternate demixing and coefficient updates from a warm start.
-
-    When ``init`` is omitted the warm start is the jointly optimized sparse
-    solution. A half-step's result is kept only when it does not raise the
-    composite cost. Returns the refined model together with the composite
-    cost after the warm start and after every half-step.
+    """Alternate demixing and coefficient updates, block solves on one lag
+    stack of ``x`` started at the current model, from a warm start: ``init``,
+    or else :func:`fit_scsa`'s solution. Returns the refined model and the
+    composite cost after the warm start and after every half-step, which
+    never rises.
     """
-    if init is None:
-        from .estimators import fit_scsa  # deferred: estimators imports us
-
-        init = fit_scsa(x, P, pen)
-    model = init
     stack = lag_stack(x, P)
+    if init is None:
+        from .estimators import _fit_scsa  # deferred: estimators imports us
+
+        init, _ = _fit_scsa(stack, P, pen)
+    model = init
     history = [cost_scsa(model, stack, pen)]
     half_steps = (
         lambda m: SourceModel(b=e_step(stack, m.h, m.b), h=m.h),
-        lambda m: SourceModel(
-            b=m.b, h=m_step_dal(TimeSeriesMatrix(m.b @ x.data), P, pen, m.h)
-        ),
+        lambda m: SourceModel(b=m.b, h=m_step_dal(stack, P, pen, m)),
     )
     for _ in range(em_steps):
         for half_step in half_steps:
-            cand = half_step(model)
-            c = cost_scsa(cand, stack, pen)
-            if c <= history[-1]:
-                model = cand
-            else:
-                c = history[-1]
-            history.append(c)
+            model = half_step(model)
+            history.append(cost_scsa(model, stack, pen))
         if em_converged(history):
             break
     return model, history

@@ -102,9 +102,9 @@ class FitResult:
 
 def _fit_csa(
     stack: np.ndarray, p: int, grad_tol: float = GRAD_TOL
-) -> Tuple[FilterBank, OptimizationTrace]:
+) -> Tuple[SourceModel, OptimizationTrace]:
     """Maximum-likelihood FIR fit on a lag stack (likelihoods summed over
-    its segments), started from W = [I, 0, ..., 0]."""
+    its segments), started from W = [I, 0, ..., 0], in (B, H) coordinates."""
     d = stack.shape[0] // (p + 1)
     init = FilterBank([np.eye(d)] + [np.zeros((d, d)) for _ in range(p)])
 
@@ -116,7 +116,7 @@ def _fit_csa(
         lambda: minimize(objective, pack_filter_bank(init), grad_tol),
         f"CSA fit (P={p})",
     )
-    return unpack_filter_bank(theta, d, p), trace
+    return filter_bank_to_source_model(unpack_filter_bank(theta, d, p)), trace
 
 
 def fit_csa(x: TimeSeriesMatrix, p: int) -> SourceModel:
@@ -148,8 +148,7 @@ def _fit_scsa(
     """
     d = stack.shape[0] // (p + 1)
     if init is None:
-        fb, _ = _fit_csa(stack, p, grad_tol)
-        init = filter_bank_to_source_model(fb)
+        init, _ = _fit_csa(stack, p, grad_tol)
     theta = pack_source_model(init)
     start, stop, _ = block.indices(theta.size)
     whole = stop - start == theta.size
@@ -217,9 +216,8 @@ def _fit_mvarica(x: TimeSeriesMatrix, p: int) -> Tuple[SourceModel, Optimization
             f"rank-deficient sensor MVAR regression (rank {rank} < {p * d})"
         )
     # the residual block is its own lag stack at order 0
-    fb, trace = _fit_csa(resid, 0)
-    b = filter_bank_to_source_model(fb).b
-    b_inv = np.linalg.inv(b)
+    ica, trace = _fit_csa(resid, 0)
+    b, b_inv = ica.b, np.linalg.inv(ica.b)
     h = MvarCoefficients(list(b @ a_stack.reshape(d, p, d).transpose(1, 0, 2) @ b_inv))
     return SourceModel(b=b, h=h), trace
 
@@ -325,8 +323,7 @@ def _order_fit(
     fit for MVARICA, the CSA fit for every other method."""
     if method == "MVARICA":
         return _fit_mvarica(x, p)
-    fb, trace = _fit_csa(lag_stack(x, p), p)
-    return filter_bank_to_source_model(fb), trace
+    return _fit_csa(lag_stack(x, p), p)
 
 
 def _bic_fit(x: TimeSeriesMatrix, method: str, p: int, p_max: int):
@@ -389,9 +386,9 @@ def select_order_bic(
     return best, _OrderScores(bic, order_fits)
 
 
-def default_lambda_grid(t: int, n_points: int = 12) -> np.ndarray:
-    """Log-spaced penalty grid scaled linearly with the sample count."""
-    return np.geomspace(1e-3, 1e2, n_points) * (t / 2000.0)
+def default_lambda_grid(t: int) -> np.ndarray:
+    """Twelve log-spaced penalty weights scaled linearly with the sample count."""
+    return np.geomspace(1e-3, 1e2, 12) * (t / 2000.0)
 
 
 def _cv_blocks(t: int, folds: int, p: int) -> List[np.ndarray]:
@@ -416,8 +413,7 @@ def _cv_fold(
     runs = (data[:, : held[0]], data[:, held[-1] + 1 :])
     stack = lag_stack([run for run in runs if run.shape[1]], p)
     held_x = TimeSeriesMatrix(data[:, held])
-    warm, _ = _fit_csa(stack, p)
-    model = filter_bank_to_source_model(warm)
+    model, _ = _fit_csa(stack, p)
     nlls = []
     for lam in lambdas:
         model, _ = _fit_scsa(stack, p, GroupPenaltySpec(lam), init=model)

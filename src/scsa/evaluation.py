@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .cost import group_norms
 from .exceptions import DegenerateModelError
@@ -93,6 +92,9 @@ def pattern_gof(true_col: np.ndarray, est_col: np.ndarray) -> float:
 
 def optimal_pairing(true_m: MixingMatrix, est_m: MixingMatrix) -> PairingResult:
     """Assign estimated patterns to true patterns minimizing total GOF."""
+    # imported here: ``import scsa`` should not pay for scipy.optimize
+    from scipy.optimize import linear_sum_assignment
+
     tm, em = true_m.m, est_m.m
     if tm.shape != em.shape:
         raise ValueError("mixing matrices must agree in shape")

@@ -46,3 +46,30 @@ def test_stagnation_error_resolves():
     from scsa import exceptions
 
     assert issubclass(exceptions.StagnationError, Exception)
+
+
+def test_traced_em_half_steps_are_called(tracing, monkeypatch):
+    # a refactor that routes SCSA-EM around a traced name would zero that
+    # name's per-layer metrics without failing anything else
+    import numpy as np
+
+    from scsa import em_dal
+    from scsa.estimators import FitRequest, fit
+    from scsa.model import MvarCoefficients, TimeSeriesMatrix, simulate_sources
+
+    names = [attr for module, attr, _ in tracing.TARGETS if module == "scsa.em_dal"]
+    assert sorted(names) == ["e_step", "m_step_dal"]
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(em_dal, name)
+
+        def counted(*args, name=name, real=real, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(em_dal, name, counted)
+    h = MvarCoefficients([np.array([[0.5, 0.3], [0.0, 0.4]])])
+    s, _ = simulate_sources(h, T=300, seed=1)
+    x = TimeSeriesMatrix(np.array([[1.0, 0.4], [0.3, 1.0]]) @ s.data)
+    fit(x, FitRequest("SCSA_EM", [1], [1.0]))
+    assert all(n >= 1 for n in calls.values()), calls

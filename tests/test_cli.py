@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import pathlib
@@ -305,6 +306,35 @@ class TestBench:
         for text in results[1:]:
             assert strip_seconds(text) == first
 
+    def test_one_summary_row_per_entry(self, tmp_path):
+        # two entries of one method, told apart only by their settings
+        lambdas = [0.1, 50.0]
+        cfg = self._config(
+            tmp_path,
+            repetitions=11,
+            methods=[
+                {"method": "SCSA", "order_candidates": [1], "lambda_grid": [lam]}
+                for lam in lambdas
+            ],
+        )
+        assert run("bench", str(cfg)) == EXIT_OK
+        with open(tmp_path / "bench" / "results.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert all(r["error"] == "" for r in rows)
+        # task order: repetitions in numeric order, then entries as configured
+        assert [(r["dataset"], r["entry"]) for r in rows] == [
+            (f"rep{rep}", str(entry)) for rep in range(11) for entry in (0, 1)
+        ]
+        assert [float(r["lambda"]) for r in rows] == lambdas * 11
+        summary = (tmp_path / "bench" / "summary.csv").read_text().splitlines()
+        assert summary[0] == "noise,entry,method,n,gof_q1,gof_median,gof_q3,auc_median"
+        assert len(summary) == 3
+        for entry, line in enumerate(summary[1:]):
+            noise, got_entry, method, n, _, median, _, _ = line.split(",")
+            assert (noise, got_entry, method, n) == ("N0", str(entry), "SCSA", "11")
+            gofs = [float(r["gof"]) for r in rows if r["entry"] == str(entry)]
+            assert median == f"{np.median(gofs):.6f}"
+
     def test_failed_replace_leaves_no_file(self, tmp_path, monkeypatch):
         def failing_replace(src, dst):
             raise OSError("replace failed")
@@ -352,11 +382,12 @@ class TestBench:
 
 
 def test_import_skips_slow_scipy_modules():
-    # scipy.stats and scipy.signal take most of a second to import; only the
-    # colored-noise kinds need scipy.signal, and nothing needs scipy.stats
+    # scipy.stats, scipy.signal and scipy.optimize take most of a second to
+    # import; only the colored-noise kinds need scipy.signal, only scoring
+    # needs scipy.optimize, and nothing needs scipy.stats
     code = (
-        "import sys, scsa.cli; "
-        "print([m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules])"
+        "import sys, scsa.cli; print([m for m in "
+        "('scipy.stats', 'scipy.signal', 'scipy.optimize') if m in sys.modules])"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,

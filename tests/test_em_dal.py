@@ -281,7 +281,6 @@ class TestMStepDal:
         # at B != I on x, with s = B x, the SCSA cost is the M-step cost
         # minus the constant (T - P) log|det B|, so both H-block solves
         # reach the same objective
-        from scsa.estimators import _fit_scsa
         from scsa.model import lag_stack
 
         d, p, t = 3, 2, 300
@@ -291,13 +290,10 @@ class TestMStepDal:
         pen = GroupPenaltySpec(5.0)
         h = m_step_dal(s, p, pen)
         init = SourceModel(b, MvarCoefficients(list(np.zeros((p, d, d)))))
-        model, _ = _fit_scsa(
-            lag_stack(x, p), p, pen, em_dal.M_STEP_GRAD_TOL, init,
-            block=slice(d * d, None),
-        )
+        h_at_b = m_step_dal(lag_stack(x, p), p, pen, init)
         want = cost_scsa(SourceModel(np.eye(d), h), s, pen)
         logdet = np.linalg.slogdet(b)[1]
-        got = cost_scsa(model, x, pen) + (t - p) * logdet
+        got = cost_scsa(SourceModel(b, h_at_b), x, pen) + (t - p) * logdet
         assert got == pytest.approx(want, rel=1e-9)
 
     def test_order_zero(self):
@@ -415,4 +411,19 @@ class TestFitScsaEm:
                 x, 1, GroupPenaltySpec(0.5), em_steps=5, init=init
             )
             diffs = np.diff(np.array(hist))
-            assert np.all(diffs <= 1e-9)
+            assert np.all(diffs <= 0)
+
+    def test_stacks_the_data_once(self, monkeypatch):
+        x, b_true, _ = self._dataset(70, d=2, p=1, t=400)
+        init = SourceModel(b=b_true + 0.1, h=MvarCoefficients([np.zeros((2, 2))]))
+        calls = []
+        real = em_dal.lag_stack
+
+        def counted(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(em_dal, "lag_stack", counted)
+        _, hist = fit_scsa_em(x, 1, GroupPenaltySpec(0.5), em_steps=5, init=init)
+        assert len(hist) > 3  # more than one EM step ran
+        assert calls == [1]

@@ -303,10 +303,10 @@ def test_gradient_error_at_a_backtracked_trial_backtracks(monkeypatch):
         return real(fb, data)
 
     monkeypatch.setattr(estimators, "grad_csa", grad_csa)
-    fb, trace = estimators._fit_csa(lag_stack(x, 0), 0)
+    model, trace = estimators._fit_csa(lag_stack(x, 0), 0)
     assert len(raised) > 1  # trials after the first reached the region
     assert trace.converged or trace.stagnated
-    assert fb.w[0][0, 0] >= 0.9
+    assert model.b[0, 0] >= 0.9  # B = W^(0) at order 0
 
 
 def zero_group_pseudo_gradient(group_grads, weight):
