@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from .cost import Data, GroupPenaltySpec, cost_scsa, log_sech_density
-from .model import MvarCoefficients, SourceModel, TimeSeriesMatrix, lag_stack, unchecked
+from .model import MvarCoefficients, SourceModel, lag_stack, unchecked
 from .optim import GRAD_TOL
 
 LOG_2_OVER_PI = float(np.log(2.0 / np.pi))
@@ -136,19 +136,19 @@ def e_step(
 
 
 def fit_scsa_em(
-    x: TimeSeriesMatrix,
+    x: Data,
     P: int,
     pen: GroupPenaltySpec,
     em_steps: int = 20,
     init: Optional[SourceModel] = None,
 ) -> Tuple[SourceModel, List[float]]:
     """Alternate demixing and coefficient updates, block solves on one lag
-    stack of ``x`` started at the current model, from a warm start: ``init``,
-    or else :func:`fit_scsa`'s solution. Returns the refined model and the
-    composite cost after the warm start and after every half-step, which
-    never rises.
+    stack started at the current model, from a warm start: ``init``, or else
+    :func:`fit_scsa`'s solution. ``x`` is the data or its lag stack at order
+    ``P``. Returns the refined model and the composite cost after the warm
+    start and after every half-step, which never rises.
     """
-    stack = lag_stack(x, P)
+    stack = x if isinstance(x, np.ndarray) else lag_stack(x, P)
     if init is None:
         from .estimators import _fit_scsa  # deferred: estimators imports us
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from scipy.linalg.lapack import dtrtri
 
 from . import em_dal
 from .cost import (
@@ -35,7 +36,7 @@ from .cost import (
     unpack_filter_bank,
     unpack_source_model,
 )
-from .exceptions import IllPosedError, PartitionError
+from .exceptions import DegenerateModelError, IllPosedError, PartitionError
 from .model import (
     FilterBank,
     MvarCoefficients,
@@ -103,25 +104,48 @@ class FitResult:
 def _fit_csa(
     stack: np.ndarray, p: int, grad_tol: float = GRAD_TOL
 ) -> Tuple[SourceModel, OptimizationTrace]:
-    """Maximum-likelihood FIR fit on a lag stack (likelihoods summed over
-    its segments), started from W = [I, 0, ..., 0], in (B, H) coordinates."""
-    d = stack.shape[0] // (p + 1)
+    """Maximum-likelihood FIR fit on a lag stack X (likelihoods summed over
+    its segments), returned in (B, H) coordinates.
+
+    The filter bank is fitted in whitened lag coordinates. With C = X X^T / N
+    and U its upper-triangular Cholesky factor (C = U U^T), Z = R X with
+    R = U^-1 has identity covariance, and the fit runs :func:`grad_csa` on Z
+    over W_z, with W = W_z R. R is upper triangular, so W^(0) = W_z^(0) R_00
+    and nll_csa(W, X) = nll_csa(W_z, Z) - N log|det R_00|: the objective is
+    X's likelihood, and the stop test reads its gradient in Z. The start
+    W_z = [I, 0, ..., 0] whitens the least-squares MVAR residual of X.
+    Raises :class:`DegenerateModelError` when C is not positive definite.
+    """
+    d, n = stack.shape[0] // (p + 1), stack.shape[1]
     init = FilterBank([np.eye(d)] + [np.zeros((d, d)) for _ in range(p)])
+    cov = stack @ stack.T / n
+    try:  # the lower factor of C with rows and columns reversed is U
+        u = np.linalg.cholesky(cov[::-1, ::-1])[::-1, ::-1]
+    except np.linalg.LinAlgError:
+        raise DegenerateModelError(
+            "lag-stack covariance is not positive definite (rank-deficient data)"
+        ) from None
+    r = dtrtri(u)[0]
+    z = r @ stack
+    shift = n * float(np.log(u.diagonal()[:d]).sum())  # -N log|det R_00|
 
     def objective(theta):
-        rep = grad_csa(unpack_filter_bank(theta, d, p), stack)
-        return rep.value, rep.gradient
+        rep = grad_csa(unpack_filter_bank(theta, d, p), z)
+        return rep.value + shift, rep.gradient
 
     theta, trace = keep_last_on_stagnation(
         lambda: minimize(objective, pack_filter_bank(init), grad_tol),
         f"CSA fit (P={p})",
     )
-    return filter_bank_to_source_model(unpack_filter_bank(theta, d, p)), trace
+    w = np.hstack(unpack_filter_bank(theta, d, p).w) @ r
+    return filter_bank_to_source_model(FilterBank(np.hsplit(w, p + 1))), trace
 
 
 def fit_csa(x: TimeSeriesMatrix, p: int) -> SourceModel:
-    """CSA: maximum-likelihood fit of the FIR filter bank, returned in
-    (B, H) coordinates. ``x`` may also be a sequence of segments."""
+    """CSA: maximum-likelihood fit of the FIR filter bank, solved in
+    whitened lag coordinates (:func:`_fit_csa`) and returned in (B, H)
+    coordinates. ``x`` may also be a sequence of segments. Raises
+    :class:`DegenerateModelError` on rank-deficient data."""
     return _order_fit(x, "CSA", p)[0]
 
 
@@ -461,7 +485,8 @@ def fit(x: TimeSeriesMatrix, request: FitRequest) -> FitResult:
     The selection stages share one fork pool (:func:`_pool`), sized for the
     larger stage and closed, its workers joined, before the final fit, also
     on error. Each order is fitted once: CSA and MVARICA return BIC's fit of
-    the selected order, and SCSA and SCSA-EM start from it."""
+    the selected order, and SCSA and SCSA-EM start from it. The final SCSA
+    and SCSA-EM stages share one lag stack of the data."""
     start = time.perf_counter()
     orders = _candidate_orders(request.order_candidates)
     grid: List[float] = []
@@ -487,18 +512,21 @@ def fit(x: TimeSeriesMatrix, request: FitRequest) -> FitResult:
     # for ICA, P is used downstream only for a post-hoc MVAR on the demixed
     # sources (evaluation module); the fitted model has order 0
     order = 0 if request.method == "ICA" else p
-    model, trace = bic.fits.get(order) or _order_fit(x, request.method, order)
     if grid:
+        stack = lag_stack(x, p)
+        model, _ = bic.fits.get(p) or _fit_csa(stack, p)
         pen = GroupPenaltySpec(lam)
-        model, trace = _fit_scsa(lag_stack(x, p), p, pen, init=model)
+        model, trace = _fit_scsa(stack, p, pen, init=model)
         if request.method == "SCSA_EM":
-            model, history = em_dal.fit_scsa_em(x, p, pen, init=model)
+            model, history = em_dal.fit_scsa_em(stack, p, pen, init=model)
             trace = OptimizationTrace(
                 iterations=len(history) - 1,
                 final_value=history[-1],
                 converged=em_dal.em_converged(history),
                 value_history=list(history),
             )
+    else:
+        model, trace = bic.fits.get(order) or _order_fit(x, request.method, order)
     return FitResult(
         model=model,
         method=request.method,

@@ -23,7 +23,7 @@ from scsa.cli import (
 )
 from scsa.cost import GroupPenaltySpec, cost_scsa
 from scsa.exceptions import NumericError
-from scsa.simulator import load_dataset
+from scsa.simulator import load_dataset, save_dataset
 
 
 def run(*argv):
@@ -169,6 +169,14 @@ class TestFit:
                    "--lambda", "0.5", "--out", str(out))
         assert code == EXIT_OK
         assert load_model_file(out)["model"].order == 0
+
+    def test_duplicated_channel_is_estimator_error(self, dataset_dir, capsys):
+        ds = load_dataset(dataset_dir)
+        ds.x.data[1] = ds.x.data[0]
+        save_dataset(ds, dataset_dir)
+        code = run("fit", str(dataset_dir), "--method", "csa", "--orders", "2")
+        assert code == EXIT_ESTIMATOR
+        assert "estimator error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("lam", ["nan", "inf"])
     def test_non_finite_lambda_is_usage_error(self, dataset_dir, tmp_path, lam):

@@ -31,7 +31,12 @@ from scsa.estimators import (
     select_lambda_cv,
     select_order_bic,
 )
-from scsa.exceptions import IllPosedError, NumericError, PartitionError
+from scsa.exceptions import (
+    DegenerateModelError,
+    IllPosedError,
+    NumericError,
+    PartitionError,
+)
 from scsa.model import (
     MvarCoefficients,
     SourceModel,
@@ -95,6 +100,26 @@ class TestFitCsa:
         np.testing.assert_array_equal(m1.b, m2.b)
         for a, b in zip(m1.h.lags, m2.h.lags):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("p", [0, 3])
+    @pytest.mark.parametrize("cuts", [(), (300, 400)])  # whole run, or a CV fold
+    def test_objective_is_the_data_likelihood(self, p, cuts):
+        # the fit runs in whitened coordinates; its reported value must be
+        # the likelihood of the returned model on the data's own stack
+        x, _, _ = mixed_dataset(6, t=800)
+        runs = [x.data] if not cuts else [x.data[:, : cuts[0]], x.data[:, cuts[1] :]]
+        stack = lag_stack(runs, p)
+        model, trace = estimators._fit_csa(stack, p)
+        f = nll_csa(source_model_to_filter_bank(model), stack)
+        assert abs(trace.final_value - f) <= 1e-9 * abs(f)
+
+    @pytest.mark.parametrize("p", [0, 2])
+    def test_duplicated_channel_is_degenerate(self, p):
+        rng = np.random.default_rng(7)
+        data = sample_sech(rng, (3, 300))
+        data[2] = data[0]
+        with pytest.raises(DegenerateModelError):
+            fit_csa(TimeSeriesMatrix(data), p)
 
 
 class TestFitIca:
@@ -500,6 +525,21 @@ class TestOnePoolPerFit:
         res = fit(x, FitRequest("CSA", [2, 2]))
         assert calls == []
         assert res.bic_per_order == {} and res.selected_order == 2
+
+    def test_scsa_em_stacks_its_data_once(self, monkeypatch):
+        x, _, _ = mixed_dataset(18, d=2, p=1, t=600)
+        calls = []
+        real = estimators.lag_stack
+
+        def counted(data, p):
+            calls.append(p)
+            return real(data, p)
+
+        for module in (estimators, em_dal):
+            monkeypatch.setattr(module, "lag_stack", counted)
+        fit(x, FitRequest("SCSA_EM", [2], [1.0]))
+        assert calls == [2]
+
 
 class TestDefaultLambdaGrid:
     def test_shape_and_scaling(self):

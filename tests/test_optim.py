@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from scsa import estimators, optim
+from scsa import optim
+from scsa.cost import grad_csa, unpack_filter_bank
 from scsa.exceptions import DegenerateModelError, NumericError, StagnationError
 from scsa.model import TimeSeriesMatrix, lag_stack, sample_sech
 from scsa.optim import (
@@ -284,29 +285,32 @@ def test_degenerate_trial_iterate_backtracks(penalized):
     assert trace.backtracks >= 1
 
 
-def test_gradient_error_at_a_backtracked_trial_backtracks(monkeypatch):
-    # The CSA fit's first line search from W = I backtracks through trials
-    # with W[0, 0] < 0.9, the last of them (W[0, 0] = 0.83) low enough to
-    # accept, while its minimizer has W[0, 0] = 1.12. There the gradient
-    # kernel raises NumericError, as it does for a nonfinite gradient, and
-    # the value stays finite: each such trial is backtracked, and the fit
-    # ends outside that region instead of raising.
+def test_gradient_error_at_a_backtracked_trial_backtracks():
+    # A CSA objective in data coordinates, started from W = I: its first
+    # line search backtracks through trials with W[0, 0] < 0.9, the last of
+    # them (W[0, 0] = 0.83) low enough to accept, while its minimizer has
+    # W[0, 0] = 1.12. There the gradient kernel raises NumericError, as it
+    # does for a nonfinite gradient, and the value stays finite: each such
+    # trial is backtracked, and the fit ends outside that region instead of
+    # raising.
     rng = np.random.default_rng(0)
     mixing = np.array([[1.0, 0.5], [0.3, 1.0]])
-    x = TimeSeriesMatrix(mixing @ sample_sech(rng, (2, 300)))
-    real, raised = estimators.grad_csa, []
+    stack = lag_stack(TimeSeriesMatrix(mixing @ sample_sech(rng, (2, 300))), 0)
+    raised = []
 
-    def grad_csa(fb, data):
-        if fb.w[0][0, 0] < 0.9:
-            raised.append(fb.w[0][0, 0])
+    def objective(w):
+        if w[0] < 0.9:
+            raised.append(w[0])
             raise NumericError("nonfinite gradient entries")
-        return real(fb, data)
+        rep = grad_csa(unpack_filter_bank(w, 2, 0), stack)
+        return rep.value, rep.gradient
 
-    monkeypatch.setattr(estimators, "grad_csa", grad_csa)
-    model, trace = estimators._fit_csa(lag_stack(x, 0), 0)
+    w, trace = keep_last_on_stagnation(
+        lambda: minimize(objective, np.eye(2).ravel()), "CSA fit"
+    )
     assert len(raised) > 1  # trials after the first reached the region
     assert trace.converged or trace.stagnated
-    assert model.b[0, 0] >= 0.9  # B = W^(0) at order 0
+    assert w[0] >= 0.9  # W[0, 0]
 
 
 def zero_group_pseudo_gradient(group_grads, weight):
