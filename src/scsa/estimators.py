@@ -44,7 +44,6 @@ from .model import (
     TimeSeriesMatrix,
     filter_bank_to_source_model,
     lag_stack,
-    least_squares_mvar,
     source_model_to_filter_bank,
 )
 from .optim import (
@@ -101,11 +100,21 @@ class FitResult:
     wall_time: float
 
 
+# A lag stack is rank-deficient when a Cholesky pivot keeps at most this
+# share of its variance, u_ii^2 <= PIVOT_FLOOR * C_ii. A duplicated channel
+# leaves 3.3e-16 to rounding (the order-0 stack of a two-channel, T = 300
+# simulation with channel 1 set to channel 0); ordinary data keep at least
+# 0.054 (the benchmark datasets at orders 0-7, and criterion-7 data N0-N6,
+# reps 0-2, at orders 0, 4 and 7).
+PIVOT_FLOOR = 1e-10
+
+
 def _fit_csa(
-    stack: np.ndarray, p: int, grad_tol: float = GRAD_TOL
+    stack: np.ndarray, p: int, grad_tol: float = GRAD_TOL, lags: bool = True
 ) -> Tuple[SourceModel, OptimizationTrace]:
     """Maximum-likelihood FIR fit on a lag stack X (likelihoods summed over
-    its segments), returned in (B, H) coordinates.
+    its segments), returned in (B, H) coordinates. With ``lags`` False the
+    lag filters of the whitened fit are held at zero: MVARICA.
 
     The filter bank is fitted in whitened lag coordinates. With C = X X^T / N
     and U its upper-triangular Cholesky factor (C = U U^T), Z = R X with
@@ -113,31 +122,38 @@ def _fit_csa(
     over W_z, with W = W_z R. R is upper triangular, so W^(0) = W_z^(0) R_00
     and nll_csa(W, X) = nll_csa(W_z, Z) - N log|det R_00|: the objective is
     X's likelihood, and the stop test reads its gradient in Z. The start
-    W_z = [I, 0, ..., 0] whitens the least-squares MVAR residual of X.
-    Raises :class:`DegenerateModelError` when C is not positive definite.
+    W_z = [I, 0, ..., 0] whitens the least-squares MVAR residual of X, which
+    is Z's zero-lag block R[:D] X. Holding W_z^(1..P) at zero therefore fits
+    the ICA of that residual, W = W_z^(0) R[:D]: B = W_z^(0) R_00, and
+    H^(p) = B A^(p) B^-1 for the least-squares coefficients A.
+    Raises :class:`DegenerateModelError` before the first iteration when C
+    is numerically singular (:data:`PIVOT_FLOOR`).
     """
     d, n = stack.shape[0] // (p + 1), stack.shape[1]
-    init = FilterBank([np.eye(d)] + [np.zeros((d, d)) for _ in range(p)])
+    k = p + 1 if lags else 1  # the filters W_z^(0..k-1) that are fitted
     cov = stack @ stack.T / n
     try:  # the lower factor of C with rows and columns reversed is U
         u = np.linalg.cholesky(cov[::-1, ::-1])[::-1, ::-1]
     except np.linalg.LinAlgError:
+        u = None
+    if u is None or np.any(u.diagonal() ** 2 <= PIVOT_FLOOR * cov.diagonal()):
         raise DegenerateModelError(
-            "lag-stack covariance is not positive definite (rank-deficient data)"
-        ) from None
-    r = dtrtri(u)[0]
+            "lag-stack covariance is numerically singular (rank-deficient data)"
+        )
+    r = dtrtri(u)[0][: k * d]
     z = r @ stack
     shift = n * float(np.log(u.diagonal()[:d]).sum())  # -N log|det R_00|
 
     def objective(theta):
-        rep = grad_csa(unpack_filter_bank(theta, d, p), z)
+        rep = grad_csa(unpack_filter_bank(theta, d, k - 1), z)
         return rep.value + shift, rep.gradient
 
+    init = FilterBank([np.eye(d)] + [np.zeros((d, d))] * (k - 1))
     theta, trace = keep_last_on_stagnation(
         lambda: minimize(objective, pack_filter_bank(init), grad_tol),
-        f"CSA fit (P={p})",
+        f"{'CSA' if lags else 'MVARICA'} fit (P={p})",
     )
-    w = np.hstack(unpack_filter_bank(theta, d, p).w) @ r
+    w = np.hstack(unpack_filter_bank(theta, d, k - 1).w) @ r
     return filter_bank_to_source_model(FilterBank(np.hsplit(w, p + 1))), trace
 
 
@@ -223,36 +239,13 @@ def fit_scsa_em(
 
 
 def fit_mvarica(x: TimeSeriesMatrix, p: int) -> SourceModel:
-    """MVARICA baseline: sensor-space least-squares MVAR, instantaneous ICA
-    on its residuals, then similarity transform of the sensor coefficients
-    into source space (H^(p) = B A^(p) B^{-1})."""
-    return _fit_mvarica(x, p)[0]
-
-
-def _fit_mvarica(x: TimeSeriesMatrix, p: int) -> Tuple[SourceModel, OptimizationTrace]:
-    """:func:`fit_mvarica`, plus the trace of its ICA fit."""
-    d, t = x.n_channels, x.n_samples
-    if t <= p:
-        raise IllPosedError(f"need T > {p}, got T = {t}")
-    a_stack, resid, rank = least_squares_mvar(x, p)
-    if rank < p * d:
-        raise IllPosedError(
-            f"rank-deficient sensor MVAR regression (rank {rank} < {p * d})"
-        )
-    # the residual block is its own lag stack at order 0
-    ica, trace = _fit_csa(resid, 0)
-    b, b_inv = ica.b, np.linalg.inv(ica.b)
-    h = MvarCoefficients(list(b @ a_stack.reshape(d, p, d).transpose(1, 0, 2) @ b_inv))
-    return SourceModel(b=b, h=h), trace
-
-
-def _common_window_nll(model: SourceModel, x: TimeSeriesMatrix, p_max: int) -> float:
-    """Unpenalized NLL of the model restricted to samples t > p_max, so
-    models of different order are scored on the identical window."""
-    if model.order > p_max:
-        raise ValueError("model order exceeds the common window")
-    sub = TimeSeriesMatrix(x.data[:, p_max - model.order :])
-    return nll_csa(source_model_to_filter_bank(model), sub)
+    """MVARICA baseline (Gomez-Herrero et al., 2008): instantaneous ICA of the
+    sensor-space least-squares MVAR residual, with the sensor coefficients
+    A^(p) carried into source space as H^(p) = B A^(p) B^-1. This is the
+    zero-lag block of CSA's whitened fit (:func:`_fit_csa` with the lag
+    filters held at zero). Raises :class:`DegenerateModelError` on
+    rank-deficient data."""
+    return _order_fit(x, "MVARICA", p)[0]
 
 
 def _worker_count(n_tasks: int, cap: Optional[int] = None) -> int:
@@ -343,19 +336,21 @@ def _pool_map(fn: Callable, tasks: Sequence[tuple], cap: Optional[int] = None) -
 def _order_fit(
     x: TimeSeriesMatrix, method: str, p: int
 ) -> Tuple[SourceModel, OptimizationTrace]:
-    """The unpenalized order-``p`` fit of ``method`` and its trace: MVARICA's
-    fit for MVARICA, the CSA fit for every other method."""
-    if method == "MVARICA":
-        return _fit_mvarica(x, p)
-    return _fit_csa(lag_stack(x, p), p)
+    """The unpenalized order-``p`` fit of ``method`` and its trace: the
+    whitened fit with its lag filters held at zero for MVARICA, the CSA fit
+    for every other method."""
+    return _fit_csa(lag_stack(x, p), p, GRAD_TOL, method != "MVARICA")
 
 
 def _bic_fit(x: TimeSeriesMatrix, method: str, p: int, p_max: int):
-    """The common-window NLL and ``(model, trace)`` of :func:`_order_fit`, or
-    its exception (a failed order is excluded by the caller, not fatal)."""
+    """The ``(model, trace)`` of :func:`_order_fit` and its unpenalized NLL on
+    the common window t > p_max (its own lag stack from column p_max - p),
+    or its exception (a failed order is excluded by the caller, not fatal)."""
     try:
-        model, trace = _order_fit(x, method, p)
-        return _common_window_nll(model, x, p_max), (model, trace)
+        stack = lag_stack(x, p)
+        model, trace = _fit_csa(stack, p, GRAD_TOL, method != "MVARICA")
+        nll = nll_csa(source_model_to_filter_bank(model), stack[:, p_max - p :])
+        return nll, (model, trace)
     except Exception as err:  # noqa: BLE001 - failed orders are skipped
         return err
 
@@ -436,12 +431,12 @@ def _cv_fold(
     """
     runs = (data[:, : held[0]], data[:, held[-1] + 1 :])
     stack = lag_stack([run for run in runs if run.shape[1]], p)
-    held_x = TimeSeriesMatrix(data[:, held])
+    held_stack = lag_stack(data[:, held], p)
     model, _ = _fit_csa(stack, p)
     nlls = []
     for lam in lambdas:
         model, _ = _fit_scsa(stack, p, GroupPenaltySpec(lam), init=model)
-        nlls.append(_common_window_nll(model, held_x, p))
+        nlls.append(nll_csa(source_model_to_filter_bank(model), held_stack))
     return nlls
 
 

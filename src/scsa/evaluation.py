@@ -161,7 +161,7 @@ def interaction_scores(
             raise ValueError(
                 "order-0 model needs data and a positive mvar_order for scoring"
             )
-        a, _, _ = least_squares_mvar(est_model.b @ x.data, mvar_order)
+        a = least_squares_mvar(est_model.b @ x.data, mvar_order)
         h = MvarCoefficients(list(a.reshape(d, mvar_order, d).transpose(1, 0, 2)))
     scale = np.abs(pairing.scales)
     scores = group_norms(h, d) * (scale[None, :] / scale[:, None])  # [f1, f2]

@@ -43,4 +43,4 @@ class PartitionError(ScsaError):
 
 
 class IllPosedError(ScsaError):
-    """A regression problem is rank deficient."""
+    """No model could be fitted: every candidate order of BIC failed."""

@@ -218,13 +218,11 @@ def lag_stack(x, p: int) -> np.ndarray:
 
 
 def least_squares_mvar(x, p: int):
-    """Least-squares MVAR fit: coefficients [A^(1), ..., A^(P)] as a (D, P*D)
-    array, residuals x(t) - sum_p A^(p) x(t-p) for t > P, regression rank."""
+    """Least-squares MVAR coefficients [A^(1), ..., A^(P)] as a (D, P*D)
+    array."""
     stack = lag_stack(x, p)
     d = stack.shape[0] // (p + 1)
-    target, design = stack[:d], stack[d:]
-    sol, _, rank, _ = np.linalg.lstsq(design.T, target.T, rcond=None)
-    return sol.T, target - sol.T @ design, rank
+    return np.linalg.lstsq(stack[d:].T, stack[:d].T, rcond=None)[0].T
 
 
 def innovations(fb: FilterBank, x: TimeSeriesMatrix) -> TimeSeriesMatrix:

@@ -170,13 +170,26 @@ class TestFit:
         assert code == EXIT_OK
         assert load_model_file(out)["model"].order == 0
 
-    def test_duplicated_channel_is_estimator_error(self, dataset_dir, capsys):
+    @pytest.mark.parametrize(
+        "args",
+        [("csa", "--orders", "2"), ("ica",), ("mvarica", "--orders", "2")],
+        ids=["csa", "ica", "mvarica"],
+    )
+    def test_duplicated_channel_is_estimator_error(
+        self, dataset_dir, capsys, monkeypatch, args
+    ):
         ds = load_dataset(dataset_dir)
         ds.x.data[1] = ds.x.data[0]
         save_dataset(ds, dataset_dir)
-        code = run("fit", str(dataset_dir), "--method", "csa", "--orders", "2")
+
+        def no_solve(*_):
+            raise AssertionError("a solve ran on rank-deficient data")
+
+        monkeypatch.setattr(estimators, "minimize", no_solve)
+        code = run("fit", str(dataset_dir), "--method", *args)
         assert code == EXIT_ESTIMATOR
-        assert "estimator error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "estimator error" in err and "rank-deficient" in err
 
     @pytest.mark.parametrize("lam", ["nan", "inf"])
     def test_non_finite_lambda_is_usage_error(self, dataset_dir, tmp_path, lam):
