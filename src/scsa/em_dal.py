@@ -4,11 +4,14 @@ SCSA-EM is block-coordinate descent on the SCSA cost: each half-step is a
 block solve of the one SCSA fit (:func:`scsa.estimators._fit_scsa`), over
 one block of the flat vector ``[vec(B); vec(H)]`` with the other held. The
 demixing update ("E-step") is the B block at fixed lag coefficients; the
-penalty does not depend on B, so it is a smooth quasi-Newton solve. The
-coefficient update ("M-step") is the H block at the current B on the same
-lag stack: with s = B x, the SCSA cost is the sech prediction loss of s plus
-lam times the off-diagonal lag-group norms, less (T-P) log|det B|, a convex
-problem in H.
+penalty does not depend on B, so it is a smooth quasi-Newton solve. Like
+every SCSA fit, it runs in the source coordinates of its start B0: it
+solves for B~ in B = B~ B0 from B~ = I, so it is a relative-gradient solve,
+its gradient grad_B B0^T (Cardoso & Laheld 1996), and its update is
+multiplicative. The coefficient update ("M-step") is the H block at the
+current B on the same lag stack: with s = B x, the SCSA cost is the sech
+prediction loss of s plus lam times the off-diagonal lag-group norms, less
+(T-P) log|det B|, a convex problem in H.
 
 The M-step asks for a gradient (:data:`M_STEP_GRAD_TOL`) finer than the
 rounding of its value can resolve, so it ends where no step lowers the value,
@@ -122,8 +125,8 @@ def e_step(
 ) -> np.ndarray:
     """Update the demixing matrix at fixed lag coefficients: the B block of
     the unpenalized SCSA fit (the penalty is constant in B), solved to the
-    gradient tolerance ``grad_tol``. ``x`` is the data or its lag stack at
-    the order of ``h``."""
+    gradient tolerance ``grad_tol`` as the relative-gradient solve for B~ in
+    B = B~ b0. ``x`` is the data or its lag stack at the order of ``h``."""
     from .estimators import _fit_scsa  # deferred: estimators imports us
 
     stack = x if isinstance(x, np.ndarray) else lag_stack(x, h.order)

@@ -13,6 +13,7 @@ its own lag windows only. Each fit stacks its lag windows once
 from __future__ import annotations
 
 import contextlib
+import logging
 import math
 import os
 import threading
@@ -48,6 +49,7 @@ from .model import (
 )
 from .optim import (
     GRAD_TOL,
+    LbfgsMemory,
     OptimizationTrace,
     keep_last_on_stagnation,
     minimize,
@@ -57,6 +59,8 @@ from .optim import (
 METHODS = ("CSA", "SCSA", "SCSA_EM", "MVARICA", "ICA")
 
 AUTO = "AUTO"
+
+logger = logging.getLogger("scsa")
 
 
 @dataclass
@@ -177,6 +181,7 @@ def _fit_scsa(
     grad_tol: float = GRAD_TOL,
     init: Optional[SourceModel] = None,
     block: slice = slice(None),
+    memory: Optional[LbfgsMemory] = None,
 ) -> Tuple[SourceModel, OptimizationTrace]:
     """Group-lasso regularized fit on a lag stack, warm-started from ``init``
     or else from the CSA fit.
@@ -184,12 +189,29 @@ def _fit_scsa(
     ``block`` is the part of the flat vector ``[vec(B); vec(H)]`` minimized
     over, with the rest held at ``init``: all of it (the joint fit), the B
     block ``slice(0, D*D)`` or the H block ``slice(D*D, None)``. The penalty
-    does not depend on B, so a B-block solve leaves it out.
+    does not depend on B, so a B-block solve leaves it out. ``memory`` is the
+    L-BFGS memory the solve starts from and leaves its pairs in
+    (:func:`scsa.optim.minimize_with_group_truncation`); without it the solve
+    starts with an empty one.
+
+    The fit runs in the source coordinates of its start. With B0 = init.b,
+    it fits (B~, H) on Z = (I_{P+1} kron B0) X, the lag stack of the start's
+    sources, from B~ = I, and returns B = B~ B0. The innovations are the
+    same, B~ z(t) - sum_p H^(p) B~ z(t-p) = B x(t) - sum_p H^(p) B x(t-p),
+    so H, its gradient and the penalty are unchanged, and the cost is X's
+    less N log|det B0|. The objective adds that back: its values and the
+    stop threshold are X's, and the B gradient the stop test reads is the
+    relative gradient grad_B B0^T (Cardoso & Laheld, IEEE TSP 1996). An H
+    block solve returns ``init.b`` itself.
     """
-    d = stack.shape[0] // (p + 1)
+    d, n = stack.shape[0] // (p + 1), stack.shape[1]
     if init is None:
         init, _ = _fit_csa(stack, p, grad_tol)
+    b0 = init.b
+    z = (b0 @ stack.reshape(p + 1, d, n)).reshape(stack.shape)
+    shift = -n * float(np.linalg.slogdet(b0)[1])  # -N log|det B0|
     theta = pack_source_model(init)
+    theta[: d * d] = np.eye(d).ravel()
     start, stop, _ = block.indices(theta.size)
     whole = stop - start == theta.size
     pen0 = GroupPenaltySpec(0.0)
@@ -198,20 +220,23 @@ def _fit_scsa(
         if not whole:  # the held block stays at init
             theta[block] = v
             v = theta
-        rep = grad_scsa(unpack_source_model(v, d, p), stack, pen0)
-        return rep.value, rep.gradient[block]
+        rep = grad_scsa(unpack_source_model(v, d, p), z, pen0)
+        return rep.value + shift, rep.gradient[block]
 
     h_index = np.arange(d * d, theta.size).reshape(p, d, d) - start  # in the block
     groups = (penalty_groups(h_index), pen.lam) if stop > d * d else ()
     what = f"SCSA fit (P={p}, lambda={pen.lam:g})" if whole else (
         "M-step" if start else "E-step")
     v, trace = keep_last_on_stagnation(
-        lambda: minimize_with_group_truncation(smooth, theta[block], groups, grad_tol),
+        lambda: minimize_with_group_truncation(
+            smooth, theta[block], groups, grad_tol, memory
+        ),
         what,
     )
     theta[block] = v
     model = unpack_source_model(theta, d, p)
-    return SourceModel(model.b, MvarCoefficients(model.h.lags)), trace
+    b = model.b @ b0 if start < d * d else b0
+    return SourceModel(b, MvarCoefficients(model.h.lags)), trace
 
 
 def fit_scsa(
@@ -427,15 +452,27 @@ def _cv_fold(
 
     The model is fitted on the runs before and after the held-out block
     (columns ``held`` of ``data``), treated as separate segments, walking
-    ``lambdas`` in their order with warm starts from the fold's CSA fit.
+    ``lambdas`` in their order as one quasi-Newton path: each λ's fit starts
+    from the previous λ's model (the first from the fold's CSA fit) and from
+    the L-BFGS memory the walk carries, empty until a fit takes a step.
+    Each (fold, λ) fit is logged at DEBUG on the ``scsa`` logger with its
+    iterations, backtracks and end state.
     """
     runs = (data[:, : held[0]], data[:, held[-1] + 1 :])
     stack = lag_stack([run for run in runs if run.shape[1]], p)
     held_stack = lag_stack(data[:, held], p)
     model, _ = _fit_csa(stack, p)
+    memory = LbfgsMemory(model.b.size * (p + 1))
     nlls = []
     for lam in lambdas:
-        model, _ = _fit_scsa(stack, p, GroupPenaltySpec(lam), init=model)
+        model, trace = _fit_scsa(
+            stack, p, GroupPenaltySpec(lam), init=model, memory=memory
+        )
+        logger.debug(
+            "CV fold t=%d..%d, lambda=%g: %d iterations, %d backtracks, "
+            "converged=%s, stagnated=%s", held[0], held[-1], lam,
+            trace.iterations, trace.backtracks, trace.converged, trace.stagnated,
+        )
         nlls.append(nll_csa(source_model_to_filter_bank(model), held_stack))
     return nlls
 
@@ -452,9 +489,11 @@ def select_lambda_cv(
     model is fitted on the remaining blocks, treated as separate contiguous
     segments whose likelihoods are summed (no lag window straddles the
     held-out gap), and scored by the unpenalized NLL on the held-out block.
-    Each distinct λ of the grid is fitted once, in increasing order with
-    warm starts. The folds run in a process pool (:func:`_pool_map`), and
-    their scores are summed in fold order.
+    Each distinct λ of the grid is fitted once, in increasing order, and
+    each fold walks the grid as one quasi-Newton path (:func:`_cv_fold`):
+    every fit warm-starts from the previous λ's model and L-BFGS memory.
+    The folds run in a process pool (:func:`_pool_map`), and their scores
+    are summed in fold order.
     """
     if folds < 2:
         raise ValueError("folds must be >= 2")

@@ -25,6 +25,13 @@ neither converged nor stagnated.
 Every line-search trial calls the one value-and-gradient callable inside
 the domain barrier (``_BARRIER_ERRORS``), and the accepted trial's gradient
 is kept: one evaluation per trial.
+
+A solve starts with an empty L-BFGS memory, whose first step is a unit step
+along the pseudo-gradient, unless its caller passes an :class:`LbfgsMemory`
+it owns. The solve then starts from that memory's pairs and leaves its own
+in it, so a walk over a path of penalty weights (the cross-validation of
+:func:`scsa.estimators.select_lambda_cv`) is one quasi-Newton path, as a
+warm-started path is in glmnet (Friedman, Hastie & Tibshirani, JSS 2010).
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -79,15 +86,20 @@ class OptimizationTrace:
     stagnated: bool = False  # the line search failed and the last iterate was kept
 
 
-class _LbfgsMemory:
-    """Inverse Hessian of the last ``m`` accepted pairs, in compact form
+class LbfgsMemory:
+    """Inverse Hessian of the last ``m`` accepted pairs of an ``n``-vector
+    problem, in compact form
     H = gamma I + [S^T, gamma Y^T] [[R^-T (D + gamma Y Y^T) R^-1, -R^-T],
     [-R^-1, 0]] [S; gamma Y], with R = triu(S Y^T), D its diagonal and gamma
     = s^T y / y^T y of the newest pair. Rows of S and Y are pairs, oldest
-    first; rows from ``k`` on are zero."""
+    first; rows from ``k`` on are zero.
 
-    def __init__(self, m: int, n: int):
-        self.m, self.k = m, 0
+    A solve given a memory starts from its pairs and leaves its own in it,
+    so a caller that owns one carries it from solve to solve, as along a
+    path of penalty weights."""
+
+    def __init__(self, n: int, m: int = MEMORY):
+        self.n, self.m, self.k = n, m, 0
         self.sy = np.zeros((2, m, n))  # S = sy[0], Y = sy[1]
         # inv(R) and Y Y^T on their leading k x k blocks; inv(R) stays upper
         # triangular, so its rows below the diagonal stay zero
@@ -238,7 +250,14 @@ def _line_search(trial, project, x, f, g, d, trace):
     return None
 
 
-def _lbfgs(objective, x0, grad_tol, groups):
+def _lbfgs(objective, x0, grad_tol, groups, memory=None):
+    x = np.asarray(x0, dtype=float).copy()
+    if memory is None:
+        memory = LbfgsMemory(x.size)
+    elif memory.n != x.size:
+        raise ValueError(
+            f"L-BFGS memory holds {memory.n}-vectors, the start has {x.size} entries"
+        )
     layout = GroupLayout(*groups)
 
     def trial(v):
@@ -251,7 +270,6 @@ def _lbfgs(objective, x0, grad_tol, groups):
             return np.inf, None
         return (f_new if np.isfinite(f_new) else np.inf), g_smooth
 
-    x = np.asarray(x0, dtype=float).copy()
     n = layout.norms(x)
     f_smooth, g_smooth = objective(x)
     f = f_smooth + layout.weight * float(n.sum())
@@ -259,7 +277,6 @@ def _lbfgs(objective, x0, grad_tol, groups):
         raise NumericError("objective not finite at the starting point")
     g, ref = layout.pseudo_gradient(x, g_smooth, n)
 
-    memory = _LbfgsMemory(MEMORY, x.size)
     trace = OptimizationTrace(value_history=[f])
     for it in range(MAX_ITERS + 1):
         gnorm = float(np.max(np.abs(g))) if g.size else 0.0
@@ -314,6 +331,7 @@ def minimize_with_group_truncation(
     x0: np.ndarray,
     groups: Union[Tuple[np.ndarray, float], Tuple[()]],
     grad_tol: float = GRAD_TOL,
+    memory: Optional[LbfgsMemory] = None,
 ) -> Tuple[np.ndarray, OptimizationTrace]:
     """Minimize smooth(x) + sum_g weight_g * ||x_g||_2 by L-BFGS whose
     line-search trials are projected onto the group orthant (module docstring).
@@ -322,9 +340,18 @@ def minimize_with_group_truncation(
     only; the penalty and its (sub)gradient are handled here. ``groups`` is
     an (index matrix, weight) pair, each row of the (G, k) matrix the flat
     indices of one group, or ``()`` for no penalty (:class:`GroupLayout`).
-    Stopping rules, trials and errors are those of :func:`minimize`.
+    ``memory``, an :class:`LbfgsMemory` the caller owns, is the memory the
+    solve starts from and leaves its pairs in; without it the solve starts
+    with an empty one. Stopping rules, trials and errors are those of
+    :func:`minimize`.
+
+    Raises
+    ------
+    ValueError
+        Before the first evaluation, if ``memory`` holds vectors of another
+        size than ``x0``.
     """
-    return _lbfgs(smooth_objective, x0, grad_tol, groups)
+    return _lbfgs(smooth_objective, x0, grad_tol, groups, memory)
 
 
 def keep_last_on_stagnation(

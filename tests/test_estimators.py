@@ -224,6 +224,29 @@ class TestFitScsa:
         assert trace.stagnated and not trace.converged
         assert trace.final_value <= cost_scsa(init, stack, GroupPenaltySpec(1.0))
 
+    @pytest.mark.parametrize("free", ["joint", "B", "H"])
+    @pytest.mark.parametrize("cuts", [(), (300, 400)])  # whole run, or a CV fold
+    def test_objective_is_the_data_cost(self, free, cuts):
+        # the fit runs in the source coordinates of its start; its reported
+        # value must be the cost of the returned model on the data's own stack
+        x, m, h = mixed_dataset(6, t=800)
+        d, p = 3, 2
+        runs = [x.data] if not cuts else [x.data[:, : cuts[0]], x.data[:, cuts[1] :]]
+        stack = lag_stack(runs, p)
+        init = SourceModel(
+            np.linalg.inv(m) + 0.05 * np.eye(d),
+            MvarCoefficients([0.5 * hp for hp in h.lags]),
+        )
+        block = {"joint": slice(None), "B": slice(0, d * d), "H": slice(d * d, None)}
+        # the penalty does not depend on B, so a B-block solve leaves it out
+        pen = GroupPenaltySpec(0.0 if free == "B" else 2.0)
+        model, trace = estimators._fit_scsa(stack, p, pen, init=init, block=block[free])
+        assert trace.iterations > 0
+        f = cost_scsa(model, stack, pen)
+        assert abs(trace.final_value - f) <= 1e-9 * abs(f)
+        if free == "H":
+            assert np.array_equal(model.b, init.b)  # bit for bit
+
     @pytest.mark.parametrize("free", ["B", "H"])
     def test_block_solve_holds_the_other_block(self, free):
         x, m, h = mixed_dataset(19, d=3, p=2, t=500)
@@ -354,6 +377,31 @@ class TestSelectLambdaCv:
         # one distinct value is no choice: fit runs no cross-validation
         res = fit(x, FitRequest("SCSA", [1], lambda_grid=[1.0, 1.0], cv_folds=3))
         assert res.selected_lambda == 1.0 and res.cv_curve == {}
+
+    def test_each_fold_walks_its_grid_with_one_memory(self, monkeypatch, caplog):
+        # one L-BFGS memory per fold, carried from λ to λ, and one DEBUG
+        # line per (fold, λ)
+        monkeypatch.setattr(estimators, "_worker_count", lambda n_tasks, cap=None: 1)
+        real = estimators.minimize_with_group_truncation
+        memories = []
+
+        def recorded(*args):
+            memories.append((args[-1], args[-1].k))
+            return real(*args)
+
+        monkeypatch.setattr(estimators, "minimize_with_group_truncation", recorded)
+        x, _, _ = mixed_dataset(15, d=2, p=1, t=600)
+        with caplog.at_level(logging.DEBUG, logger="scsa"):
+            select_lambda_cv(x, 1, [0.1, 1.0, 10.0], folds=3)
+        for fold in range(3):
+            walk = memories[3 * fold : 3 * fold + 3]
+            assert all(memory is walk[0][0] for memory, _ in walk)
+            assert [k > 0 for _, k in walk] == [False, True, True]
+        assert len({id(memory) for memory, _ in memories}) == 3
+        lines = [r.getMessage() for r in caplog.records]
+        lines = [line for line in lines if line.startswith("CV fold")]
+        assert len(lines) == 9
+        assert all("iterations" in line and "backtracks" in line for line in lines)
 
     def test_degenerate_fold_raises(self):
         x = TimeSeriesMatrix(np.random.default_rng(0).standard_normal((2, 12)))

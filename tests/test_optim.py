@@ -7,7 +7,7 @@ from scsa.exceptions import DegenerateModelError, NumericError, StagnationError
 from scsa.model import TimeSeriesMatrix, lag_stack, sample_sech
 from scsa.optim import (
     GroupLayout,
-    _LbfgsMemory,
+    LbfgsMemory,
     keep_last_on_stagnation,
     minimize,
     minimize_with_group_truncation,
@@ -264,6 +264,47 @@ class TestGroupTruncation:
             assert len({x.tobytes() for x in points}) == len(points)
 
 
+class TestCarriedMemory:
+    def test_walk_reaches_the_fresh_minimizer(self):
+        # the smooth part is a least-squares quadratic whose Hessian A^T A
+        # has least eigenvalue mu > 0, so a point whose minimum-norm
+        # subgradient has 2-norm r lies within r / mu of the one minimizer
+        grad_tol, n = 1e-7, 18
+        for seed in range(3):
+            smooth, (index, _), a, _ = make_group_lasso(seed)
+            mu = np.linalg.eigvalsh(a.T @ a)[0]
+            memory = LbfgsMemory(n)
+            x1, _ = minimize_with_group_truncation(
+                smooth, np.zeros(n), (index, 2.0), grad_tol, memory
+            )
+            assert memory.k > 0
+            groups = (index, 8.0)
+            carried, t_carried = minimize_with_group_truncation(
+                smooth, x1, groups, grad_tol, memory
+            )
+            fresh, t_fresh = minimize_with_group_truncation(smooth, x1, groups, grad_tol)
+            assert t_carried.converged and t_fresh.converged
+            radius = sum(
+                np.sqrt(n) * grad_tol * max(1.0, abs(t.final_value)) / mu
+                for t in (t_carried, t_fresh)
+            )
+            assert np.linalg.norm(carried - fresh) <= radius
+
+    def test_memory_of_another_size_is_rejected_before_evaluating(self):
+        smooth, groups, _, _ = make_group_lasso(0)
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return smooth(x)
+
+        with pytest.raises(ValueError, match="memory"):
+            minimize_with_group_truncation(
+                counted, np.zeros(18), groups, memory=LbfgsMemory(17)
+            )
+        assert calls == []
+
+
 @pytest.mark.parametrize("penalized", [False, True])
 def test_degenerate_trial_iterate_backtracks(penalized):
     c = np.array([1.0, -2.0, 0.5])
@@ -467,7 +508,7 @@ class TestCompactMemory:
         n = 15
         a = rng.standard_normal((n, n))
         hess = a @ a.T + 0.5 * np.eye(n)
-        memory = _LbfgsMemory(m, n)
+        memory = LbfgsMemory(n, m)
         kept = []
         g = rng.standard_normal(n)
         np.testing.assert_array_equal(memory.direction(g), -g)
