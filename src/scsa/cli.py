@@ -8,11 +8,13 @@ failure (numpy's ``LinAlgError`` included), 5 estimator failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
 import io
 import json
+import logging
 import os
 import pathlib
 import sys
@@ -141,6 +143,25 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _debug_to_stderr(enabled: bool):
+    """Inside the block, with ``enabled``, the ``scsa`` logger sends its
+    DEBUG lines to stderr; its handlers and level are restored on leaving,
+    so nothing outlives one :func:`main` call."""
+    if not enabled:
+        yield
+        return
+    log = logging.getLogger("scsa")
+    handler, level = logging.StreamHandler(sys.stderr), log.level
+    log.addHandler(handler)
+    log.setLevel(logging.DEBUG)
+    try:
+        yield
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+
+
 def cmd_fit(args) -> int:
     ds = load_dataset(args.dataset)
     lam = args.lam
@@ -154,7 +175,8 @@ def cmd_fit(args) -> int:
         lambda_grid=grid,
         cv_folds=args.folds,
     )
-    result = fit(ds.x, request)
+    with _debug_to_stderr(args.verbose):
+        result = fit(ds.x, request)
     out = args.out or (pathlib.Path(args.dataset) / f"model_{args.method.lower()}.json")
     _atomic_write_text(out, _model_to_json(result))
     print(
@@ -329,6 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, help="ignored: fits are deterministic"
     )
     p_fit.add_argument("--out", default=None)
+    p_fit.add_argument(
+        "--verbose", action="store_true",
+        help="log each kept stagnation and each CV (fold, lambda) fit to stderr",
+    )
     p_fit.set_defaults(func=cmd_fit)
 
     p_eval = sub.add_parser("eval", help="score a fitted model against truth")

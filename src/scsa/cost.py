@@ -177,10 +177,23 @@ def _scsa_kernel(model: SourceModel, x: Data, want_grad: bool):
     if not want_grad:
         return value, None, hs
     g = np.ascontiguousarray(g.reshape(d, p + 1, d).transpose(1, 0, 2))  # G_0..G_P
-    grad = np.empty((p + 1, d, d))
-    grad[0] = g[0] - hs.reshape(p * d, d).T @ g[1:].reshape(p * d, d)
-    np.matmul(g[1:], -b.T, out=grad[1:])
-    return value, grad.ravel(), hs
+    return value, scsa_chain_rule(g, hs, b).ravel(), hs
+
+
+def scsa_chain_rule(g: np.ndarray, hs: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The gradient with respect to (B, H) of a function of
+    W = [B, -H^(1) B, ..., -H^(P) B], from its gradient G_0, ..., G_P with
+    respect to W: grad_B = G_0 - sum_p H^(p)T G_p and grad_H^(p) = -G_p B^T.
+    ``g`` is a (..., P+1, D, D) array, a stack of such gradients, and ``hs``
+    the (P, D, D) lags."""
+    p, d = hs.shape[0], b.shape[0]
+    grad = np.empty_like(g)
+    lags = g[..., 1:, :, :]
+    grad[..., 0, :, :] = g[..., 0, :, :] - hs.reshape(p * d, d).T @ lags.reshape(
+        g.shape[:-3] + (p * d, d)
+    )
+    np.matmul(lags, -b.T, out=grad[..., 1:, :, :])
+    return grad
 
 
 def group_norms(h: MvarCoefficients, d: Optional[int] = None) -> np.ndarray:

@@ -34,6 +34,7 @@ from .cost import (
     pack_filter_bank,
     pack_source_model,
     penalty_groups,
+    scsa_chain_rule,
     unpack_filter_bank,
     unpack_source_model,
 )
@@ -132,6 +133,11 @@ def _fit_csa(
     H^(p) = B A^(p) B^-1 for the least-squares coefficients A.
     Raises :class:`DegenerateModelError` before the first iteration when C
     is numerically singular (:data:`PIVOT_FLOOR`).
+
+    The CSA fit (``lags`` True) hands its L-BFGS pairs on: the trace's
+    ``memory`` holds them in the coordinates of the SCSA fit that starts
+    from the returned model (:func:`_scsa_memory`), so that fit continues
+    the CSA solve's quasi-Newton path. An MVARICA trace's ``memory`` is None.
     """
     d, n = stack.shape[0] // (p + 1), stack.shape[1]
     k = p + 1 if lags else 1  # the filters W_z^(0..k-1) that are fitted
@@ -153,12 +159,54 @@ def _fit_csa(
         return rep.value + shift, rep.gradient
 
     init = FilterBank([np.eye(d)] + [np.zeros((d, d))] * (k - 1))
+    memory = LbfgsMemory(k * d * d)
     theta, trace = keep_last_on_stagnation(
-        lambda: minimize(objective, pack_filter_bank(init), grad_tol),
+        lambda: minimize(objective, pack_filter_bank(init), grad_tol, memory),
         f"{'CSA' if lags else 'MVARICA'} fit (P={p})",
     )
     w = np.hstack(unpack_filter_bank(theta, d, k - 1).w) @ r
-    return filter_bank_to_source_model(FilterBank(np.hsplit(w, p + 1))), trace
+    model = filter_bank_to_source_model(FilterBank(np.hsplit(w, p + 1)))
+    if lags:
+        trace.memory = _scsa_memory(memory, r, u, model)
+    return model, trace
+
+
+def _scsa_memory(
+    memory: LbfgsMemory, r: np.ndarray, u: np.ndarray, model: SourceModel
+) -> LbfgsMemory:
+    """The pairs of a whitened CSA solve in the coordinates of the SCSA fit
+    that starts from its model (:func:`_fit_scsa`): (B~, H) at B~ = I and
+    H = model.h, with B0 = model.b.
+
+    The CSA solve runs on W_z, with W = W_z R and R = U^-1. The SCSA fit
+    has W^(0) = B~ B0 and W^(p) = -H^(p) B~ B0, so at its start the map L
+    from (dB~, dH) to dW is dW^(0) = dB~ B0 and dW^(p) = -(dH^(p) +
+    H^(p) dB~) B0. A step s_z becomes L^-1(s_z R): dB~ = dW^(0) B0^-1 and
+    dH^(p) = -dW^(p) B0^-1 - H^(p) dB~. A gradient change y_z becomes
+    L^T(y_z R^-T), the chain rule of :func:`scsa.cost.scsa_chain_rule` at
+    B0 with the B block's relative gradient: (G_0 - sum_p H^(p)T G_p) B0^T
+    for B~ and -G_p B0^T for H^(p). Neither map changes s^T y, and the
+    pairs are pushed again, oldest first, through the same curvature test.
+    """
+    b0, k = model.b, memory.k
+    d = b0.shape[0]
+    p = memory.n // (d * d) - 1
+    # rows of S and Y as (D, (P+1)D) filter banks, mapped to W's coordinates
+    s, y = (
+        memory.sy[:, :k].reshape(2, k, p + 1, d, d).transpose(0, 1, 3, 2, 4)
+        .reshape(2, k, d, (p + 1) * d)
+    )
+    s = (s @ r).reshape(k, d, p + 1, d).transpose(0, 2, 1, 3)  # dW^(p)
+    y = (y @ u.T).reshape(k, d, p + 1, d).transpose(0, 2, 1, 3)  # G_p
+    hs = model.h.as_array(d)
+    step = s @ np.linalg.inv(b0)
+    step[:, 1:] = -step[:, 1:] - hs @ step[:, :1]
+    grad = scsa_chain_rule(y, hs, b0)
+    grad[:, 0] = grad[:, 0] @ b0.T
+    out = LbfgsMemory(memory.n, memory.m)
+    for pair in zip(step.reshape(k, memory.n), grad.reshape(k, memory.n)):
+        out.push(*pair)
+    return out
 
 
 def fit_csa(x: TimeSeriesMatrix, p: int) -> SourceModel:
@@ -191,8 +239,10 @@ def _fit_scsa(
     block ``slice(0, D*D)`` or the H block ``slice(D*D, None)``. The penalty
     does not depend on B, so a B-block solve leaves it out. ``memory`` is the
     L-BFGS memory the solve starts from and leaves its pairs in
-    (:func:`scsa.optim.minimize_with_group_truncation`); without it the solve
-    starts with an empty one.
+    (:func:`scsa.optim.minimize_with_group_truncation`). Without ``init``
+    and ``memory`` the fit starts from the CSA solve's pairs, handed on by
+    :func:`_fit_csa`, so CSA and SCSA are one quasi-Newton path; with
+    ``init`` and no ``memory`` it starts with an empty one.
 
     The fit runs in the source coordinates of its start. With B0 = init.b,
     it fits (B~, H) on Z = (I_{P+1} kron B0) X, the lag stack of the start's
@@ -206,7 +256,8 @@ def _fit_scsa(
     """
     d, n = stack.shape[0] // (p + 1), stack.shape[1]
     if init is None:
-        init, _ = _fit_csa(stack, p, grad_tol)
+        init, csa = _fit_csa(stack, p, grad_tol)
+        memory = csa.memory if memory is None else memory
     b0 = init.b
     z = (b0 @ stack.reshape(p + 1, d, n)).reshape(stack.shape)
     shift = -n * float(np.linalg.slogdet(b0)[1])  # -N log|det B0|
@@ -245,8 +296,8 @@ def fit_scsa(
     pen: GroupPenaltySpec,
     grad_tol: float = GRAD_TOL,
 ) -> SourceModel:
-    """SCSA: group-lasso regularized joint fit, warm-started from CSA.
-    ``x`` may also be a sequence of segments."""
+    """SCSA: group-lasso regularized joint fit, warm-started from CSA and
+    from its L-BFGS pairs. ``x`` may also be a sequence of segments."""
     model, _ = _fit_scsa(lag_stack(x, p), p, pen, grad_tol)
     return model
 
@@ -452,26 +503,30 @@ def _cv_fold(
 
     The model is fitted on the runs before and after the held-out block
     (columns ``held`` of ``data``), treated as separate segments, walking
-    ``lambdas`` in their order as one quasi-Newton path: each λ's fit starts
-    from the previous λ's model (the first from the fold's CSA fit) and from
-    the L-BFGS memory the walk carries, empty until a fit takes a step.
-    Each (fold, λ) fit is logged at DEBUG on the ``scsa`` logger with its
-    iterations, backtracks and end state.
+    ``lambdas`` in their order as one quasi-Newton path that continues the
+    fold's CSA solve: each λ's fit starts from the previous λ's model and
+    from the L-BFGS memory the walk carries, and the first from the fold's
+    CSA model and the pairs its solve handed on (:func:`_fit_csa`).
+    Each (fold, λ) fit is logged at DEBUG on the ``scsa`` logger with the
+    pairs its memory held at the start, its iterations, backtracks and end
+    state.
     """
     runs = (data[:, : held[0]], data[:, held[-1] + 1 :])
     stack = lag_stack([run for run in runs if run.shape[1]], p)
     held_stack = lag_stack(data[:, held], p)
-    model, _ = _fit_csa(stack, p)
-    memory = LbfgsMemory(model.b.size * (p + 1))
+    model, csa = _fit_csa(stack, p)
+    memory = csa.memory
     nlls = []
     for lam in lambdas:
+        pairs = memory.k
         model, trace = _fit_scsa(
             stack, p, GroupPenaltySpec(lam), init=model, memory=memory
         )
         logger.debug(
-            "CV fold t=%d..%d, lambda=%g: %d iterations, %d backtracks, "
-            "converged=%s, stagnated=%s", held[0], held[-1], lam,
-            trace.iterations, trace.backtracks, trace.converged, trace.stagnated,
+            "CV fold t=%d..%d, lambda=%g: %d pairs at start, %d iterations, "
+            "%d backtracks, converged=%s, stagnated=%s", held[0], held[-1], lam,
+            pairs, trace.iterations, trace.backtracks, trace.converged,
+            trace.stagnated,
         )
         nlls.append(nll_csa(source_model_to_filter_bank(model), held_stack))
     return nlls
@@ -491,7 +546,8 @@ def select_lambda_cv(
     held-out gap), and scored by the unpenalized NLL on the held-out block.
     Each distinct λ of the grid is fitted once, in increasing order, and
     each fold walks the grid as one quasi-Newton path (:func:`_cv_fold`):
-    every fit warm-starts from the previous λ's model and L-BFGS memory.
+    every fit warm-starts from the previous λ's model and L-BFGS memory, and
+    the first from the fold's CSA fit and the pairs of its solve.
     The folds run in a process pool (:func:`_pool_map`), and their scores
     are summed in fold order.
     """
@@ -519,8 +575,12 @@ def fit(x: TimeSeriesMatrix, request: FitRequest) -> FitResult:
     The selection stages share one fork pool (:func:`_pool`), sized for the
     larger stage and closed, its workers joined, before the final fit, also
     on error. Each order is fitted once: CSA and MVARICA return BIC's fit of
-    the selected order, and SCSA and SCSA-EM start from it. The final SCSA
-    and SCSA-EM stages share one lag stack of the data."""
+    the selected order, and SCSA and SCSA-EM start from it and from the
+    L-BFGS pairs its solve handed on (:func:`_fit_csa`), which BIC's
+    workers return with it; so the final fit is the one
+    :func:`_fit_scsa` makes without ``init``, whether BIC ran or not and at
+    any worker count. The final SCSA and SCSA-EM stages share one lag stack
+    of the data."""
     start = time.perf_counter()
     orders = _candidate_orders(request.order_candidates)
     grid: List[float] = []
@@ -548,9 +608,9 @@ def fit(x: TimeSeriesMatrix, request: FitRequest) -> FitResult:
     order = 0 if request.method == "ICA" else p
     if grid:
         stack = lag_stack(x, p)
-        model, _ = bic.fits.get(p) or _fit_csa(stack, p)
+        model, csa = bic.fits.get(p) or _fit_csa(stack, p)
         pen = GroupPenaltySpec(lam)
-        model, trace = _fit_scsa(stack, p, pen, init=model)
+        model, trace = _fit_scsa(stack, p, pen, init=model, memory=csa.memory)
         if request.method == "SCSA_EM":
             model, history = em_dal.fit_scsa_em(stack, p, pen, init=model)
             trace = OptimizationTrace(

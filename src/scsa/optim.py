@@ -26,12 +26,15 @@ Every line-search trial calls the one value-and-gradient callable inside
 the domain barrier (``_BARRIER_ERRORS``), and the accepted trial's gradient
 is kept: one evaluation per trial.
 
-A solve starts with an empty L-BFGS memory, whose first step is a unit step
-along the pseudo-gradient, unless its caller passes an :class:`LbfgsMemory`
-it owns. The solve then starts from that memory's pairs and leaves its own
-in it, so a walk over a path of penalty weights (the cross-validation of
+The memory keeps the last ``MEMORY`` = 40 pairs. A solve starts with an
+empty one, whose first step is a unit step along the pseudo-gradient,
+unless its caller passes an :class:`LbfgsMemory` it owns. The solve then
+starts from that memory's pairs and leaves its own in it. So a walk over a
+path of penalty weights (the cross-validation of
 :func:`scsa.estimators.select_lambda_cv`) is one quasi-Newton path, as a
-warm-started path is in glmnet (Friedman, Hastie & Tibshirani, JSS 2010).
+warm-started path is in glmnet (Friedman, Hastie & Tibshirani, JSS 2010),
+and so is an SCSA fit that starts from the pairs of the CSA solve it
+continues (:func:`scsa.estimators._fit_csa`).
 """
 
 from __future__ import annotations
@@ -45,13 +48,16 @@ import numpy as np
 
 from .exceptions import DegenerateModelError, NumericError, StagnationError
 
-MEMORY = 10  # L-BFGS pairs kept
+# L-BFGS pairs kept: enough for a walk down a penalty path to keep the
+# curvature its earlier solves measured
+MEMORY = 40
 ARMIJO_C = 1e-4  # sufficient-decrease constant
 BACKTRACK = 0.5  # step shrink per rejected trial
 MAX_BACKTRACKS = 60
 # A search fails once its linear model predicts a decrease of at most
 # ROUNDING_FLOOR * eps * |f|, no more than one ulp of f.
 ROUNDING_FLOOR = 0.5
+_EPS = float(np.finfo(float).eps)
 GRAD_TOL = 1e-6  # default tolerance of the gradient test
 MAX_ITERS = 2000  # iterations before a solve returns unconverged
 
@@ -74,7 +80,12 @@ class OptimizationTrace:
     pseudo-gradient sup-norm ``final_grad_norm`` is at most ``grad_tol *
     max(1, |final_value|)``; ``stagnated`` when no line-search trial lowered
     the value and :func:`keep_last_on_stagnation` kept the last iterate. A
-    solve that ran out of iterations has neither set."""
+    solve that ran out of iterations has neither set.
+
+    ``memory`` is None but on a CSA fit's trace
+    (:func:`scsa.estimators._fit_csa`), where it holds the solve's pairs in
+    the coordinates of the SCSA fit that starts from the CSA model; it does
+    not take part in comparisons."""
 
     iterations: int = 0
     final_value: float = np.nan
@@ -84,19 +95,23 @@ class OptimizationTrace:
     backtracks: int = 0  # rejected line-search trials
     active_set_changes: int = 0  # iterations whose set of zero groups changed
     stagnated: bool = False  # the line search failed and the last iterate was kept
+    memory: Optional[LbfgsMemory] = field(default=None, compare=False, repr=False)
 
 
 class LbfgsMemory:
-    """Inverse Hessian of the last ``m`` accepted pairs of an ``n``-vector
-    problem, in compact form
+    """Inverse Hessian of the last ``m`` (``MEMORY``) accepted pairs of an
+    ``n``-vector problem, in compact form
     H = gamma I + [S^T, gamma Y^T] [[R^-T (D + gamma Y Y^T) R^-1, -R^-T],
     [-R^-1, 0]] [S; gamma Y], with R = triu(S Y^T), D its diagonal and gamma
     = s^T y / y^T y of the newest pair. Rows of S and Y are pairs, oldest
     first; rows from ``k`` on are zero.
 
     A solve given a memory starts from its pairs and leaves its own in it,
-    so a caller that owns one carries it from solve to solve, as along a
-    path of penalty weights."""
+    so a caller that owns one carries it from solve to solve: along a path
+    of penalty weights, or from a CSA solve to the SCSA fit that continues
+    it, with the pairs mapped into the SCSA fit's coordinates and pushed
+    again. A pair is kept only when s^T y > 1e-12 ||s|| ||y||, the
+    curvature test that keeps H positive definite."""
 
     def __init__(self, n: int, m: int = MEMORY):
         self.n, self.m, self.k = n, m, 0
@@ -221,14 +236,15 @@ def _line_search(trial, project, x, f, g, d, trace):
     f, so a search that cannot lower the value fails. It also fails once the
     linear model's decrease step·|slope| is at most one ulp of f
     (``ROUNDING_FLOOR``), where only a rounding accident could lower the
-    value. Returns (x_new, f_new, smooth_grad) or None."""
+    value. ``trial`` returns a trial's value, smooth gradient and group
+    norms; the search returns (x_new, f_new, smooth_grad, norms) or None."""
     slope = float(np.dot(g, d))
     if slope >= 0:
         d = -g
         slope = -float(np.dot(g, g))
         if slope == 0.0:
             return None
-    floor = ROUNDING_FLOOR * np.finfo(float).eps * abs(f)
+    floor = ROUNDING_FLOOR * _EPS * abs(f)
     step = 1.0
     for k in range(MAX_BACKTRACKS):
         if -step * slope <= floor:
@@ -242,9 +258,9 @@ def _line_search(trial, project, x, f, g, d, trace):
         if k and not (x_new != x).any():
             break  # the trial is x itself, and so is every shorter one
         if decrease < 0:
-            f_new, g_new = trial(x_new)
+            f_new, g_new, n_new = trial(x_new)
             if f_new < f and f_new <= f + decrease:
-                return x_new, f_new, g_new
+                return x_new, f_new, g_new, n_new
         trace.backtracks += 1
         step *= BACKTRACK
     return None
@@ -261,14 +277,15 @@ def _lbfgs(objective, x0, grad_tol, groups, memory=None):
     layout = GroupLayout(*groups)
 
     def trial(v):
-        """Penalized value at a trial point (+inf outside the domain) and the
-        smooth gradient there."""
+        """Penalized value at a trial point (+inf outside the domain), the
+        smooth gradient and the group norms there."""
         try:
             f_smooth, g_smooth = objective(v)
-            f_new = f_smooth + layout.penalty(v)
+            n = layout.norms(v)
+            f_new = f_smooth + layout.weight * float(n.sum())
         except _BARRIER_ERRORS:
-            return np.inf, None
-        return (f_new if np.isfinite(f_new) else np.inf), g_smooth
+            return np.inf, None, None
+        return (f_new if np.isfinite(f_new) else np.inf), g_smooth, n
 
     n = layout.norms(x)
     f_smooth, g_smooth = objective(x)
@@ -295,8 +312,7 @@ def _lbfgs(objective, x0, grad_tol, groups, memory=None):
             raise StagnationError(
                 "line search found no acceptable step", x=x, trace=trace
             )
-        x_new, f_new, g_smooth = result
-        n_new = layout.norms(x_new)
+        x_new, f_new, g_smooth, n_new = result
         g_new, ref = layout.pseudo_gradient(x_new, g_smooth, n_new)
         memory.push(x_new - x, g_new - g)
         trace.active_set_changes += bool(np.any((n_new == 0) != (n == 0)))
@@ -308,12 +324,14 @@ def minimize(
     objective: Callable[[np.ndarray], Tuple[float, np.ndarray]],
     x0: np.ndarray,
     grad_tol: float = GRAD_TOL,
+    memory: Optional[LbfgsMemory] = None,
 ) -> Tuple[np.ndarray, OptimizationTrace]:
     """Minimize a smooth objective given its value-and-gradient callable.
 
     Converges when the gradient sup-norm drops to ``grad_tol * max(1, |f|)``,
     and otherwise returns unconverged after ``MAX_ITERS`` iterations. A trial
     where the objective raises a domain error or is not finite is backtracked.
+    ``memory`` is as in :func:`minimize_with_group_truncation`.
 
     Raises
     ------
@@ -323,7 +341,7 @@ def minimize(
         If no backtracking step lowers the value with sufficient decrease;
         the error carries the last iterate and trace.
     """
-    return _lbfgs(objective, x0, grad_tol, ())
+    return _lbfgs(objective, x0, grad_tol, (), memory)
 
 
 def minimize_with_group_truncation(

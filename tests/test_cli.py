@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import os
 import pathlib
 import subprocess
@@ -142,6 +143,21 @@ class TestFit:
         trace = json.loads(out.read_text())["trace"]
         assert trace["stagnated"] and not trace["converged"]
         assert trace["iterations"] == 0
+
+    def test_verbose_logs_cv_to_stderr_for_one_call(
+        self, dataset_dir, tmp_path, capsys, monkeypatch
+    ):
+        # the CV folds run here, not in workers whose stderr is their own
+        monkeypatch.setattr(estimators, "_worker_count", lambda n_tasks, cap=None: 1)
+        log = logging.getLogger("scsa")
+        handlers, level = list(log.handlers), log.level
+        code = run(
+            "fit", str(dataset_dir), "--method", "scsa", "--lambda", "auto",
+            "--folds", "3", "--verbose", "--out", str(tmp_path / "m.json"),
+        )
+        assert code == EXIT_OK
+        assert capsys.readouterr().err.count("CV fold") == 3 * 12
+        assert log.handlers == handlers and log.level == level
 
     def test_ica_has_order_zero(self, dataset_dir, tmp_path):
         out = tmp_path / "ica.json"

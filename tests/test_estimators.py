@@ -38,6 +38,7 @@ from scsa.exceptions import (
     PartitionError,
 )
 from scsa.model import (
+    FilterBank,
     MvarCoefficients,
     SourceModel,
     TimeSeriesMatrix,
@@ -120,6 +121,56 @@ class TestFitCsa:
         data[2] = data[0]
         with pytest.raises(DegenerateModelError):
             fit_csa(TimeSeriesMatrix(data), p)
+
+
+class TestCsaHandOff:
+    def test_pairs_keep_curvature_and_slopes(self, monkeypatch):
+        # each pair the CSA solve hands to the SCSA fit keeps s^T y, and the
+        # SCSA objective's slope along the mapped step, at the SCSA start, is
+        # the CSA objective's along the original step. The solve stops at a
+        # loose tolerance: at a tight one the slopes vanish below what
+        # central differences resolve.
+        handed = []
+        real = estimators._scsa_memory
+
+        def recorded(memory, r, u, model):
+            out = real(memory, r, u, model)
+            handed.append((memory, r, out))
+            return out
+
+        monkeypatch.setattr(estimators, "_scsa_memory", recorded)
+        x, _, _ = mixed_dataset(6, t=800)
+        d, p = 3, 2
+        stack = lag_stack(x, p)
+        model, trace = estimators._fit_csa(stack, p, 1e-3)
+        (memory, r, out), = handed
+        assert trace.memory is out
+        assert out.k == memory.k > 5
+        w = np.hstack(source_model_to_filter_bank(model).w)
+        b0, hs = model.b, model.h.as_array(d)
+
+        def csa(s_z, t):  # W = W_z R moves by t s_z R
+            w_t = w + t * np.hstack(s_z.reshape(p + 1, d, d)) @ r
+            return nll_csa(FilterBank(np.hsplit(w_t, p + 1)), stack)
+
+        def scsa(s, t):  # (B~, H) moves from (I, H) by t s; B = B~ B0
+            v = s.reshape(p + 1, d, d)
+            b_t = (np.eye(d) + t * v[0]) @ b0
+            m_t = SourceModel(b_t, MvarCoefficients(list(hs + t * v[1:])))
+            return cost_scsa(m_t, stack, GroupPenaltySpec(0.0))
+
+        for i in range(out.k):
+            (s_z, y_z), (s, y) = memory.sy[:, i], out.sy[:, i]
+            assert abs(s @ y - s_z @ y_z) <= 1e-12 * abs(s_z @ y_z)
+            h = 1e-4 / np.linalg.norm(s_z)
+            slope_csa = (csa(s_z, h) - csa(s_z, -h)) / (2 * h)
+            slope_scsa = (scsa(s, h) - scsa(s, -h)) / (2 * h)
+            assert abs(slope_scsa - slope_csa) <= 1e-6 * abs(slope_csa)
+
+    def test_mvarica_hands_on_nothing(self):
+        x, _, _ = mixed_dataset(6, t=800)
+        _, trace = estimators._fit_csa(lag_stack(x, 2), 2, lags=False)
+        assert trace.memory is None
 
 
 class TestFitIca:
@@ -379,8 +430,8 @@ class TestSelectLambdaCv:
         assert res.selected_lambda == 1.0 and res.cv_curve == {}
 
     def test_each_fold_walks_its_grid_with_one_memory(self, monkeypatch, caplog):
-        # one L-BFGS memory per fold, carried from λ to λ, and one DEBUG
-        # line per (fold, λ)
+        # one L-BFGS memory per fold, carried from λ to λ and holding the
+        # fold's CSA pairs at the first, and one DEBUG line per (fold, λ)
         monkeypatch.setattr(estimators, "_worker_count", lambda n_tasks, cap=None: 1)
         real = estimators.minimize_with_group_truncation
         memories = []
@@ -396,12 +447,14 @@ class TestSelectLambdaCv:
         for fold in range(3):
             walk = memories[3 * fold : 3 * fold + 3]
             assert all(memory is walk[0][0] for memory, _ in walk)
-            assert [k > 0 for _, k in walk] == [False, True, True]
+            assert [k > 0 for _, k in walk] == [True, True, True]
         assert len({id(memory) for memory, _ in memories}) == 3
         lines = [r.getMessage() for r in caplog.records]
         lines = [line for line in lines if line.startswith("CV fold")]
         assert len(lines) == 9
         assert all("iterations" in line and "backtracks" in line for line in lines)
+        starts = [f"{k} pairs at start" for _, k in memories]
+        assert all(start in line for start, line in zip(starts, lines))
 
     def test_degenerate_fold_raises(self):
         x = TimeSeriesMatrix(np.random.default_rng(0).standard_normal((2, 12)))
@@ -555,6 +608,16 @@ class TestOnePoolPerFit:
         np.testing.assert_array_equal(res.model.b, cold.b)
         np.testing.assert_array_equal(np.array(res.model.h.lags), np.array(cold.h.lags))
         assert type(res.bic_per_order) is dict
+
+    def test_one_order_fit_is_the_fit_without_init(self):
+        # without BIC, the final fit starts from its own CSA fit and that
+        # solve's pairs, as _fit_scsa does without init
+        x, _, _ = mixed_dataset(18, d=2, p=1, t=600)
+        res = fit(x, FitRequest("SCSA", [2], [0.5]))
+        cold, trace = estimators._fit_scsa(lag_stack(x, 2), 2, GroupPenaltySpec(0.5))
+        np.testing.assert_array_equal(res.model.b, cold.b)
+        np.testing.assert_array_equal(np.array(res.model.h.lags), np.array(cold.h.lags))
+        assert res.trace == trace
 
     def test_bic_scores_carry_each_orders_fit(self, pools):
         x, _, _ = mixed_dataset(18, d=2, p=1, t=600)

@@ -499,13 +499,21 @@ def two_loop_direction(pairs, g):
 
 
 class TestCompactMemory:
-    @pytest.mark.parametrize("m", [1, 3, 10])
-    def test_matches_two_loop_recursion(self, m):
+    @pytest.mark.parametrize(
+        "m, n",
+        [
+            pytest.param(1, 15, id="1"),
+            pytest.param(3, 15, id="3"),
+            pytest.param(10, 15, id="10"),
+            pytest.param(40, 15, id="40"),  # more pairs than dimensions
+            pytest.param(40, 60, id="40-n60"),
+        ],
+    )
+    def test_matches_two_loop_recursion(self, m, n):
         # 3m + 7 pushes wrap the memory around several times; every fourth
         # pair has s^T y < 0 and every fifth s^T y = 0 (up to rounding), and
         # both must be rejected
         rng = np.random.default_rng(m)
-        n = 15
         a = rng.standard_normal((n, n))
         hess = a @ a.T + 0.5 * np.eye(n)
         memory = LbfgsMemory(n, m)
