@@ -111,10 +111,10 @@ def m_step_dal(
     if init is None:
         d = stack.shape[0] // (P + 1)
         init = SourceModel(np.eye(d), MvarCoefficients(list(np.zeros((P, d, d)))))
-    model, _ = _fit_scsa(
-        stack, P, pen, M_STEP_GRAD_TOL, init, block=slice(init.b.size, None)
+    (model, _), = _fit_scsa(
+        stack, P, [pen], M_STEP_GRAD_TOL, init, block=slice(init.b.size, None)
     )
-    return model.h
+    return MvarCoefficients(model.h.lags)
 
 
 def e_step(
@@ -131,8 +131,8 @@ def e_step(
 
     stack = x if isinstance(x, np.ndarray) else lag_stack(x, h.order)
     init = unchecked(SourceModel, b=b0, h=h)
-    model, _ = _fit_scsa(
-        stack, h.order, GroupPenaltySpec(0.0), grad_tol, init,
+    (model, _), = _fit_scsa(
+        stack, h.order, [GroupPenaltySpec(0.0)], grad_tol, init,
         block=slice(0, b0.size),
     )
     return model.b
@@ -153,9 +153,10 @@ def fit_scsa_em(
     """
     stack = x if isinstance(x, np.ndarray) else lag_stack(x, P)
     if init is None:
-        from .estimators import _fit_scsa  # deferred: estimators imports us
+        from .estimators import _checked, _fit_scsa  # deferred: estimators imports us
 
-        init, _ = _fit_scsa(stack, P, pen)
+        (init, _), = _fit_scsa(stack, P, [pen])
+        init = _checked(init)
     model = init
     history = [cost_scsa(model, stack, pen)]
     half_steps = (

@@ -20,7 +20,7 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.linalg.lapack import dtrtri
@@ -28,6 +28,7 @@ from scipy.linalg.lapack import dtrtri
 from . import em_dal
 from .cost import (
     GroupPenaltySpec,
+    cost_scsa,
     grad_csa,
     grad_scsa,
     nll_csa,
@@ -47,6 +48,7 @@ from .model import (
     filter_bank_to_source_model,
     lag_stack,
     source_model_to_filter_bank,
+    unchecked,
 )
 from .optim import (
     GRAD_TOL,
@@ -134,22 +136,13 @@ def _fit_csa(
     Raises :class:`DegenerateModelError` before the first iteration when C
     is numerically singular (:data:`PIVOT_FLOOR`).
 
-    The CSA fit (``lags`` True) hands its L-BFGS pairs on: the trace's
-    ``memory`` holds them in the coordinates of the SCSA fit that starts
-    from the returned model (:func:`_scsa_memory`), so that fit continues
-    the CSA solve's quasi-Newton path. An MVARICA trace's ``memory`` is None.
+    The CSA fit (``lags`` True) keeps its L-BFGS pairs, in Z's coordinates,
+    as the trace's ``memory``; :func:`_scsa_start` maps them for the SCSA
+    fits that continue the solve. An MVARICA trace's ``memory`` is None.
     """
     d, n = stack.shape[0] // (p + 1), stack.shape[1]
     k = p + 1 if lags else 1  # the filters W_z^(0..k-1) that are fitted
-    cov = stack @ stack.T / n
-    try:  # the lower factor of C with rows and columns reversed is U
-        u = np.linalg.cholesky(cov[::-1, ::-1])[::-1, ::-1]
-    except np.linalg.LinAlgError:
-        u = None
-    if u is None or np.any(u.diagonal() ** 2 <= PIVOT_FLOOR * cov.diagonal()):
-        raise DegenerateModelError(
-            "lag-stack covariance is numerically singular (rank-deficient data)"
-        )
+    u = _lag_cholesky(stack)
     r = dtrtri(u)[0][: k * d]
     z = r @ stack
     shift = n * float(np.log(u.diagonal()[:d]).sum())  # -N log|det R_00|
@@ -167,18 +160,50 @@ def _fit_csa(
     w = np.hstack(unpack_filter_bank(theta, d, k - 1).w) @ r
     model = filter_bank_to_source_model(FilterBank(np.hsplit(w, p + 1)))
     if lags:
-        trace.memory = _scsa_memory(memory, r, u, model)
+        trace.memory = memory
     return model, trace
 
 
-def _scsa_memory(
-    memory: LbfgsMemory, r: np.ndarray, u: np.ndarray, model: SourceModel
-) -> LbfgsMemory:
-    """The pairs of a whitened CSA solve in the coordinates of the SCSA fit
-    that starts from its model (:func:`_fit_scsa`): (B~, H) at B~ = I and
-    H = model.h, with B0 = model.b.
+def _lag_cholesky(stack: np.ndarray) -> np.ndarray:
+    """The upper-triangular Cholesky factor U of the lag stack's covariance,
+    C = X X^T / N = U U^T; raises :class:`DegenerateModelError` when C is
+    numerically singular (:data:`PIVOT_FLOOR`)."""
+    cov = stack @ stack.T / stack.shape[1]
+    try:  # the lower factor of C with rows and columns reversed is U
+        u = np.linalg.cholesky(cov[::-1, ::-1])[::-1, ::-1]
+    except np.linalg.LinAlgError:
+        u = None
+    if u is None or np.any(u.diagonal() ** 2 <= PIVOT_FLOOR * cov.diagonal()):
+        raise DegenerateModelError(
+            "lag-stack covariance is numerically singular (rank-deficient data)"
+        )
+    return u
 
-    The CSA solve runs on W_z, with W = W_z R and R = U^-1. The SCSA fit
+
+def _scsa_start(
+    stack: np.ndarray,
+    p: int,
+    csa: Optional[Tuple[SourceModel, OptimizationTrace]] = None,
+    grad_tol: float = GRAD_TOL,
+) -> Tuple[SourceModel, LbfgsMemory]:
+    """Where the SCSA fits of order ``p`` on ``stack`` start: the CSA fit
+    ``csa``, a ``(model, trace)`` of :func:`_fit_csa` on the stack (fitted
+    here when None), and its solve's pairs mapped into the coordinates of
+    an SCSA fit from that model (:func:`_scsa_memory`). A fit from there
+    continues the CSA solve's quasi-Newton path."""
+    model, trace = csa or _fit_csa(stack, p, grad_tol)
+    return model, _scsa_memory(trace.memory, stack, model)
+
+
+def _scsa_memory(
+    memory: LbfgsMemory, stack: np.ndarray, model: SourceModel
+) -> LbfgsMemory:
+    """The pairs of a whitened CSA solve on ``stack`` in the coordinates of
+    the SCSA fit that starts from its model (:func:`_fit_scsa`): (B~, H) at
+    B~ = I and H = model.h, with B0 = model.b.
+
+    The CSA solve runs on W_z, with W = W_z R and R = U^-1 for the
+    stack's Cholesky factor U (:func:`_lag_cholesky`). The SCSA fit
     has W^(0) = B~ B0 and W^(p) = -H^(p) B~ B0, so at its start the map L
     from (dB~, dH) to dW is dW^(0) = dB~ B0 and dW^(p) = -(dH^(p) +
     H^(p) dB~) B0. A step s_z becomes L^-1(s_z R): dB~ = dW^(0) B0^-1 and
@@ -191,6 +216,8 @@ def _scsa_memory(
     b0, k = model.b, memory.k
     d = b0.shape[0]
     p = memory.n // (d * d) - 1
+    u = _lag_cholesky(stack)
+    r = dtrtri(u)[0]
     # rows of S and Y as (D, (P+1)D) filter banks, mapped to W's coordinates
     s, y = (
         memory.sy[:, :k].reshape(2, k, p + 1, d, d).transpose(0, 1, 3, 2, 4)
@@ -225,39 +252,45 @@ def fit_ica(x: TimeSeriesMatrix) -> SourceModel:
 def _fit_scsa(
     stack: np.ndarray,
     p: int,
-    pen: GroupPenaltySpec,
+    pens: Sequence[GroupPenaltySpec],
     grad_tol: float = GRAD_TOL,
     init: Optional[SourceModel] = None,
     block: slice = slice(None),
     memory: Optional[LbfgsMemory] = None,
-) -> Tuple[SourceModel, OptimizationTrace]:
-    """Group-lasso regularized fit on a lag stack, warm-started from ``init``
-    or else from the CSA fit.
+) -> Iterator[Tuple[SourceModel, OptimizationTrace]]:
+    """Group-lasso regularized fits on a lag stack, one per penalty of
+    ``pens``, walked in their order as one solve path: the first starts from
+    ``init``, or else from the CSA fit, and each later one from the model
+    the one before it ended on. Yields ``(model, trace)`` per penalty, each
+    solved when it is asked for. The models are iterates, built without
+    validation (:func:`scsa.model.unchecked`).
 
     ``block`` is the part of the flat vector ``[vec(B); vec(H)]`` minimized
     over, with the rest held at ``init``: all of it (the joint fit), the B
     block ``slice(0, D*D)`` or the H block ``slice(D*D, None)``. The penalty
     does not depend on B, so a B-block solve leaves it out. ``memory`` is the
-    L-BFGS memory the solve starts from and leaves its pairs in
+    L-BFGS memory the walk starts from and leaves its pairs in
     (:func:`scsa.optim.minimize_with_group_truncation`). Without ``init``
-    and ``memory`` the fit starts from the CSA solve's pairs, handed on by
-    :func:`_fit_csa`, so CSA and SCSA are one quasi-Newton path; with
+    and ``memory`` the walk starts from the CSA solve's pairs
+    (:func:`_scsa_start`), so CSA and SCSA are one quasi-Newton path; with
     ``init`` and no ``memory`` it starts with an empty one.
 
-    The fit runs in the source coordinates of its start. With B0 = init.b,
-    it fits (B~, H) on Z = (I_{P+1} kron B0) X, the lag stack of the start's
-    sources, from B~ = I, and returns B = B~ B0. The innovations are the
-    same, B~ z(t) - sum_p H^(p) B~ z(t-p) = B x(t) - sum_p H^(p) B x(t-p),
-    so H, its gradient and the penalty are unchanged, and the cost is X's
-    less N log|det B0|. The objective adds that back: its values and the
-    stop threshold are X's, and the B gradient the stop test reads is the
-    relative gradient grad_B B0^T (Cardoso & Laheld, IEEE TSP 1996). An H
-    block solve returns ``init.b`` itself.
+    The walk runs in one frame, the source coordinates of its start. With
+    B0 = init.b, it fits (B~, H) on Z = (I_{P+1} kron B0) X, the lag stack
+    of the start's sources, from B~ = I, and returns B = B~ B0. The
+    innovations are the same, B~ z(t) - sum_p H^(p) B~ z(t-p) = B x(t) -
+    sum_p H^(p) B x(t-p), so H, its gradient and the penalty are unchanged,
+    and the cost is X's less N log|det B0|. The objective adds that back:
+    its values and the stop threshold are X's, and the B gradient the stop
+    test reads is the relative gradient grad_B B0^T (Cardoso & Laheld, IEEE
+    TSP 1996). It keeps its last evaluation, so a solve that starts where
+    the one before it ended starts without one. An H block solve returns
+    ``init.b`` itself.
     """
     d, n = stack.shape[0] // (p + 1), stack.shape[1]
     if init is None:
-        init, csa = _fit_csa(stack, p, grad_tol)
-        memory = csa.memory if memory is None else memory
+        init, start_memory = _scsa_start(stack, p, grad_tol=grad_tol)
+        memory = start_memory if memory is None else memory
     b0 = init.b
     z = (b0 @ stack.reshape(p + 1, d, n)).reshape(stack.shape)
     shift = -n * float(np.linalg.slogdet(b0)[1])  # -N log|det B0|
@@ -266,28 +299,36 @@ def _fit_scsa(
     start, stop, _ = block.indices(theta.size)
     whole = stop - start == theta.size
     pen0 = GroupPenaltySpec(0.0)
+    last = None  # the last point evaluated, and its value and gradient
 
     def smooth(v):
+        nonlocal last
+        if last is not None and np.array_equal(v, last[0]):
+            return last[1]
+        point = v.copy()
         if not whole:  # the held block stays at init
             theta[block] = v
             v = theta
         rep = grad_scsa(unpack_source_model(v, d, p), z, pen0)
-        return rep.value + shift, rep.gradient[block]
+        last = point, (rep.value + shift, rep.gradient[block])
+        return last[1]
 
     h_index = np.arange(d * d, theta.size).reshape(p, d, d) - start  # in the block
-    groups = (penalty_groups(h_index), pen.lam) if stop > d * d else ()
-    what = f"SCSA fit (P={p}, lambda={pen.lam:g})" if whole else (
-        "M-step" if start else "E-step")
-    v, trace = keep_last_on_stagnation(
-        lambda: minimize_with_group_truncation(
-            smooth, theta[block], groups, grad_tol, memory
-        ),
-        what,
-    )
-    theta[block] = v
-    model = unpack_source_model(theta, d, p)
-    b = model.b @ b0 if start < d * d else b0
-    return SourceModel(b, MvarCoefficients(model.h.lags)), trace
+    index = penalty_groups(h_index) if stop > d * d else None
+    for pen in pens:
+        groups = () if index is None else (index, pen.lam)
+        what = f"SCSA fit (P={p}, lambda={pen.lam:g})" if whole else (
+            "M-step" if start else "E-step")
+        v, trace = keep_last_on_stagnation(
+            lambda: minimize_with_group_truncation(
+                smooth, theta[block], groups, grad_tol, memory
+            ),
+            what,
+        )
+        theta[block] = v
+        model = unpack_source_model(theta.copy(), d, p)
+        b = model.b @ b0 if start < d * d else b0
+        yield unchecked(SourceModel, b=b, h=model.h), trace
 
 
 def fit_scsa(
@@ -298,8 +339,13 @@ def fit_scsa(
 ) -> SourceModel:
     """SCSA: group-lasso regularized joint fit, warm-started from CSA and
     from its L-BFGS pairs. ``x`` may also be a sequence of segments."""
-    model, _ = _fit_scsa(lag_stack(x, p), p, pen, grad_tol)
-    return model
+    (model, _), = _fit_scsa(lag_stack(x, p), p, [pen], grad_tol)
+    return _checked(model)
+
+
+def _checked(model: SourceModel) -> SourceModel:
+    """A fit's model, validated as the package returns it."""
+    return SourceModel(model.b, MvarCoefficients(model.h.lags))
 
 
 def fit_scsa_em(
@@ -497,16 +543,22 @@ def _cv_blocks(t: int, folds: int, p: int) -> List[np.ndarray]:
 
 
 def _cv_fold(
-    data: np.ndarray, p: int, lambdas: Sequence[float], held: np.ndarray
+    data: np.ndarray,
+    p: int,
+    lambdas: Sequence[float],
+    held: np.ndarray,
+    start: Tuple[SourceModel, LbfgsMemory],
 ) -> List[float]:
     """Held-out NLL at each λ of one fold.
 
     The model is fitted on the runs before and after the held-out block
     (columns ``held`` of ``data``), treated as separate segments, walking
-    ``lambdas`` in their order as one quasi-Newton path that continues the
-    fold's CSA solve: each λ's fit starts from the previous λ's model and
-    from the L-BFGS memory the walk carries, and the first from the fold's
-    CSA model and the pairs its solve handed on (:func:`_fit_csa`).
+    ``lambdas`` in their order as one solve path of :func:`_fit_scsa`. The
+    walk starts from ``start``, the full-data CSA model and its mapped
+    pairs (:func:`_scsa_start`), in a copy of that memory, so the folds and
+    the final fit never share pairs; the fold fits no CSA model of its own.
+    The start was fitted on the held-out block too, so it can choose the
+    basin the walk reaches (:func:`select_lambda_cv`).
     Each (fold, λ) fit is logged at DEBUG on the ``scsa`` logger with the
     pairs its memory held at the start, its iterations, backtracks and end
     state.
@@ -514,21 +566,22 @@ def _cv_fold(
     runs = (data[:, : held[0]], data[:, held[-1] + 1 :])
     stack = lag_stack([run for run in runs if run.shape[1]], p)
     held_stack = lag_stack(data[:, held], p)
-    model, csa = _fit_csa(stack, p)
-    memory = csa.memory
+    memory = start[1].copy()
+    walk = _fit_scsa(
+        stack, p, [GroupPenaltySpec(lam) for lam in lambdas], init=start[0],
+        memory=memory,
+    )
     nlls = []
-    for lam in lambdas:
-        pairs = memory.k
-        model, trace = _fit_scsa(
-            stack, p, GroupPenaltySpec(lam), init=model, memory=memory
-        )
+    pairs = memory.k
+    for lam, (model, trace) in zip(lambdas, walk):
         logger.debug(
             "CV fold t=%d..%d, lambda=%g: %d pairs at start, %d iterations, "
             "%d backtracks, converged=%s, stagnated=%s", held[0], held[-1], lam,
             pairs, trace.iterations, trace.backtracks, trace.converged,
             trace.stagnated,
         )
-        nlls.append(nll_csa(source_model_to_filter_bank(model), held_stack))
+        pairs = memory.k  # where the next λ's solve starts
+        nlls.append(cost_scsa(model, held_stack, GroupPenaltySpec()))
     return nlls
 
 
@@ -537,6 +590,7 @@ def select_lambda_cv(
     p: int,
     lambda_grid: Sequence[float],
     folds: int = 5,
+    start: Optional[Tuple[SourceModel, LbfgsMemory]] = None,
 ) -> Tuple[float, Dict[float, float]]:
     """Blocked cross-validation for the group-lasso weight.
 
@@ -545,11 +599,16 @@ def select_lambda_cv(
     segments whose likelihoods are summed (no lag window straddles the
     held-out gap), and scored by the unpenalized NLL on the held-out block.
     Each distinct λ of the grid is fitted once, in increasing order, and
-    each fold walks the grid as one quasi-Newton path (:func:`_cv_fold`):
-    every fit warm-starts from the previous λ's model and L-BFGS memory, and
-    the first from the fold's CSA fit and the pairs of its solve.
-    The folds run in a process pool (:func:`_pool_map`), and their scores
-    are summed in fold order.
+    each fold walks the grid as one solve path (:func:`_cv_fold`) from
+    ``start``: a CSA fit of the whole of ``x`` at order ``p`` and its
+    solve's pairs (:func:`_scsa_start`), made here once when None. That
+    start has seen every fold's held-out block, so a fold's fits are not
+    wholly out-of-sample: the held-out data can pick the basin a fold's walk
+    reaches (the cost is not convex in B), though the fits minimize the
+    training cost alone. cv.glmnet, by contrast, fits each fold's path from
+    the fold's own data and shares only the λ sequence. The folds run in a
+    process pool (:func:`_pool_map`), and their scores are summed in fold
+    order.
     """
     if folds < 2:
         raise ValueError("folds must be >= 2")
@@ -557,8 +616,11 @@ def select_lambda_cv(
     if not lambdas:
         raise ValueError("lambda_grid must be nonempty")
     blocks = _cv_blocks(x.n_samples, folds, p)
+    if start is None:
+        start = _scsa_start(lag_stack(x, p), p)
     scores = {lam: 0.0 for lam in lambdas}
-    for nlls in _pool_map(_cv_fold, [(x.data, p, lambdas, held) for held in blocks]):
+    tasks = [(x.data, p, lambdas, held, start) for held in blocks]
+    for nlls in _pool_map(_cv_fold, tasks):
         for lam, nll in zip(lambdas, nlls):
             scores[lam] += nll
     curve = {lam: scores[lam] / folds for lam in lambdas}
@@ -575,13 +637,15 @@ def fit(x: TimeSeriesMatrix, request: FitRequest) -> FitResult:
     The selection stages share one fork pool (:func:`_pool`), sized for the
     larger stage and closed, its workers joined, before the final fit, also
     on error. Each order is fitted once: CSA and MVARICA return BIC's fit of
-    the selected order, and SCSA and SCSA-EM start from it and from the
-    L-BFGS pairs its solve handed on (:func:`_fit_csa`), which BIC's
-    workers return with it; so the final fit is the one
-    :func:`_fit_scsa` makes without ``init``, whether BIC ran or not and at
-    any worker count. The final SCSA and SCSA-EM stages share one lag stack
-    of the data."""
-    start = time.perf_counter()
+    the selected order. SCSA and SCSA-EM start from that order's CSA fit,
+    BIC's (its workers return each order's solve pairs with it) or else one
+    made here, with its pairs mapped once (:func:`_scsa_start`). That start
+    is shared: every cross-validation fold walks its λ grid from it
+    (:func:`select_lambda_cv`), in a copy of its memory, and the final fit starts
+    from it; so the final fit is the one :func:`_fit_scsa` makes without
+    ``init``, whether BIC ran or not and at any worker count. The start and
+    the final SCSA and SCSA-EM stages share one lag stack of the data."""
+    began = time.perf_counter()
     orders = _candidate_orders(request.order_candidates)
     grid: List[float] = []
     if request.method in ("SCSA", "SCSA_EM"):
@@ -591,26 +655,30 @@ def fit(x: TimeSeriesMatrix, request: FitRequest) -> FitResult:
         grid = list(grid)
     bic_tasks = len(orders) if len(orders) > 1 else 0
     cv_tasks = request.cv_folds if len(set(grid)) > 1 else 0
+    lam: Optional[float] = None
+    curve: Dict[float, float] = {}
     with _pool(max(bic_tasks, cv_tasks)):
         if bic_tasks:
             p, bic = select_order_bic(x, request.method, orders)
         else:
             p, bic = orders[0], _OrderScores({}, {})
-        lam: Optional[float] = None
-        curve: Dict[float, float] = {}
-        if cv_tasks:
-            lam, curve = select_lambda_cv(x, p, grid, folds=request.cv_folds)
-        elif grid:
-            lam = float(grid[0])
+        if grid:
+            stack = lag_stack(x, p)
+            start = _scsa_start(stack, p, bic.fits.get(p))
+            if cv_tasks:
+                lam, curve = select_lambda_cv(
+                    x, p, grid, folds=request.cv_folds, start=start
+                )
+            else:
+                lam = float(grid[0])
 
     # for ICA, P is used downstream only for a post-hoc MVAR on the demixed
     # sources (evaluation module); the fitted model has order 0
     order = 0 if request.method == "ICA" else p
     if grid:
-        stack = lag_stack(x, p)
-        model, csa = bic.fits.get(p) or _fit_csa(stack, p)
         pen = GroupPenaltySpec(lam)
-        model, trace = _fit_scsa(stack, p, pen, init=model, memory=csa.memory)
+        (model, trace), = _fit_scsa(stack, p, [pen], init=start[0], memory=start[1])
+        model = _checked(model)
         if request.method == "SCSA_EM":
             model, history = em_dal.fit_scsa_em(stack, p, pen, init=model)
             trace = OptimizationTrace(
@@ -629,5 +697,5 @@ def fit(x: TimeSeriesMatrix, request: FitRequest) -> FitResult:
         bic_per_order=dict(bic),
         cv_curve=curve,
         trace=trace,
-        wall_time=time.perf_counter() - start,
+        wall_time=time.perf_counter() - began,
     )

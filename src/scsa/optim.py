@@ -30,11 +30,11 @@ The memory keeps the last ``MEMORY`` = 40 pairs. A solve starts with an
 empty one, whose first step is a unit step along the pseudo-gradient,
 unless its caller passes an :class:`LbfgsMemory` it owns. The solve then
 starts from that memory's pairs and leaves its own in it. So a walk over a
-path of penalty weights (the cross-validation of
-:func:`scsa.estimators.select_lambda_cv`) is one quasi-Newton path, as a
+path of penalty weights (:func:`scsa.estimators._fit_scsa`, as each
+cross-validation fold walks its grid) is one quasi-Newton path, as a
 warm-started path is in glmnet (Friedman, Hastie & Tibshirani, JSS 2010),
 and so is an SCSA fit that starts from the pairs of the CSA solve it
-continues (:func:`scsa.estimators._fit_csa`).
+continues (:func:`scsa.estimators._scsa_start`).
 """
 
 from __future__ import annotations
@@ -84,8 +84,8 @@ class OptimizationTrace:
 
     ``memory`` is None but on a CSA fit's trace
     (:func:`scsa.estimators._fit_csa`), where it holds the solve's pairs in
-    the coordinates of the SCSA fit that starts from the CSA model; it does
-    not take part in comparisons."""
+    the whitened coordinates the solve ran in; it does not take part in
+    comparisons."""
 
     iterations: int = 0
     final_value: float = np.nan
@@ -121,6 +121,13 @@ class LbfgsMemory:
         self.small = np.zeros((2, m, m))
         self.d = np.zeros(m)  # diag(R)
         self.coef = np.zeros(2 * m)
+
+    def copy(self) -> "LbfgsMemory":
+        """A memory holding the same pairs, which solves change apart."""
+        out = LbfgsMemory(self.n, self.m)
+        out.k = self.k
+        out.sy[:], out.small[:], out.d[:] = self.sy, self.small, self.d
+        return out
 
     def push(self, s, y):
         sy, yy = float(s @ y), float(y @ y)

@@ -124,28 +124,24 @@ class TestFitCsa:
 
 
 class TestCsaHandOff:
-    def test_pairs_keep_curvature_and_slopes(self, monkeypatch):
-        # each pair the CSA solve hands to the SCSA fit keeps s^T y, and the
-        # SCSA objective's slope along the mapped step, at the SCSA start, is
-        # the CSA objective's along the original step. The solve stops at a
-        # loose tolerance: at a tight one the slopes vanish below what
-        # central differences resolve.
-        handed = []
-        real = estimators._scsa_memory
-
-        def recorded(memory, r, u, model):
-            out = real(memory, r, u, model)
-            handed.append((memory, r, out))
-            return out
-
-        monkeypatch.setattr(estimators, "_scsa_memory", recorded)
+    def test_pairs_keep_curvature_and_slopes(self):
+        # each pair of the CSA solve, as the SCSA start maps it, keeps s^T y,
+        # and the SCSA objective's slope along the mapped step, at the SCSA
+        # start, is the CSA objective's along the original step. The solve
+        # stops at a loose tolerance: at a tight one the slopes vanish below
+        # what central differences resolve.
         x, _, _ = mixed_dataset(6, t=800)
         d, p = 3, 2
         stack = lag_stack(x, p)
-        model, trace = estimators._fit_csa(stack, p, 1e-3)
-        (memory, r, out), = handed
-        assert trace.memory is out
+        csa = estimators._fit_csa(stack, p, 1e-3)
+        model, out = estimators._scsa_start(stack, p, csa)
+        memory = csa[1].memory
+        assert model is csa[0]
         assert out.k == memory.k > 5
+        # the solve ran on W_z, with W = W_z R and R the inverse of the upper
+        # Cholesky factor of the stack's covariance
+        cov = stack @ stack.T / stack.shape[1]
+        r = np.linalg.inv(np.linalg.cholesky(cov[::-1, ::-1])[::-1, ::-1])
         w = np.hstack(source_model_to_filter_bank(model).w)
         b0, hs = model.b, model.h.as_array(d)
 
@@ -171,6 +167,25 @@ class TestCsaHandOff:
         x, _, _ = mixed_dataset(6, t=800)
         _, trace = estimators._fit_csa(lag_stack(x, 2), 2, lags=False)
         assert trace.memory is None
+
+    def test_pairs_are_mapped_once_per_fit(self, monkeypatch):
+        # BIC's orders keep their solves' pairs unmapped; only the selected
+        # order's are mapped, once, for CV and the final fit to share
+        monkeypatch.setattr(estimators, "_worker_count", lambda n_tasks, cap=None: 1)
+        maps = []
+        real = estimators._scsa_memory
+
+        def counted(memory, stack, model):
+            maps.append(stack.shape[0])
+            return real(memory, stack, model)
+
+        monkeypatch.setattr(estimators, "_scsa_memory", counted)
+        x, _, _ = mixed_dataset(18, d=2, p=1, t=600)
+        res = fit(x, FitRequest("SCSA", [1, 2, 3], [0.1, 1.0], cv_folds=3))
+        assert maps == [2 * (res.selected_order + 1)]
+        maps.clear()
+        fit(x, FitRequest("CSA", [1, 2, 3]))
+        assert maps == []
 
 
 class TestFitIca:
@@ -269,11 +284,34 @@ class TestFitScsa:
             return CostReport(rep.value, -rep.gradient)
 
         monkeypatch.setattr(estimators, "grad_scsa", uphill)
-        model, trace = estimators._fit_scsa(
-            stack, 1, GroupPenaltySpec(1.0), init=init
+        (model, trace), = estimators._fit_scsa(
+            stack, 1, [GroupPenaltySpec(1.0)], init=init
         )
         assert trace.stagnated and not trace.converged
         assert trace.final_value <= cost_scsa(init, stack, GroupPenaltySpec(1.0))
+
+    def test_walk_starts_each_solve_where_the_last_ended(self, monkeypatch):
+        # a walk's later solve starts from the model, the memory and the
+        # evaluation the one before it ended on: walking one weight twice,
+        # the second solve evaluates nothing and takes no step
+        x, _, _ = mixed_dataset(17, d=2, p=1, t=500)
+        stack = lag_stack(x, 1)
+        evals = []
+        real = estimators.grad_scsa
+
+        def counted(*args):
+            evals.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(estimators, "grad_scsa", counted)
+        walk = estimators._fit_scsa(stack, 1, [GroupPenaltySpec(1.0)] * 2)
+        first, trace = next(walk)
+        n, steps = len(evals), trace.iterations
+        second, trace = next(walk)
+        assert steps > 0
+        assert len(evals) == n and trace.iterations == 0 and trace.converged
+        np.testing.assert_array_equal(second.b, first.b)
+        np.testing.assert_array_equal(second.h.as_array(), first.h.as_array())
 
     @pytest.mark.parametrize("free", ["joint", "B", "H"])
     @pytest.mark.parametrize("cuts", [(), (300, 400)])  # whole run, or a CV fold
@@ -291,7 +329,9 @@ class TestFitScsa:
         block = {"joint": slice(None), "B": slice(0, d * d), "H": slice(d * d, None)}
         # the penalty does not depend on B, so a B-block solve leaves it out
         pen = GroupPenaltySpec(0.0 if free == "B" else 2.0)
-        model, trace = estimators._fit_scsa(stack, p, pen, init=init, block=block[free])
+        (model, trace), = estimators._fit_scsa(
+            stack, p, [pen], init=init, block=block[free]
+        )
         assert trace.iterations > 0
         f = cost_scsa(model, stack, pen)
         assert abs(trace.final_value - f) <= 1e-9 * abs(f)
@@ -307,7 +347,9 @@ class TestFitScsa:
         b_start, h_start = init.b.copy(), init.h.as_array().copy()
         block = slice(0, d * d) if free == "B" else slice(d * d, None)
         pen = GroupPenaltySpec(0.0 if free == "B" else 2.0)
-        model, _ = estimators._fit_scsa(lag_stack(x, p), p, pen, init=init, block=block)
+        (model, _), = estimators._fit_scsa(
+            lag_stack(x, p), p, [pen], init=init, block=block
+        )
         b, hs = model.b, model.h.as_array()
         if free == "B":
             assert np.array_equal(hs, h_start)  # bit for bit
@@ -431,7 +473,7 @@ class TestSelectLambdaCv:
 
     def test_each_fold_walks_its_grid_with_one_memory(self, monkeypatch, caplog):
         # one L-BFGS memory per fold, carried from λ to λ and holding the
-        # fold's CSA pairs at the first, and one DEBUG line per (fold, λ)
+        # full-data CSA pairs at the first, and one DEBUG line per (fold, λ)
         monkeypatch.setattr(estimators, "_worker_count", lambda n_tasks, cap=None: 1)
         real = estimators.minimize_with_group_truncation
         memories = []
@@ -455,6 +497,59 @@ class TestSelectLambdaCv:
         assert all("iterations" in line and "backtracks" in line for line in lines)
         starts = [f"{k} pairs at start" for _, k in memories]
         assert all(start in line for start, line in zip(starts, lines))
+
+    def test_folds_start_from_one_full_data_csa_fit(self, monkeypatch):
+        monkeypatch.setattr(estimators, "_worker_count", lambda n_tasks, cap=None: 1)
+        calls = []
+        real = estimators._fit_csa
+
+        def counted(stack, p, *args, **kwargs):
+            calls.append((p, stack.shape[1]))
+            return real(stack, p, *args, **kwargs)
+
+        monkeypatch.setattr(estimators, "_fit_csa", counted)
+        x, _, _ = mixed_dataset(15, d=2, p=1, t=600)
+        select_lambda_cv(x, 1, [0.1, 1.0], folds=3)
+        assert calls == [(1, 599)]  # the whole run's lag windows, once
+        start = estimators._scsa_start(lag_stack(x, 1), 1)
+        calls.clear()
+        estimators._cv_fold(x.data, 1, [0.1, 1.0], np.arange(200, 400), start)
+        assert calls == []
+
+    def test_fit_cross_validates_through_select_lambda_cv(self, monkeypatch):
+        # fit's CV stage is the public function, given the start fit made;
+        # without BIC that start is the one select_lambda_cv makes itself
+        monkeypatch.setattr(estimators, "_worker_count", lambda n_tasks, cap=None: 1)
+        starts = []
+        real = estimators.select_lambda_cv
+
+        def recorded(*args, **kwargs):
+            starts.append(kwargs["start"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "select_lambda_cv", recorded)
+        x, _, _ = mixed_dataset(15, d=2, p=1, t=600)
+        res = fit(x, FitRequest("SCSA", [1], [0.1, 1.0], cv_folds=3))
+        assert len(starts) == 1 and starts[0] is not None
+        assert (res.selected_lambda, res.cv_curve) == real(x, 1, [0.1, 1.0], folds=3)
+
+    def test_fold_walk_validates_nothing(self, monkeypatch):
+        # the walk's iterates and its held-out scores skip the condition
+        # checks of the model classes
+        x, _, _ = mixed_dataset(15, d=2, p=1, t=600)
+        start = estimators._scsa_start(lag_stack(x, 1), 1)
+        checks = []
+        real = np.linalg.cond
+
+        def counted(*args, **kwargs):
+            checks.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cond", counted)
+        estimators._cv_fold(x.data, 1, [0.1, 1.0], np.arange(200, 400), start)
+        assert checks == []
+        fit_scsa(x, 1, GroupPenaltySpec(0.1))  # a returned model is validated
+        assert checks
 
     def test_degenerate_fold_raises(self):
         x = TimeSeriesMatrix(np.random.default_rng(0).standard_normal((2, 12)))
@@ -534,11 +629,13 @@ class TestWorkerPool:
         x, _, _ = mixed_dataset(15, d=2, p=1, t=600)
 
         def fails(*args, **kwargs):
-            raise NumericError("no CSA fit")
+            raise NumericError("no SCSA fit")
 
         monkeypatch.setattr(estimators, "_worker_count", two_workers)
-        monkeypatch.setattr(estimators, "_fit_csa", fails)
-        with pytest.raises(NumericError, match="no CSA fit"):
+        # the folds' solves fail in the workers; the CSA start, fitted here,
+        # does not
+        monkeypatch.setattr(estimators, "_fit_scsa", fails)
+        with pytest.raises(NumericError, match="no SCSA fit"):
             select_lambda_cv(x, 1, [0.1, 1.0], folds=4)
         assert multiprocessing.active_children() == []
 
@@ -585,8 +682,16 @@ class TestOnePoolPerFit:
         assert len(pools) == 1
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("method", ["SCSA", "SCSA_EM"])
-    def test_reused_warm_start_is_bit_identical(self, method, pools, monkeypatch):
+    @pytest.mark.parametrize(
+        "method, workers",
+        [("SCSA", 2), ("SCSA_EM", 2), ("SCSA", 1), ("SCSA_EM", 1)],
+        ids=["SCSA", "SCSA_EM", "SCSA-serial", "SCSA_EM-serial"],
+    )
+    def test_reused_warm_start_is_bit_identical(
+        self, method, workers, pools, monkeypatch
+    ):
+        if workers == 1:
+            monkeypatch.setattr(estimators, "_worker_count", lambda n, cap=None: 1)
         x, _, _ = mixed_dataset(18, d=2, p=1, t=600)
         csa_fits = []
         real = estimators._fit_csa
@@ -596,13 +701,28 @@ class TestOnePoolPerFit:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(estimators, "_fit_csa", counted)
+        scored = []
+        real_bic = estimators.select_order_bic
+
+        def recorded(*args):
+            p, bic = real_bic(*args)
+            memory = bic.fits[p][1].memory
+            scored.append((memory, memory.k, memory.sy.copy(), memory.small.copy()))
+            return p, bic
+
+        monkeypatch.setattr(estimators, "select_order_bic", recorded)
         res = fit(x, FitRequest(method, [1, 2, 3], self.GRID, cv_folds=3))
-        # BIC and CV ran in the workers, and the final fit started from
-        # BIC's CSA fit
-        assert csa_fits == []
+        # BIC fitted each order once, in the workers if there were any; the
+        # folds and the final fit started from BIC's CSA fit, and no stage
+        # changed the pairs BIC returned with it
+        assert csa_fits == ([] if workers == 2 else [1, 2, 3])
+        (memory, k, sy, small), = scored
+        assert memory.k == k
+        np.testing.assert_array_equal(memory.sy, sy)
+        np.testing.assert_array_equal(memory.small, small)
         p, pen = res.selected_order, GroupPenaltySpec(res.selected_lambda)
         if method == "SCSA":
-            cold, _ = estimators._fit_scsa(lag_stack(x, p), p, pen)
+            (cold, _), = estimators._fit_scsa(lag_stack(x, p), p, [pen])
         else:
             cold, _ = em_dal.fit_scsa_em(x, p, pen)
         np.testing.assert_array_equal(res.model.b, cold.b)
@@ -614,7 +734,9 @@ class TestOnePoolPerFit:
         # solve's pairs, as _fit_scsa does without init
         x, _, _ = mixed_dataset(18, d=2, p=1, t=600)
         res = fit(x, FitRequest("SCSA", [2], [0.5]))
-        cold, trace = estimators._fit_scsa(lag_stack(x, 2), 2, GroupPenaltySpec(0.5))
+        (cold, trace), = estimators._fit_scsa(
+            lag_stack(x, 2), 2, [GroupPenaltySpec(0.5)]
+        )
         np.testing.assert_array_equal(res.model.b, cold.b)
         np.testing.assert_array_equal(np.array(res.model.h.lags), np.array(cold.h.lags))
         assert res.trace == trace
