@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetri
 
 from .exceptions import NumericError
 from .model import (
@@ -46,6 +45,32 @@ LOG_2 = float(np.log(2.0))
 
 # Data argument of the kernels: a lag stack, or a signal block stacked inside.
 Data = Union[np.ndarray, TimeSeriesMatrix]
+
+
+class _Lapack:
+    """scipy's LAPACK routines that the fits call, bound on first use:
+    ``import scsa`` loads numpy only, and importing scipy.linalg takes
+    longer than a simulation. :meth:`bind` sets them as attributes of the
+    instance, so a lookup after the first costs what a module attribute
+    does; before it, a lookup binds them. :func:`scsa.estimators._pool`
+    binds them before it forks, so its workers inherit the binding."""
+
+    NAMES = ("dgetrf", "dgetri", "dtrtri")
+
+    def bind(self) -> None:
+        from scipy.linalg import lapack
+
+        for name in self.NAMES:
+            setattr(self, name, getattr(lapack, name))
+
+    def __getattr__(self, name):  # only called before the names are bound
+        if name not in self.NAMES:
+            raise AttributeError(name)
+        self.bind()
+        return getattr(self, name)
+
+
+_LAPACK = _Lapack()
 
 
 @dataclass
@@ -112,7 +137,7 @@ def _fir_kernel(w0, w, x: Data, want_grad: bool):
     elif x.shape[0] != rows:
         raise ValueError(f"lag stack has {x.shape[0]} rows, expected {rows}")
     stack, n = x, x.shape[1]
-    lu, piv, info = dgetrf(w0)  # one LU gives log|det W^(0)| and its inverse
+    lu, piv, info = _LAPACK.dgetrf(w0)  # one LU gives log|det W^(0)| and its inverse
     logdet = float(np.log(np.abs(lu.diagonal())).sum()) if info == 0 else np.nan
     if not math.isfinite(logdet):
         raise NumericError("W^(0) has zero or nonfinite determinant")
@@ -134,7 +159,7 @@ def _fir_kernel(w0, w, x: Data, want_grad: bool):
     if not want_grad:
         return value, None
     grad = np.copysign(em, eps, out=em) @ stack.T  # tanh(eps) X^T
-    grad[:, :d] -= n * dgetri(lu, piv)[0].T
+    grad[:, :d] -= n * _LAPACK.dgetri(lu, piv)[0].T
     return value, grad
 
 

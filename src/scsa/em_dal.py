@@ -29,7 +29,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import xlogy
 
 from .cost import Data, GroupPenaltySpec, cost_scsa, log_sech_density
 from .model import MvarCoefficients, SourceModel, lag_stack, unchecked
@@ -60,6 +59,9 @@ def m_loss_conjugate(a, s) -> float:
     Per entry: (1-a)/2 log((1-a)/2) + (1+a)/2 log((1+a)/2) - a s + log(2/pi),
     with the x log x -> 0 limit at the interval ends.
     """
+    # imported here: ``import scsa`` should not pay for scipy.special
+    from scipy.special import xlogy
+
     a = np.asarray(a, dtype=float)
     s = np.asarray(s, dtype=float)
     if np.any(np.abs(a) > 1.0):

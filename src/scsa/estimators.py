@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import logging
 import math
+import numbers
 import os
 import threading
 import time
@@ -23,10 +24,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri
 
 from . import em_dal
 from .cost import (
+    _LAPACK,
     GroupPenaltySpec,
     cost_scsa,
     grad_csa,
@@ -78,12 +79,8 @@ class FitRequest:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if not self.order_candidates:
-            raise ValueError("order_candidates must be nonempty")
-        if any(p < 0 for p in self.order_candidates):
-            raise ValueError("orders must be nonnegative")
-        if self.cv_folds < 2:
-            raise ValueError("cv_folds must be >= 2")
+        _check_orders(self.order_candidates)
+        _check_folds(self.cv_folds, "cv_folds")
         grid = self.lambda_grid
         if isinstance(grid, str):
             if grid != AUTO:
@@ -93,6 +90,18 @@ class FitRequest:
                 f"lambda_grid must be {AUTO!r} or a nonempty sequence of finite, "
                 f"nonnegative numbers; got {list(grid)!r}"
             )
+
+
+def _check_orders(orders: Sequence[int]) -> None:
+    if not orders:
+        raise ValueError("order_candidates must be nonempty")
+    if not all(isinstance(p, numbers.Integral) and p >= 0 for p in orders):
+        raise ValueError(f"orders must be nonnegative integers; got {list(orders)!r}")
+
+
+def _check_folds(folds, what: str) -> None:
+    if not (isinstance(folds, numbers.Integral) and folds >= 2):
+        raise ValueError(f"{what} must be an integer >= 2; got {folds!r}")
 
 
 @dataclass
@@ -142,8 +151,8 @@ def _fit_csa(
     """
     d, n = stack.shape[0] // (p + 1), stack.shape[1]
     k = p + 1 if lags else 1  # the filters W_z^(0..k-1) that are fitted
-    u = _lag_cholesky(stack)
-    r = dtrtri(u)[0][: k * d]
+    u, r = _lag_cholesky(stack)
+    r = r[: k * d]
     z = r @ stack
     shift = n * float(np.log(u.diagonal()[:d]).sum())  # -N log|det R_00|
 
@@ -164,10 +173,11 @@ def _fit_csa(
     return model, trace
 
 
-def _lag_cholesky(stack: np.ndarray) -> np.ndarray:
+def _lag_cholesky(stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The upper-triangular Cholesky factor U of the lag stack's covariance,
-    C = X X^T / N = U U^T; raises :class:`DegenerateModelError` when C is
-    numerically singular (:data:`PIVOT_FLOOR`)."""
+    C = X X^T / N = U U^T, and its inverse R = U^-1; raises
+    :class:`DegenerateModelError` when C is numerically singular
+    (:data:`PIVOT_FLOOR`)."""
     cov = stack @ stack.T / stack.shape[1]
     try:  # the lower factor of C with rows and columns reversed is U
         u = np.linalg.cholesky(cov[::-1, ::-1])[::-1, ::-1]
@@ -177,7 +187,7 @@ def _lag_cholesky(stack: np.ndarray) -> np.ndarray:
         raise DegenerateModelError(
             "lag-stack covariance is numerically singular (rank-deficient data)"
         )
-    return u
+    return u, _LAPACK.dtrtri(u)[0]
 
 
 def _scsa_start(
@@ -216,8 +226,7 @@ def _scsa_memory(
     b0, k = model.b, memory.k
     d = b0.shape[0]
     p = memory.n // (d * d) - 1
-    u = _lag_cholesky(stack)
-    r = dtrtri(u)[0]
+    u, r = _lag_cholesky(stack)
     # rows of S and Y as (D, (P+1)D) filter banks, mapped to W's coordinates
     s, y = (
         memory.sy[:, :k].reshape(2, k, p + 1, d, d).transpose(0, 1, 3, 2, 4)
@@ -408,8 +417,10 @@ def _pool(n_tasks: int, cap: Optional[int] = None):
     its larger stage's task count: one task per distinct order for BIC, one
     per fold for CV. The executor is made here, with :func:`_worker_count`
     processes, only when that is two or more; it forks them at its first
-    task. Inside the block every :func:`_pool_map` call of this thread runs
-    on it; leaving the block joins its workers, also on error."""
+    task. It binds scipy's LAPACK routines first (:data:`scsa.cost._LAPACK`),
+    so the workers inherit them and none imports scipy itself. Inside the
+    block every :func:`_pool_map` call of this thread runs on it; leaving
+    the block joins its workers, also on error."""
     executor = None
     workers = _worker_count(n_tasks, cap) if n_tasks > 1 else 1
     if workers > 1:
@@ -417,6 +428,7 @@ def _pool(n_tasks: int, cap: Optional[int] = None):
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
+        _LAPACK.bind()  # before the fork: the workers inherit it
         # fork, not spawn: a spawned worker imports numpy and scipy afresh,
         # which takes longer than the tasks it would run
         executor = ProcessPoolExecutor(
@@ -506,8 +518,7 @@ def select_order_bic(
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    if not order_candidates:
-        raise ValueError("order_candidates must be nonempty")
+    _check_orders(order_candidates)
     candidates = _candidate_orders(order_candidates)
     p_max = max(candidates)
     d, t = x.n_channels, x.n_samples
@@ -610,8 +621,7 @@ def select_lambda_cv(
     process pool (:func:`_pool_map`), and their scores are summed in fold
     order.
     """
-    if folds < 2:
-        raise ValueError("folds must be >= 2")
+    _check_folds(folds, "folds")
     lambdas = sorted(set(float(l) for l in lambda_grid))
     if not lambdas:
         raise ValueError("lambda_grid must be nonempty")
@@ -645,6 +655,7 @@ def fit(x: TimeSeriesMatrix, request: FitRequest) -> FitResult:
     from it; so the final fit is the one :func:`_fit_scsa` makes without
     ``init``, whether BIC ran or not and at any worker count. The start and
     the final SCSA and SCSA-EM stages share one lag stack of the data."""
+    _LAPACK.bind()  # the first fit's wall_time leaves out scipy's import
     began = time.perf_counter()
     orders = _candidate_orders(request.order_candidates)
     grid: List[float] = []

@@ -392,6 +392,8 @@ class TestBench:
             "CSA",
             {"method": "FOO"},
             {"method": "CSA", "lambda": 1},
+            {"method": "CSA", "order_candidates": [2.5]},
+            {"method": "SCSA", "cv_folds": 2.5},
         ],
     )
     def test_bad_method_entry_is_usage_error(self, tmp_path, capsys, entry):
@@ -418,19 +420,20 @@ class TestBench:
         assert len(seeds) == 12
 
 
-def test_import_skips_slow_scipy_modules():
-    # scipy.stats, scipy.signal and scipy.optimize take most of a second to
-    # import; only the colored-noise kinds need scipy.signal, only scoring
-    # needs scipy.optimize, and nothing needs scipy.stats
+def test_import_skips_slow_scipy_modules(tmp_path):
+    # importing scipy takes longer than a simulation: white-noise kinds
+    # (N0-N3) need none of it, only the colored kinds need scipy.signal, and
+    # scipy.linalg and scipy.special wait for the first fit
     code = (
-        "import sys, scsa.cli; print([m for m in "
-        "('scipy.stats', 'scipy.signal', 'scipy.optimize') if m in sys.modules])"
+        "import sys, scsa.cli; "
+        f"scsa.cli.main({SIM_ARGS + ['--out', str(tmp_path / 'd')]!r}); "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(pathlib.Path(scsa.cli.__file__).parents[1])},
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines()[-1] == "[]"
 
 class TestExitCodes:
     def test_unknown_flag_is_usage(self):

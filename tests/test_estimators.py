@@ -1,6 +1,9 @@
 import logging
 import multiprocessing
 import os
+import pathlib
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -603,6 +606,60 @@ class TestWorkerPool:
         np.testing.assert_array_equal(a.model.b, b.model.b)
         np.testing.assert_array_equal(np.array(a.model.h.lags), np.array(b.model.h.lags))
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            'fit(x, FitRequest("SCSA", [1, 2], [0.1, 1.0], cv_folds=2))',
+            'select_order_bic(x, "CSA", [1, 2])',  # a pool of its own, as in bench
+        ],
+        ids=["fit", "bic"],
+    )
+    def test_workers_inherit_lapack(self, tmp_path, call):
+        # a fresh process: ``import scsa`` binds no LAPACK, and the pool binds
+        # it before it forks, so no worker imports scipy for its first task
+        x, _, _ = mixed_dataset(18, d=2, p=1, t=600)
+        np.save(tmp_path / "x.npy", x.data)
+        log = tmp_path / "tasks.log"
+        code = f"""
+import os, sys
+import numpy as np
+from scsa import estimators
+from scsa.estimators import FitRequest, fit, select_order_bic
+from scsa.model import TimeSeriesMatrix
+
+bic_fit, cv_fold = estimators._bic_fit, estimators._cv_fold
+
+def seen():
+    with open({str(log)!r}, "a") as f:
+        print(os.getpid(), "scipy.linalg.lapack" in sys.modules, file=f)
+
+def bic_task(*args):
+    seen()
+    return bic_fit(*args)
+
+def cv_task(*args):
+    seen()
+    return cv_fold(*args)
+
+estimators._bic_fit, estimators._cv_fold = bic_task, cv_task
+estimators._worker_count = lambda n_tasks, cap=None: min(n_tasks, 2)
+print("scipy.linalg.lapack" in sys.modules, os.getpid())
+x = TimeSeriesMatrix(np.load({str(tmp_path / "x.npy")!r}))
+{call}
+"""
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(pathlib.Path(estimators.__file__).parents[1])},
+        )
+        loaded, parent = out.stdout.split()
+        assert loaded == "False"
+        first = {}
+        for line in log.read_text().splitlines():
+            pid, found = line.split()
+            first.setdefault(pid, found)
+        assert first and parent not in first
+        assert set(first.values()) == {"True"}
+
     def test_worker_count(self):
         with ProcessPoolExecutor(1) as pool:
             assert pool.submit(estimators._worker_count, 8).result() == 1
@@ -815,6 +872,15 @@ class TestFitDispatcher:
             FitRequest(method="NOPE")
         with pytest.raises(ValueError):
             FitRequest(method="CSA", order_candidates=[])
+        # non-integers are not rounded: order 2.5 would fit order 2, and 2.5
+        # folds would run 2 folds and divide the CV curve by 2.5
+        with pytest.raises(ValueError, match="orders must be nonnegative integers"):
+            FitRequest("CSA", [2.5])
+        with pytest.raises(ValueError, match="cv_folds must be an integer"):
+            FitRequest("SCSA", [1], cv_folds=2.5)
+        x, _, _ = mixed_dataset(17, d=2, p=1, t=300)
+        with pytest.raises(ValueError, match="folds must be an integer"):
+            select_lambda_cv(x, 1, [0.1, 1.0], folds=2.5)
 
     @pytest.mark.parametrize(
         "grid", ["auto", [], [float("nan")], [1.0, float("inf")], [1.0, -0.5]]
