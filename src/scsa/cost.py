@@ -265,6 +265,6 @@ def grad_scsa(model: SourceModel, x: Data, pen: GroupPenaltySpec) -> CostReport:
     layout = _penalty_layout(pen, hs)
     if layout is not None:
         d, h = model.dim, hs.ravel()
-        value += layout.penalty(h)
-        grad[d * d :] += layout.gradient(h, layout.norms(h))
+        value, n = layout.penalized(h, value)
+        grad[d * d :] += layout.gradient(h, n)
     return _report(value, grad)

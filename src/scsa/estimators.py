@@ -312,7 +312,7 @@ def _fit_scsa(
 
     def smooth(v):
         nonlocal last
-        if last is not None and np.array_equal(v, last[0]):
+        if last is not None and (v == last[0]).all():
             return last[1]
         point = v.copy()
         if not whole:  # the held block stays at init

@@ -122,11 +122,22 @@ class LbfgsMemory:
         self.d = np.zeros(m)  # diag(R)
         self.coef = np.zeros(2 * m)
 
+    def __getstate__(self):
+        # the rows and blocks in use; the rest are zero and are made again
+        # on load (``coef`` is scratch), so a pickle ships only the k pairs
+        k = self.k
+        return self.n, self.m, k, self.sy[:, :k], self.small[:, :k, :k], self.d[:k]
+
+    def __setstate__(self, state):
+        n, m, k, sy, small, d = state
+        self.__init__(n, m)
+        self.k = k
+        self.sy[:, :k], self.small[:, :k, :k], self.d[:k] = sy, small, d
+
     def copy(self) -> "LbfgsMemory":
         """A memory holding the same pairs, which solves change apart."""
-        out = LbfgsMemory(self.n, self.m)
-        out.k = self.k
-        out.sy[:], out.small[:], out.d[:] = self.sy, self.small, self.d
+        out = LbfgsMemory.__new__(LbfgsMemory)
+        out.__setstate__(self.__getstate__())
         return out
 
     def push(self, s, y):
@@ -149,7 +160,8 @@ class LbfgsMemory:
         yy_mat[:k, k] = yy_mat[k, :k] = cross[1]
         yy_mat[k, k] = yy
         self.d[k] = sy
-        self.sy[:, k] = s, y
+        self.sy[0, k] = s
+        self.sy[1, k] = y
         self.k = k + 1
 
     def direction(self, g):
@@ -174,7 +186,7 @@ class GroupLayout:
     one weight. Norms, the pseudo-gradient's shrink and the projection are
     row sums over ``v[index]``. The layout is inactive, and adds no penalty,
     when the weight is 0 or the groups have no members (the lag groups of an
-    order-0 model)."""
+    order-0 model); a solve with an inactive layout does no group work."""
 
     def __init__(
         self, index: np.ndarray = np.empty((0, 0), dtype=int), weight: float = 0.0
@@ -188,23 +200,37 @@ class GroupLayout:
         return _row_norms(v[self.index])
 
     def penalty(self, v) -> float:
-        return self.weight * float(self.norms(v).sum())
+        return self.penalized(v, 0.0)[0]
+
+    def penalized(self, v, f_smooth):
+        """f_smooth plus the penalty at v, and v's group norms; f_smooth and
+        None when the layout is inactive, which computes no norms."""
+        if not self.active:
+            return f_smooth, None
+        n = self.norms(v)
+        return f_smooth + self.weight * float(n.sum()), n
+
+    def _rows(self, v, n):
+        # the penalty gradient's group rows at v, whose group norms are n
+        return v[self.index] * (self.weight / np.where(n == 0, np.inf, n))[:, None]
 
     def gradient(self, v, n):
         """Gradient of the penalty at v, whose group norms are n: w v/||v||
         on the nonzero groups, 0 on the zero ones (where it has none)."""
         g = np.zeros_like(v)
         if self.active:
-            idx = self.index
-            g[idx] = v[idx] * (self.weight / np.where(n == 0, np.inf, n))[:, None]
+            g[self.index] = self._rows(v, n)
         return g
 
     def pseudo_gradient(self, v, g_smooth, n):
         """Minimum-norm subgradient at v, and the orthant reference: v on
-        its nonzero groups, minus the subgradient on its zero groups."""
+        its nonzero groups, minus the subgradient on its zero groups.
+        g_smooth is left as it is; the penalty gradient is added to a copy,
+        on the group entries only."""
         if not self.active:
             return g_smooth, v
-        g, ref = g_smooth + self.gradient(v, n), v.copy()
+        g, ref = g_smooth.copy(), v.copy()
+        g[self.index] += self._rows(v, n)
         zero = n == 0
         if zero.any():
             idx = self.index[zero]
@@ -282,28 +308,30 @@ def _lbfgs(objective, x0, grad_tol, groups, memory=None):
             f"L-BFGS memory holds {memory.n}-vectors, the start has {x.size} entries"
         )
     layout = GroupLayout(*groups)
+    active = layout.active  # an inactive layout does no group work
 
     def trial(v):
         """Penalized value at a trial point (+inf outside the domain), the
-        smooth gradient and the group norms there."""
+        smooth gradient and the group norms there (None when inactive)."""
         try:
             f_smooth, g_smooth = objective(v)
-            n = layout.norms(v)
-            f_new = f_smooth + layout.weight * float(n.sum())
+            f_new, n = layout.penalized(v, f_smooth)
         except _BARRIER_ERRORS:
             return np.inf, None, None
-        return (f_new if np.isfinite(f_new) else np.inf), g_smooth, n
+        return (f_new if math.isfinite(f_new) else np.inf), g_smooth, n
 
-    n = layout.norms(x)
-    f_smooth, g_smooth = objective(x)
-    f = f_smooth + layout.weight * float(n.sum())
-    if not np.isfinite(f):
+    f_smooth, g = objective(x)
+    f, n = layout.penalized(x, f_smooth)
+    if not math.isfinite(f):
         raise NumericError("objective not finite at the starting point")
-    g, ref = layout.pseudo_gradient(x, g_smooth, n)
+    if active:
+        g, ref = layout.pseudo_gradient(x, g, n)
+    else:
+        ref = x
 
     trace = OptimizationTrace(value_history=[f])
     for it in range(MAX_ITERS + 1):
-        gnorm = float(np.max(np.abs(g))) if g.size else 0.0
+        gnorm = float(np.abs(g).max()) if g.size else 0.0
         trace.iterations, trace.final_value, trace.final_grad_norm = it, f, gnorm
         if gnorm <= grad_tol * max(1.0, abs(f)):
             trace.converged = True
@@ -319,10 +347,11 @@ def _lbfgs(objective, x0, grad_tol, groups, memory=None):
             raise StagnationError(
                 "line search found no acceptable step", x=x, trace=trace
             )
-        x_new, f_new, g_smooth, n_new = result
-        g_new, ref = layout.pseudo_gradient(x_new, g_smooth, n_new)
+        x_new, f_new, g_new, n_new = result
+        if active:
+            g_new, ref = layout.pseudo_gradient(x_new, g_new, n_new)
+            trace.active_set_changes += bool(((n_new == 0) != (n == 0)).any())
         memory.push(x_new - x, g_new - g)
-        trace.active_set_changes += bool(np.any((n_new == 0) != (n == 0)))
         x, f, g, n = x_new, f_new, g_new, n_new
         trace.value_history.append(f)
 

@@ -73,3 +73,31 @@ def test_traced_em_half_steps_are_called(tracing, monkeypatch):
     x = TimeSeriesMatrix(np.array([[1.0, 0.4], [0.3, 1.0]]) @ s.data)
     fit(x, FitRequest("SCSA_EM", [1], [1.0]))
     assert all(n >= 1 for n in calls.values()), calls
+
+
+def test_traced_kernels_are_called_every_iteration(tracing):
+    # layer 1 of the trace times grad_csa and grad_scsa by name; a hot path
+    # that reached the FIR kernel around them would zero those metrics
+    import numpy as np
+
+    from scsa.cost import GroupPenaltySpec
+    from scsa.estimators import _fit_csa, _fit_scsa
+    from scsa.model import MvarCoefficients, TimeSeriesMatrix, lag_stack, simulate_sources
+
+    h = MvarCoefficients([np.array([[0.5, 0.3], [0.0, 0.4]])])
+    s, _ = simulate_sources(h, T=300, seed=1)
+    stack = lag_stack(TimeSeriesMatrix(np.array([[1.0, 0.4], [0.3, 1.0]]) @ s.data), 1)
+    tracer = tracing.Tracer()
+
+    def calls(name):
+        return sum(span.name == name for span in tracer.spans)
+
+    with tracer.installed():  # wraps each name in every scsa module holding it
+        _, csa = _fit_csa(stack, 1)
+        csa_calls = calls("cost.grad_csa")
+        walk = [trace for _, trace in _fit_scsa(
+            stack, 1, [GroupPenaltySpec(0.5), GroupPenaltySpec(5.0)]
+        )]
+    assert csa.iterations >= 1 and csa_calls >= csa.iterations
+    assert all(trace.iterations >= 1 for trace in walk)
+    assert calls("cost.grad_scsa") >= sum(trace.iterations for trace in walk)

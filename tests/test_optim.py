@@ -1,5 +1,9 @@
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scsa import optim
 from scsa.cost import grad_csa, unpack_filter_bank
@@ -470,6 +474,19 @@ class TestGroupLayout:
             assert not layout.project(u, ref)
             np.testing.assert_array_equal(u, -x)
 
+    def test_inactive_layout_solves_do_no_group_work(self, monkeypatch):
+        # a smooth solve (every CSA fit, lambda = 0) computes no group
+        # norms, pseudo-gradient or active-set comparison
+        def fail(*args):
+            raise AssertionError("group work in a solve without groups")
+
+        for name in ("norms", "pseudo_gradient", "gradient"):
+            monkeypatch.setattr(GroupLayout, name, fail)
+        smooth, (index, _), _, _ = make_group_lasso(1)
+        for groups in ((), (index, 0.0), (index[:, :0], 5.0)):
+            _, trace = minimize_with_group_truncation(smooth, np.ones(18), groups)
+            assert trace.converged and trace.active_set_changes == 0
+
     def test_only_empty_groups_is_smooth(self):
         # an order-0 fit has groups of no members: the solve is the smooth one
         smooth, (index, _), _, _ = make_group_lasso(4, weight=5.0)
@@ -477,6 +494,62 @@ class TestGroupLayout:
         x2, t2 = minimize_with_group_truncation(smooth, np.ones(18), (index[:, :0], 5.0))
         np.testing.assert_array_equal(x1, x2)
         assert t1.value_history == t2.value_history
+
+
+def zero_filled_pseudo_gradient(index, weight, v, g_smooth, n):
+    """The reference for :meth:`GroupLayout.pseudo_gradient`, in the form it
+    had before it worked in place: the penalty gradient as a zero-filled
+    vector, added to the whole smooth gradient."""
+    if not (weight > 0 and index.shape[1] > 0):
+        return g_smooth, v
+    pen = np.zeros_like(v)
+    pen[index] = v[index] * (weight / np.where(n == 0, np.inf, n))[:, None]
+    g, ref = g_smooth + pen, v.copy()
+    zero = n == 0
+    if zero.any():
+        idx = index[zero]
+        gz = g[idx]
+        norms = np.sqrt((gz * gz).sum(axis=1))
+        gz *= np.maximum(1.0 - weight / np.where(norms > 0, norms, np.inf), 0.0)[:, None]
+        g[idx] = gz
+        ref[idx] = -gz
+    return g, ref
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    groups=st.integers(0, 5),
+    size=st.integers(0, 4),
+    free=st.integers(0, 3),
+    weight=st.one_of(st.just(0.0), st.floats(1e-6, 1e3)),
+    zero_v=st.lists(st.sampled_from([None, 0.0, -0.0]), min_size=5, max_size=5),
+    zero_g=st.lists(st.booleans(), min_size=5, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pseudo_gradient_matches_the_zero_filled_sum(
+    groups, size, free, weight, zero_v, zero_g, seed
+):
+    # scattered groups with coordinates in none, zero groups (of either
+    # sign) and zero smooth gradients, at weights inside and outside the
+    # gradients' norms; == lets +0 and -0 agree
+    rng = np.random.default_rng(seed)
+    n = groups * size + free
+    index = rng.permutation(n)[: groups * size].reshape(groups, size)
+    v = rng.standard_normal(n)
+    g_smooth = rng.standard_normal(n) * rng.choice([1e-3, 1.0, 1e3])
+    for row, zv, zg in zip(index, zero_v, zero_g):
+        if zv is not None:
+            v[row] = zv
+        if zg:
+            g_smooth[row] = 0.0
+    norms = np.sqrt((v[index] * v[index]).sum(axis=1))
+    v_in, g_in = v.copy(), g_smooth.copy()
+    want_g, want_ref = zero_filled_pseudo_gradient(index, weight, v_in, g_in, norms)
+    got_g, got_ref = GroupLayout(index, weight).pseudo_gradient(v, g_smooth, norms)
+    assert np.array_equal(got_g, want_g)
+    assert np.array_equal(got_ref, want_ref)
+    # the inputs are left as they were: an objective may keep its gradient
+    assert v.tobytes() == v_in.tobytes() and g_smooth.tobytes() == g_in.tobytes()
 
 
 def two_loop_direction(pairs, g):
@@ -537,3 +610,32 @@ class TestCompactMemory:
             got = memory.direction(g)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         assert memory.k == m
+
+    @pytest.mark.parametrize("pushes", [0, 9, 55])
+    @pytest.mark.parametrize("how", ["pickle", "copy"])
+    def test_round_trip_keeps_every_bit(self, pushes, how):
+        # a memory crosses to pool workers in pickles (a CSA trace, a CV
+        # fold's start), which hold the k pairs in use and not all m rows;
+        # 55 pushes wrap the memory around
+        n, m = 60, 40
+        rng = np.random.default_rng(pushes)
+        a = rng.standard_normal((n, n))
+        hess = a @ a.T + 0.5 * np.eye(n)
+        memory = LbfgsMemory(n, m)
+        for _ in range(pushes):
+            s = rng.standard_normal(n)
+            memory.push(s, hess @ s)
+        g = rng.standard_normal(n)
+        memory.direction(g)
+        data = pickle.dumps(memory)
+        back = pickle.loads(data) if how == "pickle" else memory.copy()
+        assert (back.n, back.m, back.k) == (n, m, min(pushes, m))
+        for name in ("sy", "small", "d"):
+            assert getattr(back, name).tobytes() == getattr(memory, name).tobytes()
+        assert back.direction(g).tobytes() == memory.direction(g).tobytes()
+        s = rng.standard_normal(n)
+        back.push(s, hess @ s)
+        memory.push(s, hess @ s)
+        assert back.direction(g).tobytes() == memory.direction(g).tobytes()
+        k = min(pushes, m)
+        assert len(data) <= 8 * (2 * k * n + 2 * k * k + k) + 1024
