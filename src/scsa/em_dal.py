@@ -1,7 +1,7 @@
 """Alternating estimation of the demixing matrix and the MVAR coefficients.
 
 SCSA-EM is block-coordinate descent on the SCSA cost: each half-step is a
-block solve of the one SCSA fit (:func:`scsa.estimators._fit_scsa`), over
+block solve of the one SCSA fit (:func:`scsa.fitting._fit_scsa`), over
 one block of the flat vector ``[vec(B); vec(H)]`` with the other held. The
 demixing update ("E-step") is the B block at fixed lag coefficients; the
 penalty does not depend on B, so it is a smooth quasi-Newton solve. Like
@@ -31,6 +31,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cost import Data, GroupPenaltySpec, cost_scsa, log_sech_density
+from .fitting import _checked, _fit_scsa, _scsa_start
 from .model import MvarCoefficients, SourceModel, lag_stack, unchecked
 from .optim import GRAD_TOL
 
@@ -97,9 +98,10 @@ def m_step_dal(
     init: Optional[SourceModel] = None,
 ) -> MvarCoefficients:
     """Minimize the sech prediction loss plus group penalty over the lag
-    coefficients: the H block of the SCSA fit on ``s`` (the data or its lag
-    stack at order ``P``), B held at ``init.b`` and H started at ``init.h``,
-    or at B = I from H = 0 without ``init``.
+    coefficients: the H block of the SCSA fit on ``s``, B held at ``init.b``
+    and H started at ``init.h``, or at B = I from H = 0 without ``init``.
+    ``s`` is a :class:`TimeSeriesMatrix` or its lag stack at order ``P``; an
+    ``ndarray`` is always read as the lag stack (:data:`scsa.cost.Data`).
 
     Each off-diagonal (d, f) lag group carries weight ``pen.lam``; the
     diagonal autocorrelation coefficients are unpenalized. Raises
@@ -107,14 +109,12 @@ def m_step_dal(
     """
     if P == 0:
         return MvarCoefficients([])
-    from .estimators import _fit_scsa  # deferred: estimators imports us
-
     stack = s if isinstance(s, np.ndarray) else lag_stack(s, P)
     if init is None:
         d = stack.shape[0] // (P + 1)
         init = SourceModel(np.eye(d), MvarCoefficients(list(np.zeros((P, d, d)))))
     (model, _), = _fit_scsa(
-        stack, P, [pen], M_STEP_GRAD_TOL, init, block=slice(init.b.size, None)
+        stack, P, [pen], (init, None), M_STEP_GRAD_TOL, slice(init.b.size, None)
     )
     return MvarCoefficients(model.h.lags)
 
@@ -128,14 +128,14 @@ def e_step(
     """Update the demixing matrix at fixed lag coefficients: the B block of
     the unpenalized SCSA fit (the penalty is constant in B), solved to the
     gradient tolerance ``grad_tol`` as the relative-gradient solve for B~ in
-    B = B~ b0. ``x`` is the data or its lag stack at the order of ``h``."""
-    from .estimators import _fit_scsa  # deferred: estimators imports us
-
+    B = B~ b0. ``x`` is a :class:`TimeSeriesMatrix` or its lag stack at the
+    order of ``h``; an ``ndarray`` is always read as the lag stack
+    (:data:`scsa.cost.Data`)."""
     stack = x if isinstance(x, np.ndarray) else lag_stack(x, h.order)
     init = unchecked(SourceModel, b=b0, h=h)
     (model, _), = _fit_scsa(
-        stack, h.order, [GroupPenaltySpec(0.0)], grad_tol, init,
-        block=slice(0, b0.size),
+        stack, h.order, [GroupPenaltySpec(0.0)], (init, None), grad_tol,
+        slice(0, b0.size),
     )
     return model.b
 
@@ -149,15 +149,16 @@ def fit_scsa_em(
 ) -> Tuple[SourceModel, List[float]]:
     """Alternate demixing and coefficient updates, block solves on one lag
     stack started at the current model, from a warm start: ``init``, or else
-    :func:`fit_scsa`'s solution. ``x`` is the data or its lag stack at order
-    ``P``. Returns the refined model and the composite cost after the warm
-    start and after every half-step, which never rises.
+    :func:`scsa.estimators.fit_scsa`'s solution, the SCSA fit from the CSA
+    start (:func:`scsa.fitting._scsa_start`). ``x`` is a
+    :class:`TimeSeriesMatrix` or its lag stack at order ``P``; an ``ndarray``
+    is always read as the lag stack (:data:`scsa.cost.Data`). Returns the
+    refined model and the composite cost after the warm start and after
+    every half-step, which never rises.
     """
     stack = x if isinstance(x, np.ndarray) else lag_stack(x, P)
     if init is None:
-        from .estimators import _checked, _fit_scsa  # deferred: estimators imports us
-
-        (init, _), = _fit_scsa(stack, P, [pen])
+        (init, _), = _fit_scsa(stack, P, [pen], _scsa_start(stack, P))
         init = _checked(init)
     model = init
     history = [cost_scsa(model, stack, pen)]

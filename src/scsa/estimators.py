@@ -7,7 +7,8 @@ All estimators accept a multichannel observation block and return a
 time axis may be split into several contiguous segments (used by
 cross-validation); segment likelihoods are summed, each segment contributing
 its own lag windows only. Each fit stacks its lag windows once
-(:func:`scsa.model.lag_stack`) and hands the stack to the cost kernels.
+(:func:`scsa.model.lag_stack`) and hands the stack to the fit core,
+:mod:`scsa.fitting`.
 """
 
 from __future__ import annotations
@@ -21,44 +22,16 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import em_dal
-from .cost import (
-    _LAPACK,
-    GroupPenaltySpec,
-    cost_scsa,
-    grad_csa,
-    grad_scsa,
-    nll_csa,
-    pack_filter_bank,
-    pack_source_model,
-    penalty_groups,
-    scsa_chain_rule,
-    unpack_filter_bank,
-    unpack_source_model,
-)
-from .exceptions import DegenerateModelError, IllPosedError, PartitionError
-from .model import (
-    FilterBank,
-    MvarCoefficients,
-    SourceModel,
-    TimeSeriesMatrix,
-    filter_bank_to_source_model,
-    lag_stack,
-    source_model_to_filter_bank,
-    unchecked,
-)
-from .optim import (
-    GRAD_TOL,
-    LbfgsMemory,
-    OptimizationTrace,
-    keep_last_on_stagnation,
-    minimize,
-    minimize_with_group_truncation,
-)
+from .cost import _LAPACK, GroupPenaltySpec, cost_scsa, nll_csa
+from .exceptions import IllPosedError, PartitionError
+from .fitting import _checked, _fit_csa, _fit_scsa, _scsa_start
+from .model import SourceModel, TimeSeriesMatrix, lag_stack, source_model_to_filter_bank
+from .optim import GRAD_TOL, LbfgsMemory, OptimizationTrace
 
 METHODS = ("CSA", "SCSA", "SCSA_EM", "MVARICA", "ICA")
 
@@ -106,6 +79,24 @@ def _check_folds(folds, what: str) -> None:
 
 @dataclass
 class FitResult:
+    """What :func:`fit` returns.
+
+    ``model`` is the fitted model and ``method`` the request's method.
+    ``selected_order`` is the order BIC picked, or the one candidate (an ICA
+    model has order 0 whatever it is). ``selected_lambda`` is the λ that
+    cross-validation picked, or the grid's one value, and None for methods
+    without a penalty. ``bic_per_order`` and ``cv_curve`` are the scores of
+    those stages, empty where a stage did not run. ``wall_time`` is the
+    fit's time in seconds.
+
+    ``trace`` is the final solve's :class:`scsa.optim.OptimizationTrace`,
+    except for SCSA-EM, whose trace is built from the EM cost history:
+    ``iterations`` counts half-steps, ``value_history`` is that history,
+    ``converged`` is the EM stop rule, ``final_grad_norm`` is NaN, and
+    ``stagnated`` is not set from the half-steps, though every M-step ends
+    as a kept stagnation by design (:mod:`scsa.em_dal`).
+    """
+
     model: SourceModel
     method: str
     selected_order: int
@@ -116,228 +107,17 @@ class FitResult:
     wall_time: float
 
 
-# A lag stack is rank-deficient when a Cholesky pivot keeps at most this
-# share of its variance, u_ii^2 <= PIVOT_FLOOR * C_ii. A duplicated channel
-# leaves 3.3e-16 to rounding (the order-0 stack of a two-channel, T = 300
-# simulation with channel 1 set to channel 0); ordinary data keep at least
-# 0.054 (the benchmark datasets at orders 0-7, and criterion-7 data N0-N6,
-# reps 0-2, at orders 0, 4 and 7).
-PIVOT_FLOOR = 1e-10
-
-
-def _fit_csa(
-    stack: np.ndarray, p: int, grad_tol: float = GRAD_TOL, lags: bool = True
-) -> Tuple[SourceModel, OptimizationTrace]:
-    """Maximum-likelihood FIR fit on a lag stack X (likelihoods summed over
-    its segments), returned in (B, H) coordinates. With ``lags`` False the
-    lag filters of the whitened fit are held at zero: MVARICA.
-
-    The filter bank is fitted in whitened lag coordinates. With C = X X^T / N
-    and U its upper-triangular Cholesky factor (C = U U^T), Z = R X with
-    R = U^-1 has identity covariance, and the fit runs :func:`grad_csa` on Z
-    over W_z, with W = W_z R. R is upper triangular, so W^(0) = W_z^(0) R_00
-    and nll_csa(W, X) = nll_csa(W_z, Z) - N log|det R_00|: the objective is
-    X's likelihood, and the stop test reads its gradient in Z. The start
-    W_z = [I, 0, ..., 0] whitens the least-squares MVAR residual of X, which
-    is Z's zero-lag block R[:D] X. Holding W_z^(1..P) at zero therefore fits
-    the ICA of that residual, W = W_z^(0) R[:D]: B = W_z^(0) R_00, and
-    H^(p) = B A^(p) B^-1 for the least-squares coefficients A.
-    Raises :class:`DegenerateModelError` before the first iteration when C
-    is numerically singular (:data:`PIVOT_FLOOR`).
-
-    The CSA fit (``lags`` True) keeps its L-BFGS pairs, in Z's coordinates,
-    as the trace's ``memory``; :func:`_scsa_start` maps them for the SCSA
-    fits that continue the solve. An MVARICA trace's ``memory`` is None.
-    """
-    d, n = stack.shape[0] // (p + 1), stack.shape[1]
-    k = p + 1 if lags else 1  # the filters W_z^(0..k-1) that are fitted
-    u, r = _lag_cholesky(stack)
-    r = r[: k * d]
-    z = r @ stack
-    shift = n * float(np.log(u.diagonal()[:d]).sum())  # -N log|det R_00|
-
-    def objective(theta):
-        rep = grad_csa(unpack_filter_bank(theta, d, k - 1), z)
-        return rep.value + shift, rep.gradient
-
-    init = FilterBank([np.eye(d)] + [np.zeros((d, d))] * (k - 1))
-    memory = LbfgsMemory(k * d * d)
-    theta, trace = keep_last_on_stagnation(
-        lambda: minimize(objective, pack_filter_bank(init), grad_tol, memory),
-        f"{'CSA' if lags else 'MVARICA'} fit (P={p})",
-    )
-    w = np.hstack(unpack_filter_bank(theta, d, k - 1).w) @ r
-    model = filter_bank_to_source_model(FilterBank(np.hsplit(w, p + 1)))
-    if lags:
-        trace.memory = memory
-    return model, trace
-
-
-def _lag_cholesky(stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The upper-triangular Cholesky factor U of the lag stack's covariance,
-    C = X X^T / N = U U^T, and its inverse R = U^-1; raises
-    :class:`DegenerateModelError` when C is numerically singular
-    (:data:`PIVOT_FLOOR`)."""
-    cov = stack @ stack.T / stack.shape[1]
-    try:  # the lower factor of C with rows and columns reversed is U
-        u = np.linalg.cholesky(cov[::-1, ::-1])[::-1, ::-1]
-    except np.linalg.LinAlgError:
-        u = None
-    if u is None or np.any(u.diagonal() ** 2 <= PIVOT_FLOOR * cov.diagonal()):
-        raise DegenerateModelError(
-            "lag-stack covariance is numerically singular (rank-deficient data)"
-        )
-    return u, _LAPACK.dtrtri(u)[0]
-
-
-def _scsa_start(
-    stack: np.ndarray,
-    p: int,
-    csa: Optional[Tuple[SourceModel, OptimizationTrace]] = None,
-    grad_tol: float = GRAD_TOL,
-) -> Tuple[SourceModel, LbfgsMemory]:
-    """Where the SCSA fits of order ``p`` on ``stack`` start: the CSA fit
-    ``csa``, a ``(model, trace)`` of :func:`_fit_csa` on the stack (fitted
-    here when None), and its solve's pairs mapped into the coordinates of
-    an SCSA fit from that model (:func:`_scsa_memory`). A fit from there
-    continues the CSA solve's quasi-Newton path."""
-    model, trace = csa or _fit_csa(stack, p, grad_tol)
-    return model, _scsa_memory(trace.memory, stack, model)
-
-
-def _scsa_memory(
-    memory: LbfgsMemory, stack: np.ndarray, model: SourceModel
-) -> LbfgsMemory:
-    """The pairs of a whitened CSA solve on ``stack`` in the coordinates of
-    the SCSA fit that starts from its model (:func:`_fit_scsa`): (B~, H) at
-    B~ = I and H = model.h, with B0 = model.b.
-
-    The CSA solve runs on W_z, with W = W_z R and R = U^-1 for the
-    stack's Cholesky factor U (:func:`_lag_cholesky`). The SCSA fit
-    has W^(0) = B~ B0 and W^(p) = -H^(p) B~ B0, so at its start the map L
-    from (dB~, dH) to dW is dW^(0) = dB~ B0 and dW^(p) = -(dH^(p) +
-    H^(p) dB~) B0. A step s_z becomes L^-1(s_z R): dB~ = dW^(0) B0^-1 and
-    dH^(p) = -dW^(p) B0^-1 - H^(p) dB~. A gradient change y_z becomes
-    L^T(y_z R^-T), the chain rule of :func:`scsa.cost.scsa_chain_rule` at
-    B0 with the B block's relative gradient: (G_0 - sum_p H^(p)T G_p) B0^T
-    for B~ and -G_p B0^T for H^(p). Neither map changes s^T y, and the
-    pairs are pushed again, oldest first, through the same curvature test.
-    """
-    b0, k = model.b, memory.k
-    d = b0.shape[0]
-    p = memory.n // (d * d) - 1
-    u, r = _lag_cholesky(stack)
-    # rows of S and Y as (D, (P+1)D) filter banks, mapped to W's coordinates
-    s, y = (
-        memory.sy[:, :k].reshape(2, k, p + 1, d, d).transpose(0, 1, 3, 2, 4)
-        .reshape(2, k, d, (p + 1) * d)
-    )
-    s = (s @ r).reshape(k, d, p + 1, d).transpose(0, 2, 1, 3)  # dW^(p)
-    y = (y @ u.T).reshape(k, d, p + 1, d).transpose(0, 2, 1, 3)  # G_p
-    hs = model.h.as_array(d)
-    step = s @ np.linalg.inv(b0)
-    step[:, 1:] = -step[:, 1:] - hs @ step[:, :1]
-    grad = scsa_chain_rule(y, hs, b0)
-    grad[:, 0] = grad[:, 0] @ b0.T
-    out = LbfgsMemory(memory.n, memory.m)
-    for pair in zip(step.reshape(k, memory.n), grad.reshape(k, memory.n)):
-        out.push(*pair)
-    return out
-
-
 def fit_csa(x: TimeSeriesMatrix, p: int) -> SourceModel:
     """CSA: maximum-likelihood fit of the FIR filter bank, solved in
     whitened lag coordinates (:func:`_fit_csa`) and returned in (B, H)
     coordinates. ``x`` may also be a sequence of segments. Raises
     :class:`DegenerateModelError` on rank-deficient data."""
-    return _order_fit(x, "CSA", p)[0]
+    return _order_fit(lag_stack(x, p), "CSA", p)[0]
 
 
 def fit_ica(x: TimeSeriesMatrix) -> SourceModel:
     """Instantaneous maximum-likelihood ICA (order-0 CSA); empty H."""
     return fit_csa(x, 0)
-
-
-def _fit_scsa(
-    stack: np.ndarray,
-    p: int,
-    pens: Sequence[GroupPenaltySpec],
-    grad_tol: float = GRAD_TOL,
-    init: Optional[SourceModel] = None,
-    block: slice = slice(None),
-    memory: Optional[LbfgsMemory] = None,
-) -> Iterator[Tuple[SourceModel, OptimizationTrace]]:
-    """Group-lasso regularized fits on a lag stack, one per penalty of
-    ``pens``, walked in their order as one solve path: the first starts from
-    ``init``, or else from the CSA fit, and each later one from the model
-    the one before it ended on. Yields ``(model, trace)`` per penalty, each
-    solved when it is asked for. The models are iterates, built without
-    validation (:func:`scsa.model.unchecked`).
-
-    ``block`` is the part of the flat vector ``[vec(B); vec(H)]`` minimized
-    over, with the rest held at ``init``: all of it (the joint fit), the B
-    block ``slice(0, D*D)`` or the H block ``slice(D*D, None)``. The penalty
-    does not depend on B, so a B-block solve leaves it out. ``memory`` is the
-    L-BFGS memory the walk starts from and leaves its pairs in
-    (:func:`scsa.optim.minimize_with_group_truncation`). Without ``init``
-    and ``memory`` the walk starts from the CSA solve's pairs
-    (:func:`_scsa_start`), so CSA and SCSA are one quasi-Newton path; with
-    ``init`` and no ``memory`` it starts with an empty one.
-
-    The walk runs in one frame, the source coordinates of its start. With
-    B0 = init.b, it fits (B~, H) on Z = (I_{P+1} kron B0) X, the lag stack
-    of the start's sources, from B~ = I, and returns B = B~ B0. The
-    innovations are the same, B~ z(t) - sum_p H^(p) B~ z(t-p) = B x(t) -
-    sum_p H^(p) B x(t-p), so H, its gradient and the penalty are unchanged,
-    and the cost is X's less N log|det B0|. The objective adds that back:
-    its values and the stop threshold are X's, and the B gradient the stop
-    test reads is the relative gradient grad_B B0^T (Cardoso & Laheld, IEEE
-    TSP 1996). It keeps its last evaluation, so a solve that starts where
-    the one before it ended starts without one. An H block solve returns
-    ``init.b`` itself.
-    """
-    d, n = stack.shape[0] // (p + 1), stack.shape[1]
-    if init is None:
-        init, start_memory = _scsa_start(stack, p, grad_tol=grad_tol)
-        memory = start_memory if memory is None else memory
-    b0 = init.b
-    z = (b0 @ stack.reshape(p + 1, d, n)).reshape(stack.shape)
-    shift = -n * float(np.linalg.slogdet(b0)[1])  # -N log|det B0|
-    theta = pack_source_model(init)
-    theta[: d * d] = np.eye(d).ravel()
-    start, stop, _ = block.indices(theta.size)
-    whole = stop - start == theta.size
-    pen0 = GroupPenaltySpec(0.0)
-    last = None  # the last point evaluated, and its value and gradient
-
-    def smooth(v):
-        nonlocal last
-        if last is not None and (v == last[0]).all():
-            return last[1]
-        point = v.copy()
-        if not whole:  # the held block stays at init
-            theta[block] = v
-            v = theta
-        rep = grad_scsa(unpack_source_model(v, d, p), z, pen0)
-        last = point, (rep.value + shift, rep.gradient[block])
-        return last[1]
-
-    h_index = np.arange(d * d, theta.size).reshape(p, d, d) - start  # in the block
-    index = penalty_groups(h_index) if stop > d * d else None
-    for pen in pens:
-        groups = () if index is None else (index, pen.lam)
-        what = f"SCSA fit (P={p}, lambda={pen.lam:g})" if whole else (
-            "M-step" if start else "E-step")
-        v, trace = keep_last_on_stagnation(
-            lambda: minimize_with_group_truncation(
-                smooth, theta[block], groups, grad_tol, memory
-            ),
-            what,
-        )
-        theta[block] = v
-        model = unpack_source_model(theta.copy(), d, p)
-        b = model.b @ b0 if start < d * d else b0
-        yield unchecked(SourceModel, b=b, h=model.h), trace
 
 
 def fit_scsa(
@@ -347,14 +127,12 @@ def fit_scsa(
     grad_tol: float = GRAD_TOL,
 ) -> SourceModel:
     """SCSA: group-lasso regularized joint fit, warm-started from CSA and
-    from its L-BFGS pairs. ``x`` may also be a sequence of segments."""
-    (model, _), = _fit_scsa(lag_stack(x, p), p, [pen], grad_tol)
+    from its L-BFGS pairs (:func:`_scsa_start`), both solved to ``grad_tol``.
+    ``x`` may also be a sequence of segments."""
+    stack = lag_stack(x, p)
+    start = _scsa_start(stack, p, _fit_csa(stack, p, grad_tol))
+    (model, _), = _fit_scsa(stack, p, [pen], start, grad_tol)
     return _checked(model)
-
-
-def _checked(model: SourceModel) -> SourceModel:
-    """A fit's model, validated as the package returns it."""
-    return SourceModel(model.b, MvarCoefficients(model.h.lags))
 
 
 def fit_scsa_em(
@@ -376,7 +154,7 @@ def fit_mvarica(x: TimeSeriesMatrix, p: int) -> SourceModel:
     zero-lag block of CSA's whitened fit (:func:`_fit_csa` with the lag
     filters held at zero). Raises :class:`DegenerateModelError` on
     rank-deficient data."""
-    return _order_fit(x, "MVARICA", p)[0]
+    return _order_fit(lag_stack(x, p), "MVARICA", p)[0]
 
 
 def _worker_count(n_tasks: int, cap: Optional[int] = None) -> int:
@@ -468,12 +246,12 @@ def _pool_map(fn: Callable, tasks: Sequence[tuple], cap: Optional[int] = None) -
 
 
 def _order_fit(
-    x: TimeSeriesMatrix, method: str, p: int
+    stack: np.ndarray, method: str, p: int
 ) -> Tuple[SourceModel, OptimizationTrace]:
-    """The unpenalized order-``p`` fit of ``method`` and its trace: the
-    whitened fit with its lag filters held at zero for MVARICA, the CSA fit
-    for every other method."""
-    return _fit_csa(lag_stack(x, p), p, GRAD_TOL, method != "MVARICA")
+    """The unpenalized order-``p`` fit of ``method`` on a lag stack, and its
+    trace: the whitened fit with its lag filters held at zero for MVARICA,
+    the CSA fit for every other method."""
+    return _fit_csa(stack, p, GRAD_TOL, method != "MVARICA")
 
 
 def _bic_fit(x: TimeSeriesMatrix, method: str, p: int, p_max: int):
@@ -482,7 +260,7 @@ def _bic_fit(x: TimeSeriesMatrix, method: str, p: int, p_max: int):
     or its exception (a failed order is excluded by the caller, not fatal)."""
     try:
         stack = lag_stack(x, p)
-        model, trace = _fit_csa(stack, p, GRAD_TOL, method != "MVARICA")
+        model, trace = _order_fit(stack, method, p)
         nll = nll_csa(source_model_to_filter_bank(model), stack[:, p_max - p :])
         return nll, (model, trace)
     except Exception as err:  # noqa: BLE001 - failed orders are skipped
@@ -579,8 +357,7 @@ def _cv_fold(
     held_stack = lag_stack(data[:, held], p)
     memory = start[1].copy()
     walk = _fit_scsa(
-        stack, p, [GroupPenaltySpec(lam) for lam in lambdas], init=start[0],
-        memory=memory,
+        stack, p, [GroupPenaltySpec(lam) for lam in lambdas], (start[0], memory)
     )
     nlls = []
     pairs = memory.k
@@ -651,10 +428,10 @@ def fit(x: TimeSeriesMatrix, request: FitRequest) -> FitResult:
     BIC's (its workers return each order's solve pairs with it) or else one
     made here, with its pairs mapped once (:func:`_scsa_start`). That start
     is shared: every cross-validation fold walks its λ grid from it
-    (:func:`select_lambda_cv`), in a copy of its memory, and the final fit starts
-    from it; so the final fit is the one :func:`_fit_scsa` makes without
-    ``init``, whether BIC ran or not and at any worker count. The start and
-    the final SCSA and SCSA-EM stages share one lag stack of the data."""
+    (:func:`select_lambda_cv`), in a copy of its memory, and the final fit
+    starts from it; so the final fit is :func:`fit_scsa`'s, whether BIC ran
+    or not and at any worker count. The start and the final SCSA and
+    SCSA-EM stages share one lag stack of the data."""
     _LAPACK.bind()  # the first fit's wall_time leaves out scipy's import
     began = time.perf_counter()
     orders = _candidate_orders(request.order_candidates)
@@ -688,7 +465,7 @@ def fit(x: TimeSeriesMatrix, request: FitRequest) -> FitResult:
     order = 0 if request.method == "ICA" else p
     if grid:
         pen = GroupPenaltySpec(lam)
-        (model, trace), = _fit_scsa(stack, p, [pen], init=start[0], memory=start[1])
+        (model, trace), = _fit_scsa(stack, p, [pen], start)
         model = _checked(model)
         if request.method == "SCSA_EM":
             model, history = em_dal.fit_scsa_em(stack, p, pen, init=model)
@@ -699,7 +476,9 @@ def fit(x: TimeSeriesMatrix, request: FitRequest) -> FitResult:
                 value_history=list(history),
             )
     else:
-        model, trace = bic.fits.get(order) or _order_fit(x, request.method, order)
+        model, trace = bic.fits.get(order) or _order_fit(
+            lag_stack(x, order), request.method, order
+        )
     return FitResult(
         model=model,
         method=request.method,

@@ -30,11 +30,11 @@ The memory keeps the last ``MEMORY`` = 40 pairs. A solve starts with an
 empty one, whose first step is a unit step along the pseudo-gradient,
 unless its caller passes an :class:`LbfgsMemory` it owns. The solve then
 starts from that memory's pairs and leaves its own in it. So a walk over a
-path of penalty weights (:func:`scsa.estimators._fit_scsa`, as each
+path of penalty weights (:func:`scsa.fitting._fit_scsa`, as each
 cross-validation fold walks its grid) is one quasi-Newton path, as a
 warm-started path is in glmnet (Friedman, Hastie & Tibshirani, JSS 2010),
 and so is an SCSA fit that starts from the pairs of the CSA solve it
-continues (:func:`scsa.estimators._scsa_start`).
+continues (:func:`scsa.fitting._scsa_start`).
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class OptimizationTrace:
     solve that ran out of iterations has neither set.
 
     ``memory`` is None but on a CSA fit's trace
-    (:func:`scsa.estimators._fit_csa`), where it holds the solve's pairs in
+    (:func:`scsa.fitting._fit_csa`), where it holds the solve's pairs in
     the whitened coordinates the solve ran in; it does not take part in
     comparisons."""
 

@@ -81,7 +81,7 @@ def test_traced_kernels_are_called_every_iteration(tracing):
     import numpy as np
 
     from scsa.cost import GroupPenaltySpec
-    from scsa.estimators import _fit_csa, _fit_scsa
+    from scsa.fitting import _fit_csa, _fit_scsa, _scsa_start
     from scsa.model import MvarCoefficients, TimeSeriesMatrix, lag_stack, simulate_sources
 
     h = MvarCoefficients([np.array([[0.5, 0.3], [0.0, 0.4]])])
@@ -93,10 +93,11 @@ def test_traced_kernels_are_called_every_iteration(tracing):
         return sum(span.name == name for span in tracer.spans)
 
     with tracer.installed():  # wraps each name in every scsa module holding it
-        _, csa = _fit_csa(stack, 1)
-        csa_calls = calls("cost.grad_csa")
+        fitted = _fit_csa(stack, 1)
+        csa, csa_calls = fitted[1], calls("cost.grad_csa")
         walk = [trace for _, trace in _fit_scsa(
-            stack, 1, [GroupPenaltySpec(0.5), GroupPenaltySpec(5.0)]
+            stack, 1, [GroupPenaltySpec(0.5), GroupPenaltySpec(5.0)],
+            _scsa_start(stack, 1, fitted),
         )]
     assert csa.iterations >= 1 and csa_calls >= csa.iterations
     assert all(trace.iterations >= 1 for trace in walk)

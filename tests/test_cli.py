@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import scsa.cli
-from scsa import estimators
+from scsa import estimators, fitting
 from scsa.cli import (
     EXIT_ESTIMATOR,
     EXIT_IO,
@@ -128,7 +128,7 @@ class TestFit:
     def test_model_records_a_kept_stagnation(self, dataset_dir, tmp_path, monkeypatch):
         # every point but the start leaves the domain, so the fit stagnates
         # at once and keeps the start
-        real, calls = estimators.grad_csa, []
+        real, calls = fitting.grad_csa, []
 
         def start_only(*args):
             calls.append(args)
@@ -136,7 +136,7 @@ class TestFit:
                 raise NumericError("outside the domain")
             return real(*args)
 
-        monkeypatch.setattr(estimators, "grad_csa", start_only)
+        monkeypatch.setattr(fitting, "grad_csa", start_only)
         out = tmp_path / "model.json"
         code = run("fit", str(dataset_dir), "--method", "csa", "--out", str(out))
         assert code == EXIT_OK
@@ -201,7 +201,7 @@ class TestFit:
         def no_solve(*_):
             raise AssertionError("a solve ran on rank-deficient data")
 
-        monkeypatch.setattr(estimators, "minimize", no_solve)
+        monkeypatch.setattr(fitting, "minimize", no_solve)
         code = run("fit", str(dataset_dir), "--method", *args)
         assert code == EXIT_ESTIMATOR
         err = capsys.readouterr().err

@@ -306,13 +306,13 @@ class TestEStep:
     def test_stagnation_keeps_the_start_and_is_logged(self, monkeypatch, caplog):
         import logging
 
-        from scsa import estimators
+        from scsa import fitting
         from scsa.exceptions import NumericError
 
         rng = np.random.default_rng(41)
         x = TimeSeriesMatrix(rng.standard_normal((2, 200)))
         h = MvarCoefficients([0.2 * np.eye(2)])
-        real = estimators.grad_scsa
+        real = fitting.grad_scsa
         calls = []
 
         def start_only(*args):  # every point but the start leaves the domain
@@ -322,7 +322,7 @@ class TestEStep:
             return real(*args)
 
         # the E-step is the B-block solve of the SCSA fit, which calls this
-        monkeypatch.setattr(estimators, "grad_scsa", start_only)
+        monkeypatch.setattr(fitting, "grad_scsa", start_only)
         b0 = np.array([[1.0, 0.2], [0.1, 1.0]])
         with caplog.at_level(logging.DEBUG, logger="scsa"):
             b = e_step(x, h, b0)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from scsa import em_dal, estimators, optim
+from scsa import em_dal, estimators, fitting, optim
 from scsa.cost import (
     CostReport,
     GroupPenaltySpec,
@@ -113,7 +113,7 @@ class TestFitCsa:
         x, _, _ = mixed_dataset(6, t=800)
         runs = [x.data] if not cuts else [x.data[:, : cuts[0]], x.data[:, cuts[1] :]]
         stack = lag_stack(runs, p)
-        model, trace = estimators._fit_csa(stack, p)
+        model, trace = fitting._fit_csa(stack, p)
         f = nll_csa(source_model_to_filter_bank(model), stack)
         assert abs(trace.final_value - f) <= 1e-9 * abs(f)
 
@@ -136,8 +136,8 @@ class TestCsaHandOff:
         x, _, _ = mixed_dataset(6, t=800)
         d, p = 3, 2
         stack = lag_stack(x, p)
-        csa = estimators._fit_csa(stack, p, 1e-3)
-        model, out = estimators._scsa_start(stack, p, csa)
+        csa = fitting._fit_csa(stack, p, 1e-3)
+        model, out = fitting._scsa_start(stack, p, csa)
         memory = csa[1].memory
         assert model is csa[0]
         assert out.k == memory.k > 5
@@ -168,7 +168,7 @@ class TestCsaHandOff:
 
     def test_mvarica_hands_on_nothing(self):
         x, _, _ = mixed_dataset(6, t=800)
-        _, trace = estimators._fit_csa(lag_stack(x, 2), 2, lags=False)
+        _, trace = fitting._fit_csa(lag_stack(x, 2), 2, lags=False)
         assert trace.memory is None
 
     def test_pairs_are_mapped_once_per_fit(self, monkeypatch):
@@ -176,13 +176,13 @@ class TestCsaHandOff:
         # order's are mapped, once, for CV and the final fit to share
         monkeypatch.setattr(estimators, "_worker_count", lambda n_tasks, cap=None: 1)
         maps = []
-        real = estimators._scsa_memory
+        real = estimators._scsa_start
 
-        def counted(memory, stack, model):
+        def counted(stack, p, csa=None):
             maps.append(stack.shape[0])
-            return real(memory, stack, model)
+            return real(stack, p, csa)
 
-        monkeypatch.setattr(estimators, "_scsa_memory", counted)
+        monkeypatch.setattr(estimators, "_scsa_start", counted)
         x, _, _ = mixed_dataset(18, d=2, p=1, t=600)
         res = fit(x, FitRequest("SCSA", [1, 2, 3], [0.1, 1.0], cv_folds=3))
         assert maps == [2 * (res.selected_order + 1)]
@@ -286,9 +286,9 @@ class TestFitScsa:
             rep = grad_scsa(model, data, pen)
             return CostReport(rep.value, -rep.gradient)
 
-        monkeypatch.setattr(estimators, "grad_scsa", uphill)
-        (model, trace), = estimators._fit_scsa(
-            stack, 1, [GroupPenaltySpec(1.0)], init=init
+        monkeypatch.setattr(fitting, "grad_scsa", uphill)
+        (model, trace), = fitting._fit_scsa(
+            stack, 1, [GroupPenaltySpec(1.0)], (init, None)
         )
         assert trace.stagnated and not trace.converged
         assert trace.final_value <= cost_scsa(init, stack, GroupPenaltySpec(1.0))
@@ -300,14 +300,15 @@ class TestFitScsa:
         x, _, _ = mixed_dataset(17, d=2, p=1, t=500)
         stack = lag_stack(x, 1)
         evals = []
-        real = estimators.grad_scsa
+        real = fitting.grad_scsa
 
         def counted(*args):
             evals.append(1)
             return real(*args)
 
-        monkeypatch.setattr(estimators, "grad_scsa", counted)
-        walk = estimators._fit_scsa(stack, 1, [GroupPenaltySpec(1.0)] * 2)
+        monkeypatch.setattr(fitting, "grad_scsa", counted)
+        start = fitting._scsa_start(stack, 1)
+        walk = fitting._fit_scsa(stack, 1, [GroupPenaltySpec(1.0)] * 2, start)
         first, trace = next(walk)
         n, steps = len(evals), trace.iterations
         second, trace = next(walk)
@@ -332,8 +333,8 @@ class TestFitScsa:
         block = {"joint": slice(None), "B": slice(0, d * d), "H": slice(d * d, None)}
         # the penalty does not depend on B, so a B-block solve leaves it out
         pen = GroupPenaltySpec(0.0 if free == "B" else 2.0)
-        (model, trace), = estimators._fit_scsa(
-            stack, p, [pen], init=init, block=block[free]
+        (model, trace), = fitting._fit_scsa(
+            stack, p, [pen], (init, None), block=block[free]
         )
         assert trace.iterations > 0
         f = cost_scsa(model, stack, pen)
@@ -350,8 +351,8 @@ class TestFitScsa:
         b_start, h_start = init.b.copy(), init.h.as_array().copy()
         block = slice(0, d * d) if free == "B" else slice(d * d, None)
         pen = GroupPenaltySpec(0.0 if free == "B" else 2.0)
-        (model, _), = estimators._fit_scsa(
-            lag_stack(x, p), p, [pen], init=init, block=block
+        (model, _), = fitting._fit_scsa(
+            lag_stack(x, p), p, [pen], (init, None), block=block
         )
         b, hs = model.b, model.h.as_array()
         if free == "B":
@@ -478,14 +479,14 @@ class TestSelectLambdaCv:
         # one L-BFGS memory per fold, carried from λ to λ and holding the
         # full-data CSA pairs at the first, and one DEBUG line per (fold, λ)
         monkeypatch.setattr(estimators, "_worker_count", lambda n_tasks, cap=None: 1)
-        real = estimators.minimize_with_group_truncation
+        real = fitting.minimize_with_group_truncation
         memories = []
 
         def recorded(*args):
             memories.append((args[-1], args[-1].k))
             return real(*args)
 
-        monkeypatch.setattr(estimators, "minimize_with_group_truncation", recorded)
+        monkeypatch.setattr(fitting, "minimize_with_group_truncation", recorded)
         x, _, _ = mixed_dataset(15, d=2, p=1, t=600)
         with caplog.at_level(logging.DEBUG, logger="scsa"):
             select_lambda_cv(x, 1, [0.1, 1.0, 10.0], folds=3)
@@ -504,17 +505,18 @@ class TestSelectLambdaCv:
     def test_folds_start_from_one_full_data_csa_fit(self, monkeypatch):
         monkeypatch.setattr(estimators, "_worker_count", lambda n_tasks, cap=None: 1)
         calls = []
-        real = estimators._fit_csa
+        real = fitting._fit_csa
 
         def counted(stack, p, *args, **kwargs):
             calls.append((p, stack.shape[1]))
             return real(stack, p, *args, **kwargs)
 
-        monkeypatch.setattr(estimators, "_fit_csa", counted)
+        for module in (estimators, fitting):
+            monkeypatch.setattr(module, "_fit_csa", counted)
         x, _, _ = mixed_dataset(15, d=2, p=1, t=600)
         select_lambda_cv(x, 1, [0.1, 1.0], folds=3)
         assert calls == [(1, 599)]  # the whole run's lag windows, once
-        start = estimators._scsa_start(lag_stack(x, 1), 1)
+        start = fitting._scsa_start(lag_stack(x, 1), 1)
         calls.clear()
         estimators._cv_fold(x.data, 1, [0.1, 1.0], np.arange(200, 400), start)
         assert calls == []
@@ -540,7 +542,7 @@ class TestSelectLambdaCv:
         # the walk's iterates and its held-out scores skip the condition
         # checks of the model classes
         x, _, _ = mixed_dataset(15, d=2, p=1, t=600)
-        start = estimators._scsa_start(lag_stack(x, 1), 1)
+        start = fitting._scsa_start(lag_stack(x, 1), 1)
         checks = []
         real = np.linalg.cond
 
@@ -751,13 +753,14 @@ class TestOnePoolPerFit:
             monkeypatch.setattr(estimators, "_worker_count", lambda n, cap=None: 1)
         x, _, _ = mixed_dataset(18, d=2, p=1, t=600)
         csa_fits = []
-        real = estimators._fit_csa
+        real = fitting._fit_csa
 
         def counted(*args, **kwargs):
             csa_fits.append(args[1])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(estimators, "_fit_csa", counted)
+        for module in (estimators, fitting):
+            monkeypatch.setattr(module, "_fit_csa", counted)
         scored = []
         real_bic = estimators.select_order_bic
 
@@ -779,7 +782,7 @@ class TestOnePoolPerFit:
         np.testing.assert_array_equal(memory.small, small)
         p, pen = res.selected_order, GroupPenaltySpec(res.selected_lambda)
         if method == "SCSA":
-            (cold, _), = estimators._fit_scsa(lag_stack(x, p), p, [pen])
+            cold = fit_scsa(x, p, pen)
         else:
             cold, _ = em_dal.fit_scsa_em(x, p, pen)
         np.testing.assert_array_equal(res.model.b, cold.b)
@@ -788,11 +791,12 @@ class TestOnePoolPerFit:
 
     def test_one_order_fit_is_the_fit_without_init(self):
         # without BIC, the final fit starts from its own CSA fit and that
-        # solve's pairs, as _fit_scsa does without init
+        # solve's pairs, as fit_scsa does
         x, _, _ = mixed_dataset(18, d=2, p=1, t=600)
         res = fit(x, FitRequest("SCSA", [2], [0.5]))
-        (cold, trace), = estimators._fit_scsa(
-            lag_stack(x, 2), 2, [GroupPenaltySpec(0.5)]
+        stack = lag_stack(x, 2)
+        (cold, trace), = fitting._fit_scsa(
+            stack, 2, [GroupPenaltySpec(0.5)], fitting._scsa_start(stack, 2)
         )
         np.testing.assert_array_equal(res.model.b, cold.b)
         np.testing.assert_array_equal(np.array(res.model.h.lags), np.array(cold.h.lags))
@@ -813,17 +817,19 @@ class TestOnePoolPerFit:
     def test_unpenalized_fit_is_bics(self, method, pools, monkeypatch):
         x, _, _ = mixed_dataset(18, d=2, p=1, t=600)
         in_process = []
-        real = estimators._fit_csa
+        real = fitting._fit_csa
 
         def counted(*args, **kwargs):
             in_process.append(args[1])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(estimators, "_fit_csa", counted)
+        for module in (estimators, fitting):
+            monkeypatch.setattr(module, "_fit_csa", counted)
         res = fit(x, FitRequest(method, [1, 2, 3]))
         # every order was fitted in the workers, and none again here
         assert in_process == []
-        model, trace = estimators._order_fit(x, method, res.selected_order)
+        p = res.selected_order
+        model, trace = estimators._order_fit(lag_stack(x, p), method, p)
         np.testing.assert_array_equal(res.model.b, model.b)
         np.testing.assert_array_equal(np.array(res.model.h.lags), np.array(model.h.lags))
         assert res.trace == trace
@@ -940,7 +946,7 @@ class TestFitDispatcher:
         # every point but the start leaves the domain, so the first line
         # search rejects all its trials
         x, _, _ = mixed_dataset(17, d=2, p=1, t=500)
-        real = getattr(estimators, kernel)
+        real = getattr(fitting, kernel)
         calls = []
 
         def start_only(*args):
@@ -949,7 +955,7 @@ class TestFitDispatcher:
                 raise NumericError("outside the domain")
             return real(*args)
 
-        monkeypatch.setattr(estimators, kernel, start_only)
+        monkeypatch.setattr(fitting, kernel, start_only)
         req = FitRequest(method=method, order_candidates=[1], lambda_grid=[1.0])
         with caplog.at_level(logging.DEBUG, logger="scsa"):
             res = fit(x, req)
@@ -983,3 +989,26 @@ class TestFitDispatcher:
         )
         assert res.selected_lambda in (0.1, 1.0)
         assert res.selected_lambda == min(res.cv_curve, key=lambda l: res.cv_curve[l])
+
+
+def test_only_the_front_ends_import_estimators():
+    # the fit core lives in scsa.fitting, so the modules below the facade
+    # (em_dal above all, whose half-steps are block solves of that core)
+    # need no import of estimators, at module level or inside a function
+    import ast
+
+    importers = set()
+    for path in pathlib.Path(estimators.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # every module is in the one package, so relative is scsa.
+                base = f"scsa.{node.module or ''}" if node.level else node.module
+                base = base.rstrip(".")
+                names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if "scsa.estimators" in names:
+                importers.add(path.stem)
+    assert importers == {"cli", "__init__"}
