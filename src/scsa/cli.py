@@ -279,7 +279,7 @@ def cmd_bench(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # rows in task order: repetition, then noise kind and methods entry as
-    # configured; each worker's fits run serially, as pools do not nest
+    # configured; each worker's fits run serially, as maps do not nest
     tasks = [
         (spec, request, entry, rep, master_seed)
         for rep in range(repetitions)

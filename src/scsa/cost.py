@@ -52,7 +52,7 @@ class _Lapack:
     ``import scsa`` loads numpy only, and importing scipy.linalg takes
     longer than a simulation. :meth:`bind` sets them as attributes of the
     instance, so a lookup after the first costs what a module attribute
-    does; before it, a lookup binds them. :func:`scsa.estimators._pool`
+    does; before it, a lookup binds them. :func:`scsa.estimators._pool_map`
     binds them before it forks, so its workers inherit the binding."""
 
     NAMES = ("dgetrf", "dgetri", "dtrtri")

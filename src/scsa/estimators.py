@@ -13,22 +13,22 @@ its own lag windows only. Each fit stacks its lag windows once
 
 from __future__ import annotations
 
-import contextlib
 import logging
 import math
 import numbers
 import os
+import pickle
 import threading
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import em_dal
 from .cost import _LAPACK, GroupPenaltySpec, cost_scsa, nll_csa
-from .exceptions import IllPosedError, PartitionError
+from .exceptions import IllPosedError, PartitionError, ScsaError
 from .fitting import _checked, _fit_csa, _fit_scsa, _scsa_start
 from .model import SourceModel, TimeSeriesMatrix, lag_stack, source_model_to_filter_bank
 from .optim import GRAD_TOL, LbfgsMemory, OptimizationTrace
@@ -157,92 +157,96 @@ def fit_mvarica(x: TimeSeriesMatrix, p: int) -> SourceModel:
     return _order_fit(lag_stack(x, p), "MVARICA", p)[0]
 
 
-def _worker_count(n_tasks: int, cap: Optional[int] = None) -> int:
-    """How many processes a pool spreads ``n_tasks`` tasks over: one per CPU
-    this process may run on, at most one per task and at most ``cap``.
-    :func:`_pool` asks once, when it is made. It is 1 (run in the calling
-    process) inside a worker process, so pools never nest; where ``fork`` is
-    unavailable; and while other threads run, since a forked child gets a
-    copy of their locks but not the threads that would release them."""
-    import multiprocessing
+# set in each forked worker of _pool_map, so that maps inside it run serially
+_in_worker = False
 
-    if (
-        multiprocessing.parent_process() is not None
-        or "fork" not in multiprocessing.get_all_start_methods()
-        or threading.active_count() > 1
-    ):
+
+def _worker_count(n_tasks: int, cap: Optional[int] = None) -> int:
+    """How many processes :func:`_pool_map` forks for ``n_tasks`` tasks: one
+    per CPU this process may run on, at most one per task and at most
+    ``cap``. It is 1 (run in the calling process) inside a worker, so maps
+    never nest; where ``os.fork`` is unavailable; and while other threads
+    run, since a forked child gets a copy of their locks but not the
+    threads that would release them."""
+    if _in_worker or not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
+    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     return max(1, min(n_tasks, cpus, n_tasks if cap is None else cap))
 
 
-class _Scope(threading.local):
-    # (pid, executor or None) of the pool whose block this thread is in; a
-    # forked worker's copy has its parent's pid, so it is not the worker's pool
-    pool: Optional[tuple] = None
-
-
-_scope = _Scope()
-
-
-@contextlib.contextmanager
-def _pool(n_tasks: int, cap: Optional[int] = None):
-    """The fork pool of one :func:`fit` call, or of one :func:`_pool_map`
-    call outside a fit, for stages of up to ``n_tasks`` tasks. A fit passes
-    its larger stage's task count: one task per distinct order for BIC, one
-    per fold for CV. The executor is made here, with :func:`_worker_count`
-    processes, only when that is two or more; it forks them at its first
-    task. It binds scipy's LAPACK routines first (:data:`scsa.cost._LAPACK`),
-    so the workers inherit them and none imports scipy itself. Inside the
-    block every :func:`_pool_map` call of this thread runs on it; leaving
-    the block joins its workers, also on error."""
-    executor = None
-    workers = _worker_count(n_tasks, cap) if n_tasks > 1 else 1
-    if workers > 1:
-        # imported here: ``import scsa`` should not pay for the pool
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        _LAPACK.bind()  # before the fork: the workers inherit it
-        # fork, not spawn: a spawned worker imports numpy and scipy afresh,
-        # which takes longer than the tasks it would run
-        executor = ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork")
-        )
-    outer, _scope.pool = _scope.pool, (os.getpid(), executor)
-    try:
-        yield
-    finally:
-        _scope.pool = outer
-        if executor is not None:
-            executor.shutdown(wait=True, cancel_futures=True)
-
-
 def _pool_map(fn: Callable, tasks: Sequence[tuple], cap: Optional[int] = None) -> list:
-    """``[fn(*task) for task in tasks]``, with the tasks spread over forked
-    processes: the pool of the running :func:`fit`, or else a :func:`_pool`
-    of this call's own, sized for its tasks with ``cap``. Without workers
-    the tasks run here, in order.
-
-    ``fn`` must be a module-level function, because it is sent to the workers
-    by name. Results come back in task order, so a caller that reduces them
-    in that order gets the serial loop's numbers at every worker count. If a
-    task raises, the exception of the first failed task in task order is
-    raised with its own type, and closing the pool (at the end of this call,
-    or of the fit's stages) cancels the tasks not yet started and joins the
-    workers. No worker outlives the call, or the fit.
-    """
-    if _scope.pool is None or _scope.pool[0] != os.getpid():
-        with _pool(len(tasks), cap):
-            return _pool_map(fn, tasks)
-    executor = _scope.pool[1]
-    if executor is None:
+    """``[fn(*task) for task in tasks]``, run by :func:`_worker_count`
+    forked workers when that is two or more, else here, in order. The
+    workers inherit ``fn``, ``tasks`` and scipy's LAPACK routines
+    (:data:`scsa.cost._LAPACK`), bound before the fork, so nothing is sent
+    to them. They claim tasks one at a time (:func:`_work`); this process
+    runs none. Results come back in task order, so a caller that reduces
+    them in that order gets the serial loop's numbers at every worker count.
+    A failed task raises the exception of the first failed task in task
+    order, with its own type; a worker that exits without sending its
+    results raises a :class:`ScsaError` naming its exit status. Every worker
+    is reaped before the call returns or raises."""
+    workers = _worker_count(len(tasks), cap)
+    if workers < 2:
         return [fn(*task) for task in tasks]
-    futures = [executor.submit(fn, *task) for task in tasks]
-    return [future.result() for future in futures]
+    _LAPACK.bind()  # before the fork
+    claim, pipes, pids = os.pipe(), [], []
+    os.write(claim[1], bytes(4))  # task number 0 is the first unclaimed
+    try:
+        for _ in range(workers):
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(fn, tasks, claim, write)
+            finally:
+                os.close(write)  # so the read ends at the worker's exit
+            pids.append(pid)
+        payloads = [f.read() for f in pipes]
+    finally:
+        for fd in claim:
+            os.close(fd)
+        for f in pipes:
+            f.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for code, payload in zip(codes, payloads):
+        if code or not payload:
+            raise ScsaError(f"a worker process exited with status {code} before "
+                            "it sent its results")
+    ran = sorted(r for payload in payloads for r in pickle.loads(payload))
+    for _, failed, value in ran:  # by task number, which no two share
+        if failed:
+            raise value[0] from ScsaError(f"raised in a worker process:\n{value[1]}")
+    return [value for _, _, value in ran]
+
+
+def _work(fn: Callable, tasks: Sequence[tuple], claim: Tuple[int, int], out: int):
+    """A worker of :func:`_pool_map`; it never returns. It takes the next
+    task number from the ``claim`` pipe (4 bytes, which one read takes
+    whole) and puts back its successor, so the pipe never fills, until no
+    task is left or one of its own has failed. It then writes each task's
+    number, whether it failed and its result or exception and traceback to
+    ``out``, pickled once, and exits, with status 0 if that write completed."""
+    global _in_worker
+    _in_worker, ran, code, n = True, [], 1, len(tasks)
+    try:
+        while (i := int.from_bytes(os.read(claim[0], 4), "little")) < n:
+            os.write(claim[1], (i + 1).to_bytes(4, "little"))
+            try:
+                ran.append((i, False, fn(*tasks[i])))
+            except Exception as err:  # noqa: BLE001 - raised by the parent
+                import traceback  # here: ``import scsa`` should not load it
+                ran.append((i, True, (err, traceback.format_exc())))
+                break
+        else:
+            os.write(claim[1], n.to_bytes(4, "little"))  # for the other workers
+        with open(out, "wb") as f:
+            f.write(pickle.dumps(ran, pickle.HIGHEST_PROTOCOL))
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _order_fit(
@@ -290,9 +294,10 @@ def select_order_bic(
 
     SCSA-family methods are scored with the unpenalized (CSA) fit; the
     penalty weight is selected afterwards at the chosen order. The orders
-    are fitted in a process pool (:func:`_pool_map`). The returned BIC dict
-    also carries each order's full-data ``(model, trace)`` of :func:`_order_fit`
-    as its ``fits`` attribute; :func:`fit` returns or starts from the selected one.
+    are fitted in forked workers of this stage (:func:`_pool_map`). The
+    returned BIC dict also carries each order's full-data ``(model, trace)``
+    of :func:`_order_fit` as its ``fits`` attribute; :func:`fit` returns or
+    starts from the selected one.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -394,9 +399,9 @@ def select_lambda_cv(
     wholly out-of-sample: the held-out data can pick the basin a fold's walk
     reaches (the cost is not convex in B), though the fits minimize the
     training cost alone. cv.glmnet, by contrast, fits each fold's path from
-    the fold's own data and shares only the λ sequence. The folds run in a
-    process pool (:func:`_pool_map`), and their scores are summed in fold
-    order.
+    the fold's own data and shares only the λ sequence. The folds run in
+    forked workers of this stage (:func:`_pool_map`), and their scores are
+    summed in fold order.
     """
     _check_folds(folds, "folds")
     lambdas = sorted(set(float(l) for l in lambda_grid))
@@ -421,10 +426,10 @@ def fit(x: TimeSeriesMatrix, request: FitRequest) -> FitResult:
     request has two or more distinct orders, and cross-validation only when
     the λ grid has two or more distinct values.
 
-    The selection stages share one fork pool (:func:`_pool`), sized for the
-    larger stage and closed, its workers joined, before the final fit, also
-    on error. Each order is fitted once: CSA and MVARICA return BIC's fit of
-    the selected order. SCSA and SCSA-EM start from that order's CSA fit,
+    Each selection stage forks its own workers and reaps them before it
+    returns, also on error (:func:`_pool_map`); the final fit runs here.
+    Each order is fitted once: CSA and MVARICA return BIC's fit of the
+    selected order. SCSA and SCSA-EM start from that order's CSA fit,
     BIC's (its workers return each order's solve pairs with it) or else one
     made here, with its pairs mapped once (:func:`_scsa_start`). That start
     is shared: every cross-validation fold walks its λ grid from it
@@ -441,24 +446,19 @@ def fit(x: TimeSeriesMatrix, request: FitRequest) -> FitResult:
         if isinstance(grid, str):
             grid = default_lambda_grid(x.n_samples)
         grid = list(grid)
-    bic_tasks = len(orders) if len(orders) > 1 else 0
-    cv_tasks = request.cv_folds if len(set(grid)) > 1 else 0
     lam: Optional[float] = None
     curve: Dict[float, float] = {}
-    with _pool(max(bic_tasks, cv_tasks)):
-        if bic_tasks:
-            p, bic = select_order_bic(x, request.method, orders)
+    if len(orders) > 1:
+        p, bic = select_order_bic(x, request.method, orders)
+    else:
+        p, bic = orders[0], _OrderScores({}, {})
+    if grid:
+        stack = lag_stack(x, p)
+        start = _scsa_start(stack, p, bic.fits.get(p))
+        if len(set(grid)) > 1:
+            lam, curve = select_lambda_cv(x, p, grid, folds=request.cv_folds, start=start)
         else:
-            p, bic = orders[0], _OrderScores({}, {})
-        if grid:
-            stack = lag_stack(x, p)
-            start = _scsa_start(stack, p, bic.fits.get(p))
-            if cv_tasks:
-                lam, curve = select_lambda_cv(
-                    x, p, grid, folds=request.cv_folds, start=start
-                )
-            else:
-                lam = float(grid[0])
+            lam = float(grid[0])
 
     # for ICA, P is used downstream only for a post-hoc MVAR on the demixed
     # sources (evaluation module); the fitted model has order 0

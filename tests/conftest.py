@@ -1,13 +1,15 @@
-import multiprocessing
+import os
 
 import pytest
 
 
 @pytest.fixture(autouse=True)
 def no_process_left_running():
-    """Fail a test after which a child process is still running: every pool
-    a fit starts must be shut down before the fit returns or raises."""
+    """Fail a test after which a child process is running or unreaped: every
+    worker a fit forks must be reaped before the fit returns or raises."""
     yield
-    left = multiprocessing.active_children()
-    if left:
-        pytest.fail(f"child processes left running: {left}")
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process was left {'unreaped' if pid else 'running'}")

@@ -1,10 +1,10 @@
+import json
 import logging
-import multiprocessing
 import os
 import pathlib
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import time
 
 import numpy as np
 import pytest
@@ -39,6 +39,7 @@ from scsa.exceptions import (
     IllPosedError,
     NumericError,
     PartitionError,
+    ScsaError,
 )
 from scsa.model import (
     FilterBank,
@@ -577,8 +578,83 @@ class TestSelectLambdaCv:
 
 
 def two_workers(n_tasks, cap=None):
-    """A worker count that makes a pool even on a one-CPU host."""
+    """A worker count that forks two workers even on a one-CPU host."""
     return min(n_tasks, 2)
+
+
+def assert_children_reaped():
+    """No child of this process is running or left unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def squared_after(i, seconds):
+    time.sleep(seconds)
+    return i * i
+
+
+def first_fails_last(i):
+    if i == 0:
+        time.sleep(0.3)
+        raise KeyError("task 0")
+    if i == 1:
+        raise ValueError("task 1")
+    return i
+
+
+class TestForkMap:
+    """``_pool_map`` with two real forked workers."""
+
+    @pytest.fixture(autouse=True)
+    def two(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        # the maps below fork, so no task runs (or exits) in this process
+        assert estimators._worker_count(2) == 2
+        yield
+        assert_children_reaped()
+
+    def test_results_in_task_order(self):
+        tasks = [(i, 0.02 * (i % 3)) for i in range(9)]
+        assert estimators._pool_map(squared_after, tasks) == [i * i for i in range(9)]
+
+    def test_first_failure_in_task_order_is_raised(self):
+        # task 1 fails first, in one worker; task 0 fails later, in the other
+        with pytest.raises(KeyError, match="task 0") as info:
+            estimators._pool_map(first_fails_last, [(i,) for i in range(4)])
+        # the worker's traceback comes with it
+        assert "in first_fails_last" in str(info.value.__cause__)
+
+    def test_worker_that_exits_raises_scsa_error(self, monkeypatch, tmp_path, capsys):
+        def exits(i):
+            if i == 1:
+                os._exit(3)
+            return i
+
+        with pytest.raises(ScsaError, match="status 3") as info:
+            estimators._pool_map(exits, [(i,) for i in range(4)])
+        assert type(info.value) is ScsaError
+        # the CLI reports it as an estimator failure
+        from scsa import cli
+
+        monkeypatch.setattr(cli, "_bench_run", lambda *task: os._exit(3))
+        config = tmp_path / "bench.json"
+        config.write_text(json.dumps({
+            "methods": [{"method": "CSA"}], "repetitions": 2, "parallelism": 2,
+            "output_dir": str(tmp_path / "out"),
+        }))
+        assert cli.main(["bench", str(config)]) == cli.EXIT_ESTIMATOR
+        assert "status 3" in capsys.readouterr().err
+
+    def test_more_tasks_than_a_pipe_buffer_holds(self):
+        n = 20_000
+        assert estimators._pool_map(int, [(i,) for i in range(n)]) == list(range(n))
+
+    def test_nested_map_runs_serially(self):
+        def pids(_):
+            return os.getpid(), estimators._pool_map(os.getpid, [(), ()])
+
+        for pid, inner in estimators._pool_map(pids, [(0,), (1,)]):
+            assert pid != os.getpid() and inner == [pid, pid]
 
 
 class TestWorkerPool:
@@ -612,12 +688,12 @@ class TestWorkerPool:
         "call",
         [
             'fit(x, FitRequest("SCSA", [1, 2], [0.1, 1.0], cv_folds=2))',
-            'select_order_bic(x, "CSA", [1, 2])',  # a pool of its own, as in bench
+            'select_order_bic(x, "CSA", [1, 2])',  # a map outside a fit, as in bench
         ],
         ids=["fit", "bic"],
     )
     def test_workers_inherit_lapack(self, tmp_path, call):
-        # a fresh process: ``import scsa`` binds no LAPACK, and the pool binds
+        # a fresh process: ``import scsa`` binds no LAPACK, and each map binds
         # it before it forks, so no worker imports scipy for its first task
         x, _, _ = mixed_dataset(18, d=2, p=1, t=600)
         np.save(tmp_path / "x.npy", x.data)
@@ -662,12 +738,13 @@ x = TimeSeriesMatrix(np.load({str(tmp_path / "x.npy")!r}))
         assert first and parent not in first
         assert set(first.values()) == {"True"}
 
-    def test_worker_count(self):
-        with ProcessPoolExecutor(1) as pool:
-            assert pool.submit(estimators._worker_count, 8).result() == 1
+    def test_worker_count(self, monkeypatch):
         assert estimators._worker_count(1) == 1
         assert estimators._worker_count(8, cap=1) == 1
         assert estimators._worker_count(8) == min(8, len(os.sched_getaffinity(0)))
+        # inside a forked worker, on any host
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert estimators._pool_map(estimators._worker_count, [(8,), (8,)]) == [1, 1]
 
     def test_failed_order_is_excluded(self, monkeypatch):
         x, _, _ = mixed_dataset(12, d=2, p=1, t=400)
@@ -696,40 +773,48 @@ x = TimeSeriesMatrix(np.load({str(tmp_path / "x.npy")!r}))
         monkeypatch.setattr(estimators, "_fit_scsa", fails)
         with pytest.raises(NumericError, match="no SCSA fit"):
             select_lambda_cv(x, 1, [0.1, 1.0], folds=4)
-        assert multiprocessing.active_children() == []
+        assert_children_reaped()
 
 
 class TestOnePoolPerFit:
     GRID = [0.1, 1.0, 10.0]
 
     @pytest.fixture
-    def pools(self, monkeypatch):
-        """The pools constructed while the test runs, at two workers."""
-        import concurrent.futures
-
+    def forks(self, monkeypatch):
+        """The children forked while the test runs, at two workers."""
         made = []
+        real = os.fork
 
-        class Counted(ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                made.append(args)
-                super().__init__(*args, **kwargs)
+        def counted():
+            pid = real()
+            if pid:
+                made.append(pid)
+            return pid
 
         monkeypatch.setattr(estimators, "_worker_count", two_workers)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+        monkeypatch.setattr(os, "fork", counted)
         return made
 
-    def test_bic_and_cv_share_one_pool(self, pools):
+    def test_bic_and_cv_fork_two_workers_each(self, forks, monkeypatch):
         x, _, _ = mixed_dataset(18, d=2, p=1, t=600)
-        fit(x, FitRequest("SCSA", [1, 2, 3], self.GRID, cv_folds=3))
-        assert len(pools) == 1
-        assert multiprocessing.active_children() == []
+        before_cv = []
+        real = estimators.select_lambda_cv
 
-    def test_no_pool_without_a_stage(self, pools):
+        def counted(*args, **kwargs):
+            before_cv.append(len(forks))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "select_lambda_cv", counted)
+        fit(x, FitRequest("SCSA", [1, 2, 3], self.GRID, cv_folds=3))
+        assert before_cv == [2] and len(forks) == 4
+        assert_children_reaped()
+
+    def test_no_pool_without_a_stage(self, forks):
         x, _, _ = mixed_dataset(18, d=2, p=1, t=600)
         fit(x, FitRequest("SCSA", [1], [1.0], cv_folds=3))
-        assert pools == []
+        assert forks == []
 
-    def test_failed_cv_task_keeps_its_type(self, pools, monkeypatch):
+    def test_failed_cv_task_keeps_its_type(self, forks, monkeypatch):
         x, _, _ = mixed_dataset(18, d=2, p=1, t=600)
 
         def fails(*args, **kwargs):
@@ -738,8 +823,8 @@ class TestOnePoolPerFit:
         monkeypatch.setattr(estimators, "_fit_scsa", fails)
         with pytest.raises(NumericError, match="no SCSA fit"):
             fit(x, FitRequest("SCSA", [1, 2, 3], self.GRID, cv_folds=3))
-        assert len(pools) == 1
-        assert multiprocessing.active_children() == []
+        assert len(forks) == 4
+        assert_children_reaped()
 
     @pytest.mark.parametrize(
         "method, workers",
@@ -747,7 +832,7 @@ class TestOnePoolPerFit:
         ids=["SCSA", "SCSA_EM", "SCSA-serial", "SCSA_EM-serial"],
     )
     def test_reused_warm_start_is_bit_identical(
-        self, method, workers, pools, monkeypatch
+        self, method, workers, forks, monkeypatch
     ):
         if workers == 1:
             monkeypatch.setattr(estimators, "_worker_count", lambda n, cap=None: 1)
@@ -802,7 +887,7 @@ class TestOnePoolPerFit:
         np.testing.assert_array_equal(np.array(res.model.h.lags), np.array(cold.h.lags))
         assert res.trace == trace
 
-    def test_bic_scores_carry_each_orders_fit(self, pools):
+    def test_bic_scores_carry_each_orders_fit(self, forks):
         x, _, _ = mixed_dataset(18, d=2, p=1, t=600)
         _, bic = select_order_bic(x, "CSA", [1, 2])
         assert sorted(bic.fits) == [1, 2] == sorted(bic)
@@ -814,7 +899,7 @@ class TestOnePoolPerFit:
 
 
     @pytest.mark.parametrize("method", ["CSA", "MVARICA"])
-    def test_unpenalized_fit_is_bics(self, method, pools, monkeypatch):
+    def test_unpenalized_fit_is_bics(self, method, forks, monkeypatch):
         x, _, _ = mixed_dataset(18, d=2, p=1, t=600)
         in_process = []
         real = fitting._fit_csa

@@ -614,8 +614,8 @@ class TestCompactMemory:
     @pytest.mark.parametrize("pushes", [0, 9, 55])
     @pytest.mark.parametrize("how", ["pickle", "copy"])
     def test_round_trip_keeps_every_bit(self, pushes, how):
-        # a memory crosses to pool workers in pickles (a CSA trace, a CV
-        # fold's start), which hold the k pairs in use and not all m rows;
+        # a memory comes back from forked workers in a pickle (a CSA trace),
+        # which holds the k pairs in use and not all m rows;
         # 55 pushes wrap the memory around
         n, m = 60, 40
         rng = np.random.default_rng(pushes)
