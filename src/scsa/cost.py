@@ -2,12 +2,13 @@
 version in (B, H) coordinates, and all analytic gradients.
 
 One kernel serves all four public functions. The data enter as a lag stack X
-(:func:`scsa.model.lag_stack`, rows x(t-p) for p = 0..P, segments side by
-side), built once per fit; a ``TimeSeriesMatrix`` is also accepted and
+(:func:`scsa.model.lag_stack`, rows x(t-p) for p = 0..P, one column per
+window t > P), built once per fit, or any set of its columns (a
+cross-validation fold's); a ``TimeSeriesMatrix`` is also accepted and
 stacked inside the call. With the filter bank written as
 W = [W^(0), ..., W^(P)], a (D, (P+1)D) array, the innovations are
 eps = W X and the gradient of the sech data term is G = tanh(eps) X^T:
-two matrix products per call, whatever the number of segments. SCSA is CSA
+two matrix products per call, whatever columns X holds. SCSA is CSA
 with W = [B, -H^(1) B, ..., -H^(P) B], so its smooth gradient is the chain
 rule on G: grad_B = G_0 - sum_p H^(p)T G_p and grad_H^(p) = -G_p B^T. The
 group-lasso penalty of :func:`cost_scsa`/:func:`grad_scsa` is a thin layer
@@ -173,8 +174,8 @@ def _report(value, grad) -> CostReport:
 def nll_csa(fb: FilterBank, x: Data) -> float:
     """Negative log-likelihood of the data under the FIR filter model.
 
-    (P-T) log|det W^(0)| - sum_{t>P} sum_d log((1/pi) sech(eps_d(t))), with
-    T - P summed over the segments of a lag stack.
+    (P-T) log|det W^(0)| - sum_{t>P} sum_d log((1/pi) sech(eps_d(t))); on a
+    lag stack, T - P is its column count and the sum runs over its columns.
     """
     return _fir_kernel(fb.w[0], np.concatenate(fb.w, axis=1), x, False)[0]
 

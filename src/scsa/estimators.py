@@ -3,12 +3,10 @@ plus model-order selection by BIC and penalty-weight selection by blocked
 cross-validation.
 
 All estimators accept a multichannel observation block and return a
-``SourceModel`` (demixing matrix plus source-space MVAR coefficients). The
-time axis may be split into several contiguous segments (used by
-cross-validation); segment likelihoods are summed, each segment contributing
-its own lag windows only. Each fit stacks its lag windows once
-(:func:`scsa.model.lag_stack`) and hands the stack to the fit core,
-:mod:`scsa.fitting`.
+``SourceModel`` (demixing matrix plus source-space MVAR coefficients). Each
+fit stacks its lag windows once (:func:`scsa.model.lag_stack`), one column
+per window, and hands the stack to the fit core, :mod:`scsa.fitting`; a
+cross-validation fold trains and scores on column ranges of that stack.
 """
 
 from __future__ import annotations
@@ -27,11 +25,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import em_dal
-from .cost import _LAPACK, GroupPenaltySpec, cost_scsa, nll_csa
+from .cost import _LAPACK, GroupPenaltySpec, cost_scsa
 from .exceptions import IllPosedError, PartitionError, ScsaError
 from .fitting import _checked, _fit_csa, _fit_scsa, _scsa_start
-from .model import SourceModel, TimeSeriesMatrix, lag_stack, source_model_to_filter_bank
-from .optim import GRAD_TOL, LbfgsMemory, OptimizationTrace
+from .model import SourceModel, TimeSeriesMatrix, lag_stack
+from .optim import LbfgsMemory, OptimizationTrace
 
 METHODS = ("CSA", "SCSA", "SCSA_EM", "MVARICA", "ICA")
 
@@ -110,8 +108,8 @@ class FitResult:
 def fit_csa(x: TimeSeriesMatrix, p: int) -> SourceModel:
     """CSA: maximum-likelihood fit of the FIR filter bank, solved in
     whitened lag coordinates (:func:`_fit_csa`) and returned in (B, H)
-    coordinates. ``x`` may also be a sequence of segments. Raises
-    :class:`DegenerateModelError` on rank-deficient data."""
+    coordinates. Raises :class:`DegenerateModelError` on rank-deficient
+    data."""
     return _order_fit(lag_stack(x, p), "CSA", p)[0]
 
 
@@ -120,31 +118,18 @@ def fit_ica(x: TimeSeriesMatrix) -> SourceModel:
     return fit_csa(x, 0)
 
 
-def fit_scsa(
-    x: TimeSeriesMatrix,
-    p: int,
-    pen: GroupPenaltySpec,
-    grad_tol: float = GRAD_TOL,
-) -> SourceModel:
+def fit_scsa(x: TimeSeriesMatrix, p: int, pen: GroupPenaltySpec) -> SourceModel:
     """SCSA: group-lasso regularized joint fit, warm-started from CSA and
-    from its L-BFGS pairs (:func:`_scsa_start`), both solved to ``grad_tol``.
-    ``x`` may also be a sequence of segments."""
+    from its L-BFGS pairs (:func:`_scsa_start`)."""
     stack = lag_stack(x, p)
-    start = _scsa_start(stack, p, _fit_csa(stack, p, grad_tol))
-    (model, _), = _fit_scsa(stack, p, [pen], start, grad_tol)
+    (model, _), = _fit_scsa(stack, p, [pen], _scsa_start(stack, p))
     return _checked(model)
 
 
-def fit_scsa_em(
-    x: TimeSeriesMatrix,
-    p: int,
-    pen: GroupPenaltySpec,
-    em_steps: int = 20,
-) -> SourceModel:
+def fit_scsa_em(x: TimeSeriesMatrix, p: int, pen: GroupPenaltySpec) -> SourceModel:
     """SCSA refined by EM alternation, block-coordinate descent on the SCSA
     cost over B and H; warm-started from :func:`fit_scsa`."""
-    model, _ = em_dal.fit_scsa_em(x, p, pen, em_steps=em_steps)
-    return model
+    return em_dal.fit_scsa_em(x, p, pen)[0]
 
 
 def fit_mvarica(x: TimeSeriesMatrix, p: int) -> SourceModel:
@@ -255,17 +240,18 @@ def _order_fit(
     """The unpenalized order-``p`` fit of ``method`` on a lag stack, and its
     trace: the whitened fit with its lag filters held at zero for MVARICA,
     the CSA fit for every other method."""
-    return _fit_csa(stack, p, GRAD_TOL, method != "MVARICA")
+    return _fit_csa(stack, p, method != "MVARICA")
 
 
 def _bic_fit(x: TimeSeriesMatrix, method: str, p: int, p_max: int):
-    """The ``(model, trace)`` of :func:`_order_fit` and its unpenalized NLL on
-    the common window t > p_max (its own lag stack from column p_max - p),
-    or its exception (a failed order is excluded by the caller, not fatal)."""
+    """The ``(model, trace)`` of :func:`_order_fit` and its unpenalized cost,
+    as CV scores a held-out block, on the common window t > p_max (its own
+    lag stack from column p_max - p), or its exception (a failed order is
+    excluded by the caller, not fatal)."""
     try:
         stack = lag_stack(x, p)
         model, trace = _order_fit(stack, method, p)
-        nll = nll_csa(source_model_to_filter_bank(model), stack[:, p_max - p :])
+        nll = cost_scsa(model, stack[:, p_max - p :], GroupPenaltySpec())
         return nll, (model, trace)
     except Exception as err:  # noqa: BLE001 - failed orders are skipped
         return err
@@ -337,7 +323,7 @@ def _cv_blocks(t: int, folds: int, p: int) -> List[np.ndarray]:
 
 
 def _cv_fold(
-    data: np.ndarray,
+    stack: np.ndarray,
     p: int,
     lambdas: Sequence[float],
     held: np.ndarray,
@@ -345,31 +331,34 @@ def _cv_fold(
 ) -> List[float]:
     """Held-out NLL at each λ of one fold.
 
-    The model is fitted on the runs before and after the held-out block
-    (columns ``held`` of ``data``), treated as separate segments, walking
-    ``lambdas`` in their order as one solve path of :func:`_fit_scsa`. The
-    walk starts from ``start``, the full-data CSA model and its mapped
-    pairs (:func:`_scsa_start`), in a copy of that memory, so the folds and
-    the final fit never share pairs; the fold fits no CSA model of its own.
-    The start was fitted on the held-out block too, so it can choose the
-    basin the walk reaches (:func:`select_lambda_cv`).
+    ``stack`` is the order-``p`` lag stack of the whole run (column j is
+    the window at sample j + p) and ``held`` the held-out samples h0..h1.
+    The model is fitted on the windows that touch no held-out sample,
+    columns before h0 - p and after h1, walking ``lambdas`` in their order
+    as one solve path of :func:`_fit_scsa`, and scored on the windows inside
+    the block, columns h0..h1 - p. The walk starts from ``start``, the
+    full-data CSA model and its mapped pairs (:func:`_scsa_start`), in a
+    copy of that memory, so the folds and the final fit never share pairs;
+    the fold fits no CSA model of its own. The start was fitted on the
+    held-out block too, so it can choose the basin the walk reaches
+    (:func:`select_lambda_cv`).
     Each (fold, λ) fit is logged at DEBUG on the ``scsa`` logger with the
     pairs its memory held at the start, its iterations, backtracks and end
     state.
     """
-    runs = (data[:, : held[0]], data[:, held[-1] + 1 :])
-    stack = lag_stack([run for run in runs if run.shape[1]], p)
-    held_stack = lag_stack(data[:, held], p)
+    h0, h1 = held[0], held[-1]
+    train = np.hstack((stack[:, : max(h0 - p, 0)], stack[:, h1 + 1 :]))
+    held_stack = stack[:, h0 : h1 - p + 1]
     memory = start[1].copy()
     walk = _fit_scsa(
-        stack, p, [GroupPenaltySpec(lam) for lam in lambdas], (start[0], memory)
+        train, p, [GroupPenaltySpec(lam) for lam in lambdas], (start[0], memory)
     )
     nlls = []
     pairs = memory.k
     for lam, (model, trace) in zip(lambdas, walk):
         logger.debug(
             "CV fold t=%d..%d, lambda=%g: %d pairs at start, %d iterations, "
-            "%d backtracks, converged=%s, stagnated=%s", held[0], held[-1], lam,
+            "%d backtracks, converged=%s, stagnated=%s", h0, h1, lam,
             pairs, trace.iterations, trace.backtracks, trace.converged,
             trace.stagnated,
         )
@@ -387,31 +376,35 @@ def select_lambda_cv(
 ) -> Tuple[float, Dict[float, float]]:
     """Blocked cross-validation for the group-lasso weight.
 
-    The time axis is cut into ``folds`` contiguous blocks. For each fold the
-    model is fitted on the remaining blocks, treated as separate contiguous
-    segments whose likelihoods are summed (no lag window straddles the
-    held-out gap), and scored by the unpenalized NLL on the held-out block.
-    Each distinct λ of the grid is fitted once, in increasing order, and
-    each fold walks the grid as one solve path (:func:`_cv_fold`) from
-    ``start``: a CSA fit of the whole of ``x`` at order ``p`` and its
-    solve's pairs (:func:`_scsa_start`), made here once when None. That
-    start has seen every fold's held-out block, so a fold's fits are not
+    The time axis is cut into ``folds`` contiguous blocks, and the lag
+    stack of ``x`` is built once. Each fold is column ranges of it
+    (:func:`_cv_fold`): the model is fitted on the windows that touch no
+    held-out sample (Bergmeir, Hyndman & Koo, CSDA 2018) and scored by the
+    unpenalized NLL of the windows inside the block. Each distinct λ is
+    fitted once, in increasing order, and each fold walks the grid as one
+    solve path from ``start``: a CSA fit of the whole of ``x`` at order
+    ``p`` and its solve's pairs (:func:`_scsa_start`), made here when None.
+    That start has seen every held-out block, so a fold's fits are not
     wholly out-of-sample: the held-out data can pick the basin a fold's walk
     reaches (the cost is not convex in B), though the fits minimize the
     training cost alone. cv.glmnet, by contrast, fits each fold's path from
-    the fold's own data and shares only the λ sequence. The folds run in
-    forked workers of this stage (:func:`_pool_map`), and their scores are
-    summed in fold order.
+    the fold's own data and shares only the λ sequence. Fold-local starts
+    gave the same pick on 140 criterion-7 datasets, all with D = 4 sources,
+    but on the D = 7 ``em_refine`` benchmark dataset with ``pipeline_cv``'s
+    flags they pick 17.56 where the shared start picks 6.16 (ROADMAP item
+    10). The folds run in forked workers of this stage (:func:`_pool_map`),
+    which inherit the stack, and their scores are summed in fold order.
     """
     _check_folds(folds, "folds")
     lambdas = sorted(set(float(l) for l in lambda_grid))
     if not lambdas:
         raise ValueError("lambda_grid must be nonempty")
     blocks = _cv_blocks(x.n_samples, folds, p)
+    stack = lag_stack(x, p)
     if start is None:
-        start = _scsa_start(lag_stack(x, p), p)
+        start = _scsa_start(stack, p)
     scores = {lam: 0.0 for lam in lambdas}
-    tasks = [(x.data, p, lambdas, held, start) for held in blocks]
+    tasks = [(stack, p, lambdas, held, start) for held in blocks]
     for nlls in _pool_map(_cv_fold, tasks):
         for lam, nll in zip(lambdas, nlls):
             scores[lam] += nll

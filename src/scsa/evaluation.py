@@ -10,8 +10,8 @@ optimal least-squares rescaling.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 
@@ -54,7 +54,6 @@ class EvalReport:
     selected_order: int
     selected_lambda: Optional[float]
     wall_time_s: float
-    extra: Dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         payload = {
@@ -65,7 +64,6 @@ class EvalReport:
             "selected_order": self.selected_order,
             "selected_lambda": self.selected_lambda,
             "wall_time_s": self.wall_time_s,
-            "extra": self.extra,
         }
         return json.dumps(payload, indent=2)
 
@@ -193,12 +191,15 @@ def connectivity_auc(
 ) -> Optional[float]:
     """AUC for ranking true interactions above absent ones by group norm.
 
-    Returns None when the truth has no positive or no negative groups.
+    Returns None, before anything is scored, when the truth has no positive
+    or no negative off-diagonal groups.
     """
-    d = est_model.dim
+    off = ~np.eye(est_model.dim, dtype=bool)
+    labels = np.asarray(true_support, dtype=bool)[off]
+    if labels.all() or not labels.any():
+        return None
     scores = interaction_scores(est_model, pairing, x, mvar_order)
-    off = ~np.eye(d, dtype=bool)
-    return auc_from_scores(scores[off], np.asarray(true_support, dtype=bool)[off])
+    return auc_from_scores(scores[off], labels)
 
 
 def evaluate(

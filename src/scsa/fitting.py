@@ -48,11 +48,13 @@ PIVOT_FLOOR = 1e-10
 
 
 def _fit_csa(
-    stack: np.ndarray, p: int, grad_tol: float = GRAD_TOL, lags: bool = True
+    stack: np.ndarray, p: int, lags: bool = True
 ) -> Tuple[SourceModel, OptimizationTrace]:
-    """Maximum-likelihood FIR fit on a lag stack X (likelihoods summed over
-    its segments), returned in (B, H) coordinates. With ``lags`` False the
-    lag filters of the whitened fit are held at zero: MVARICA.
+    """Maximum-likelihood FIR fit on a lag stack X (the likelihood summed
+    over its columns, one lag window each), solved to
+    :data:`scsa.optim.GRAD_TOL` and returned in (B, H) coordinates. With
+    ``lags`` False the lag filters of the whitened fit are held at zero:
+    MVARICA.
 
     The filter bank is fitted in whitened lag coordinates. With C = X X^T / N
     and U its upper-triangular Cholesky factor (C = U U^T), Z = R X with
@@ -85,7 +87,7 @@ def _fit_csa(
     init = FilterBank([np.eye(d)] + [np.zeros((d, d))] * (k - 1))
     memory = LbfgsMemory(k * d * d)
     theta, trace = keep_last_on_stagnation(
-        lambda: minimize(objective, pack_filter_bank(init), grad_tol, memory),
+        lambda: minimize(objective, pack_filter_bank(init), GRAD_TOL, memory),
         f"{'CSA' if lags else 'MVARICA'} fit (P={p})",
     )
     w = np.hstack(unpack_filter_bank(theta, d, k - 1).w) @ r

@@ -196,24 +196,21 @@ def filter_bank_to_source_model(fb: FilterBank) -> SourceModel:
 
 
 def lag_stack(x, p: int) -> np.ndarray:
-    """The lag windows of a D-row array or ``TimeSeriesMatrix``, or of a
-    sequence of them (contiguous segments, placed side by side so no window
-    straddles two), as X of shape ((P+1)*D, sum_i (T_i - P)) whose row block
-    p holds x(t-p) for t > P. A filter bank acts on it as ``np.hstack(w) @ X``.
-    Raises :class:`InsufficientDataError` when a segment has T <= P."""
-    if isinstance(x, (np.ndarray, TimeSeriesMatrix)):
-        x = [x]
-    blocks = [seg.data if isinstance(seg, TimeSeriesMatrix) else seg for seg in x]
-    widths = [blk.shape[1] - p for blk in blocks]
-    if min(widths) < 1:
-        raise InsufficientDataError(f"need T > {p}, got T = {min(widths) + p}")
-    d = blocks[0].shape[0]
-    out = np.empty(((p + 1) * d, sum(widths)))
-    col = 0
-    for blk, n in zip(blocks, widths):
-        for lag in range(p + 1):
-            out[lag * d : (lag + 1) * d, col : col + n] = blk[:, p - lag : p - lag + n]
-        col += n
+    """The lag windows of one D x T block, a 2-D array or a
+    ``TimeSeriesMatrix``, as X of shape ((P+1)*D, T - P) whose row block p
+    holds x(t-p) and whose column t - P is the window at t, for t > P. A
+    filter bank acts on it as ``np.hstack(w) @ X``. Raises
+    :class:`InsufficientDataError` when T <= P and ValueError for anything
+    but one 2-D block."""
+    data = x.data if isinstance(x, TimeSeriesMatrix) else x
+    if not isinstance(data, np.ndarray) or data.ndim != 2:
+        raise ValueError(f"lag_stack takes one 2-D block, not {type(x).__name__}")
+    d, n = data.shape[0], data.shape[1] - p
+    if n < 1:
+        raise InsufficientDataError(f"need T > {p}, got T = {n + p}")
+    out = np.empty(((p + 1) * d, n))
+    for lag in range(p + 1):
+        out[lag * d : (lag + 1) * d] = data[:, p - lag : p - lag + n]
     return out
 
 

@@ -281,6 +281,25 @@ class TestEval:
         }))
         assert run("eval", str(dataset_dir), str(model_file)) == EXIT_ESTIMATOR
 
+    def test_order_zero_truth_has_no_auc(self, tmp_path):
+        # order-0 sources have no interaction to rank, so the AUC is null,
+        # and the model is not scored for one (an order-0 fit has no lags)
+        args = list(SIM_ARGS)
+        args[args.index("--order") + 1] = "0"
+        args[args.index("--interactions") + 1] = "0"
+        data, model_file = tmp_path / "p0", tmp_path / "ica.json"
+        assert run(*args, "--out", str(data)) == EXIT_OK
+        assert run("fit", str(data), "--method", "ica", "--orders", "0",
+                   "--out", str(model_file)) == EXIT_OK
+        out = tmp_path / "report.json"
+        assert run("eval", str(data), str(model_file), "--out", str(out)) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert report["auc"] is None and np.isfinite(report["gof_error"])
+        assert sorted(report) == [
+            "auc", "gof_error", "method", "per_pattern_gof", "selected_lambda",
+            "selected_order", "wall_time_s",
+        ]
+
     def test_truncated_signals_is_io_error(self, dataset_dir, tmp_path):
         model_file = tmp_path / "model.json"
         assert run("fit", str(dataset_dir), "--method", "ica",
@@ -371,6 +390,18 @@ class TestBench:
             assert (noise, got_entry, method, n) == ("N0", str(entry), "SCSA", "11")
             gofs = [float(r["gof"]) for r in rows if r["entry"] == str(entry)]
             assert median == f"{np.median(gofs):.6f}"
+
+    def test_order_zero_row_has_gof_and_no_auc(self, tmp_path):
+        cfg = self._config(
+            tmp_path,
+            simulation={"d_sources": 2, "p": 0, "t": 300, "n_interactions": 0},
+            methods=[{"method": "ICA", "order_candidates": [0]}],
+        )
+        assert run("bench", str(cfg)) == EXIT_OK
+        with open(tmp_path / "bench" / "results.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["error"] == "" and row["auc"] == ""
+        assert np.isfinite(float(row["gof"]))
 
     def test_failed_replace_leaves_no_file(self, tmp_path, monkeypatch):
         def failing_replace(src, dst):

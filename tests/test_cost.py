@@ -248,12 +248,13 @@ def rel_close(got, want, rel=1e-12):
 class TestLagStack:
     @pytest.mark.parametrize("p", [0, 1, 4])
     def test_kernels_sum_over_segments(self, p):
-        # one call on the stacked segments equals the sum of per-segment
-        # calls, for all four kernels; P = 0 is the ICA path
+        # one call on the columns of several segments' stacks, side by side
+        # as a cross-validation fold's training windows are, equals the sum
+        # of per-segment calls, for all four kernels; P = 0 is the ICA path
         rng = np.random.default_rng(30 + p)
         d, lengths = 3, (40, 23, p + 1)  # the last segment has one window
         segs = [TimeSeriesMatrix(rng.standard_normal((d, t))) for t in lengths]
-        stack = lag_stack(segs, p)
+        stack = np.hstack([lag_stack(x, p) for x in segs])
         assert stack.shape == ((p + 1) * d, sum(t - p for t in lengths))
         model = random_model(rng, d, p)
         fb = source_model_to_filter_bank(model)
@@ -273,7 +274,7 @@ class TestLagStack:
         rng = np.random.default_rng(40 + p)
         d = 3
         segs = [rng.standard_normal((d, 30)), rng.standard_normal((d, 20))]
-        stack = lag_stack(segs, p)
+        stack = np.hstack([lag_stack(x, p) for x in segs])
         model = random_model(rng, d, p)
         pen = GroupPenaltySpec(0.4)
         smooth = cost_scsa(model, stack, GroupPenaltySpec(0.0))
@@ -285,7 +286,7 @@ class TestLagStack:
     def test_order_zero_stack_is_the_data(self):
         x = np.random.default_rng(50).standard_normal((2, 9))
         np.testing.assert_array_equal(lag_stack(x, 0), x)
-        np.testing.assert_array_equal(lag_stack([x, x[:, :4]], 0), np.hstack([x, x[:, :4]]))
+        np.testing.assert_array_equal(lag_stack(TimeSeriesMatrix(x), 0), x)
 
     def test_rows_are_lagged_windows(self):
         x = np.arange(12.0).reshape(2, 6)
@@ -297,8 +298,18 @@ class TestLagStack:
     def test_short_segment_raises(self):
         from scsa.exceptions import InsufficientDataError
 
+        lag_stack(np.ones((2, 3)), 2)  # one window
         with pytest.raises(InsufficientDataError):
-            lag_stack([np.ones((2, 5)), np.ones((2, 2))], 2)
+            lag_stack(np.ones((2, 2)), 2)
+
+    @pytest.mark.parametrize(
+        "x", [[np.ones((2, 5)), np.ones((2, 4))], np.ones((2, 2, 5)), np.ones(5)],
+        ids=["segments", "3-D", "1-D"],
+    )
+    def test_only_one_block_is_stacked(self, x):
+        # a sequence of segments is not read as one 3-D block
+        with pytest.raises(ValueError, match="one 2-D block"):
+            lag_stack(x, 1)
 
     def test_stack_of_wrong_order_rejected(self):
         rng = np.random.default_rng(51)

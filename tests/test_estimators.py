@@ -8,6 +8,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from scsa import em_dal, estimators, fitting, optim
@@ -86,6 +88,16 @@ def mixed_dataset(seed, d=3, p=2, t=2000):
     return TimeSeriesMatrix(m @ s.data), m, h
 
 
+def fold_stack(x, p, cuts=()):
+    """The order-``p`` lag windows of ``x``, or, with ``cuts`` (h0, h1 + 1),
+    those of a CV fold that holds out samples h0..h1: the windows of the runs
+    before and after the held-out block, as columns of the whole stack."""
+    stack = lag_stack(x, p)
+    if not cuts:
+        return stack
+    return np.hstack((stack[:, : cuts[0] - p], stack[:, cuts[1] :]))
+
+
 class TestFitCsa:
     def test_recovers_mixing(self):
         x, m, _ = mixed_dataset(0, t=8000)
@@ -112,8 +124,7 @@ class TestFitCsa:
         # the fit runs in whitened coordinates; its reported value must be
         # the likelihood of the returned model on the data's own stack
         x, _, _ = mixed_dataset(6, t=800)
-        runs = [x.data] if not cuts else [x.data[:, : cuts[0]], x.data[:, cuts[1] :]]
-        stack = lag_stack(runs, p)
+        stack = fold_stack(x, p, cuts)
         model, trace = fitting._fit_csa(stack, p)
         f = nll_csa(source_model_to_filter_bank(model), stack)
         assert abs(trace.final_value - f) <= 1e-9 * abs(f)
@@ -128,7 +139,7 @@ class TestFitCsa:
 
 
 class TestCsaHandOff:
-    def test_pairs_keep_curvature_and_slopes(self):
+    def test_pairs_keep_curvature_and_slopes(self, monkeypatch):
         # each pair of the CSA solve, as the SCSA start maps it, keeps s^T y,
         # and the SCSA objective's slope along the mapped step, at the SCSA
         # start, is the CSA objective's along the original step. The solve
@@ -137,7 +148,8 @@ class TestCsaHandOff:
         x, _, _ = mixed_dataset(6, t=800)
         d, p = 3, 2
         stack = lag_stack(x, p)
-        csa = fitting._fit_csa(stack, p, 1e-3)
+        monkeypatch.setattr(fitting, "GRAD_TOL", 1e-3)
+        csa = fitting._fit_csa(stack, p)
         model, out = fitting._scsa_start(stack, p, csa)
         memory = csa[1].memory
         assert model is csa[0]
@@ -252,7 +264,10 @@ class TestFitScsa:
         d, p, lam = 3, 2, 120.0
         x, _, _ = mixed_dataset(8, d=d, p=p, t=1000)
         pen = GroupPenaltySpec(lam)
-        model = fit_scsa(x, p, pen, grad_tol=1e-10)
+        stack = lag_stack(x, p)
+        (model, _), = fitting._fit_scsa(
+            stack, p, [pen], fitting._scsa_start(stack, p), grad_tol=1e-10
+        )
         g = grad_scsa(model, x, GroupPenaltySpec(0.0)).gradient
         gh = g[d * d :].reshape(p, d, d)
         hs = model.h.as_array()
@@ -325,8 +340,7 @@ class TestFitScsa:
         # value must be the cost of the returned model on the data's own stack
         x, m, h = mixed_dataset(6, t=800)
         d, p = 3, 2
-        runs = [x.data] if not cuts else [x.data[:, : cuts[0]], x.data[:, cuts[1] :]]
-        stack = lag_stack(runs, p)
+        stack = fold_stack(x, p, cuts)
         init = SourceModel(
             np.linalg.inv(m) + 0.05 * np.eye(d),
             MvarCoefficients([0.5 * hp for hp in h.lags]),
@@ -389,7 +403,7 @@ class TestFitScsaEm:
             x, _, _ = mixed_dataset(seed, d=2, p=1, t=600)
             pen = GroupPenaltySpec(2.0)
             scsa = fit_scsa(x, 1, pen)
-            em = fit_scsa_em(x, 1, pen, em_steps=5)
+            em = fit_scsa_em(x, 1, pen)
             assert cost_scsa(em, x, pen) <= cost_scsa(scsa, x, pen) + 1e-9
 
 
@@ -517,9 +531,10 @@ class TestSelectLambdaCv:
         x, _, _ = mixed_dataset(15, d=2, p=1, t=600)
         select_lambda_cv(x, 1, [0.1, 1.0], folds=3)
         assert calls == [(1, 599)]  # the whole run's lag windows, once
-        start = fitting._scsa_start(lag_stack(x, 1), 1)
+        stack = lag_stack(x, 1)
+        start = fitting._scsa_start(stack, 1)
         calls.clear()
-        estimators._cv_fold(x.data, 1, [0.1, 1.0], np.arange(200, 400), start)
+        estimators._cv_fold(stack, 1, [0.1, 1.0], np.arange(200, 400), start)
         assert calls == []
 
     def test_fit_cross_validates_through_select_lambda_cv(self, monkeypatch):
@@ -543,7 +558,8 @@ class TestSelectLambdaCv:
         # the walk's iterates and its held-out scores skip the condition
         # checks of the model classes
         x, _, _ = mixed_dataset(15, d=2, p=1, t=600)
-        start = fitting._scsa_start(lag_stack(x, 1), 1)
+        stack = lag_stack(x, 1)
+        start = fitting._scsa_start(stack, 1)
         checks = []
         real = np.linalg.cond
 
@@ -552,10 +568,35 @@ class TestSelectLambdaCv:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "cond", counted)
-        estimators._cv_fold(x.data, 1, [0.1, 1.0], np.arange(200, 400), start)
+        estimators._cv_fold(stack, 1, [0.1, 1.0], np.arange(200, 400), start)
         assert checks == []
         fit_scsa(x, 1, GroupPenaltySpec(0.1))  # a returned model is validated
         assert checks
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        t=st.integers(40, 240),
+        p=st.integers(0, 3),
+        folds=st.integers(2, 5),
+        fold=st.integers(0, 4),
+    )
+    def test_fold_is_column_ranges_of_one_stack(self, t, p, folds, fold):
+        # a fold's held-out scores are bit for bit those of the same walk on
+        # the stacks of its runs, side by side, and of its held-out block
+        x, _, _ = mixed_dataset(t, d=2, p=1, t=t)
+        held = estimators._cv_blocks(t, folds, p)[fold % folds]
+        lambdas = [0.1, 1.0]
+        stack = lag_stack(x, p)
+        start = fitting._scsa_start(stack, p)
+        runs = [r for r in (x.data[:, : held[0]], x.data[:, held[-1] + 1 :]) if r.size]
+        train = np.hstack([lag_stack(r, p) for r in runs])
+        held_stack = lag_stack(x.data[:, held], p)
+        walk = fitting._fit_scsa(
+            train, p, [GroupPenaltySpec(lam) for lam in lambdas],
+            (start[0], start[1].copy()),
+        )
+        want = [cost_scsa(model, held_stack, GroupPenaltySpec()) for model, _ in walk]
+        assert estimators._cv_fold(stack, p, lambdas, held, start) == want
 
     def test_degenerate_fold_raises(self):
         x = TimeSeriesMatrix(np.random.default_rng(0).standard_normal((2, 12)))
@@ -946,6 +987,22 @@ class TestOnePoolPerFit:
             monkeypatch.setattr(module, "lag_stack", counted)
         fit(x, FitRequest("SCSA_EM", [2], [1.0]))
         assert calls == [2]
+
+    def test_cv_stacks_its_data_once(self, monkeypatch):
+        # one stack in fit, for the start and the final fit, and one in
+        # select_lambda_cv, whose folds are column ranges of it
+        monkeypatch.setattr(estimators, "_worker_count", lambda n_tasks, cap=None: 1)
+        x, _, _ = mixed_dataset(18, d=2, p=1, t=600)
+        calls = []
+        real = estimators.lag_stack
+
+        def counted(data, p):
+            calls.append(p)
+            return real(data, p)
+
+        monkeypatch.setattr(estimators, "lag_stack", counted)
+        fit(x, FitRequest("SCSA", [2], [0.1, 1.0], cv_folds=3))
+        assert calls == [2, 2]
 
 
 class TestDefaultLambdaGrid:

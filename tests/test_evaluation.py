@@ -287,8 +287,16 @@ class TestConnectivityAuc:
         model = SourceModel(b=np.eye(2), h=MvarCoefficients([]))
         with pytest.raises(ValueError):
             connectivity_auc(
-                model, np.zeros((2, 2), dtype=bool), identity_pairing(2)
+                model, np.array([[False, True], [False, False]]), identity_pairing(2)
             )
+
+    @pytest.mark.parametrize("truth", [False, True], ids=["no-positive", "no-negative"])
+    def test_one_class_truth_is_not_scored(self, truth):
+        # no AUC exists, so nothing is scored: an order-0 model without data
+        # to fit a post-hoc MVAR on does not raise
+        model = SourceModel(b=np.eye(2), h=MvarCoefficients([]))
+        support = np.full((2, 2), truth)
+        assert connectivity_auc(model, support, identity_pairing(2)) is None
 
 
 class TestEvaluateAndSerialization:
