@@ -24,6 +24,7 @@ Filter banks are flattened the same way, ``[vec(W^(0)); ...; vec(W^(P))]``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -44,34 +45,33 @@ from .optim import GroupLayout
 LOG_PI = float(np.log(np.pi))
 LOG_2 = float(np.log(2.0))
 
-# Data argument of the kernels: a lag stack, or a signal block stacked inside.
+# A data argument: a lag stack, or a signal block stacked inside (_as_stack).
 Data = Union[np.ndarray, TimeSeriesMatrix]
 
 
-class _Lapack:
-    """scipy's LAPACK routines that the fits call, bound on first use:
-    ``import scsa`` loads numpy only, and importing scipy.linalg takes
-    longer than a simulation. :meth:`bind` sets them as attributes of the
-    instance, so a lookup after the first costs what a module attribute
-    does; before it, a lookup binds them. :func:`scsa.estimators._pool_map`
-    binds them before it forks, so its workers inherit the binding."""
-
-    NAMES = ("dgetrf", "dgetri", "dtrtri")
-
-    def bind(self) -> None:
-        from scipy.linalg import lapack
-
-        for name in self.NAMES:
-            setattr(self, name, getattr(lapack, name))
-
-    def __getattr__(self, name):  # only called before the names are bound
-        if name not in self.NAMES:
-            raise AttributeError(name)
-        self.bind()
-        return getattr(self, name)
+def _as_stack(x: Data, p: int, d: Optional[int] = None) -> np.ndarray:
+    """The order-``p`` lag stack of a data argument: a ``TimeSeriesMatrix``
+    stacked here, or an ndarray, which is the stack itself. A stack's rows
+    cannot tell it from raw data, so an ndarray needs ``d``, the channel
+    count of the model beside it; the stack must have (p+1)·d rows."""
+    if isinstance(x, TimeSeriesMatrix):
+        x = lag_stack(x, p)
+    elif d is None:
+        raise ValueError("an ndarray is read as a lag stack and takes a model to fix D")
+    if d is not None and x.shape[0] != (p + 1) * d:
+        raise ValueError(f"lag stack has {x.shape[0]} rows, expected {(p + 1) * d}")
+    return x
 
 
-_LAPACK = _Lapack()
+@functools.cache
+def _lapack():
+    """scipy's LAPACK routines (:mod:`scipy.linalg.lapack`), imported on
+    first use: ``import scsa`` loads numpy only, and importing scipy.linalg
+    takes longer than a simulation. :func:`scsa.estimators._pool_map`
+    imports it before it forks, so its workers inherit it."""
+    from scipy.linalg import lapack
+
+    return lapack
 
 
 @dataclass
@@ -132,13 +132,10 @@ def _fir_kernel(w0, w, x: Data, want_grad: bool):
     """Value of the FIR negative log-likelihood and, with ``want_grad``, its
     gradient G with respect to W = [W^(0), ..., W^(P)] as a (D, (P+1)D)
     array. tanh and log cosh share one expm1(-2|eps|)."""
-    d, rows = w0.shape[0], w.shape[1]
-    if isinstance(x, TimeSeriesMatrix):
-        x = lag_stack(x, rows // d - 1)
-    elif x.shape[0] != rows:
-        raise ValueError(f"lag stack has {x.shape[0]} rows, expected {rows}")
-    stack, n = x, x.shape[1]
-    lu, piv, info = _LAPACK.dgetrf(w0)  # one LU gives log|det W^(0)| and its inverse
+    d = w0.shape[0]
+    stack = _as_stack(x, w.shape[1] // d - 1, d)
+    n = stack.shape[1]
+    lu, piv, info = _lapack().dgetrf(w0)  # one LU gives log|det W^(0)| and its inverse
     logdet = float(np.log(np.abs(lu.diagonal())).sum()) if info == 0 else np.nan
     if not math.isfinite(logdet):
         raise NumericError("W^(0) has zero or nonfinite determinant")
@@ -160,7 +157,7 @@ def _fir_kernel(w0, w, x: Data, want_grad: bool):
     if not want_grad:
         return value, None
     grad = np.copysign(em, eps, out=em) @ stack.T  # tanh(eps) X^T
-    grad[:, :d] -= n * _LAPACK.dgetri(lu, piv)[0].T
+    grad[:, :d] -= n * _lapack().dgetri(lu, piv)[0].T
     return value, grad
 
 

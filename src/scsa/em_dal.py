@@ -30,9 +30,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cost import Data, GroupPenaltySpec, cost_scsa, log_sech_density
+from .cost import Data, GroupPenaltySpec, _as_stack, cost_scsa, log_sech_density
 from .fitting import _checked, _fit_scsa, _scsa_start
-from .model import MvarCoefficients, SourceModel, lag_stack, unchecked
+from .model import MvarCoefficients, SourceModel, unchecked
 from .optim import GRAD_TOL
 
 LOG_2_OVER_PI = float(np.log(2.0 / np.pi))
@@ -100,18 +100,19 @@ def m_step_dal(
     """Minimize the sech prediction loss plus group penalty over the lag
     coefficients: the H block of the SCSA fit on ``s``, B held at ``init.b``
     and H started at ``init.h``, or at B = I from H = 0 without ``init``.
-    ``s`` is a :class:`TimeSeriesMatrix` or its lag stack at order ``P``; an
-    ``ndarray`` is always read as the lag stack (:data:`scsa.cost.Data`).
+    ``s`` is a :class:`TimeSeriesMatrix` or, beside ``init``, its lag stack
+    at order ``P`` (:func:`scsa.cost._as_stack`).
 
     Each off-diagonal (d, f) lag group carries weight ``pen.lam``; the
     diagonal autocorrelation coefficients are unpenalized. Raises
-    :class:`InsufficientDataError` when ``T <= P``.
+    :class:`InsufficientDataError` when ``T <= P``, and ValueError for a
+    stack without ``init`` or with rows that do not fit it.
     """
+    stack = _as_stack(s, P, None if init is None else init.dim)
     if P == 0:
         return MvarCoefficients([])
-    stack = s if isinstance(s, np.ndarray) else lag_stack(s, P)
     if init is None:
-        d = stack.shape[0] // (P + 1)
+        d = s.n_channels  # without init, _as_stack takes only a TimeSeriesMatrix
         init = SourceModel(np.eye(d), MvarCoefficients(list(np.zeros((P, d, d)))))
     (model, _), = _fit_scsa(
         stack, P, [pen], (init, None), M_STEP_GRAD_TOL, slice(init.b.size, None)
@@ -129,9 +130,9 @@ def e_step(
     the unpenalized SCSA fit (the penalty is constant in B), solved to the
     gradient tolerance ``grad_tol`` as the relative-gradient solve for B~ in
     B = B~ b0. ``x`` is a :class:`TimeSeriesMatrix` or its lag stack at the
-    order of ``h``; an ``ndarray`` is always read as the lag stack
-    (:data:`scsa.cost.Data`)."""
-    stack = x if isinstance(x, np.ndarray) else lag_stack(x, h.order)
+    order of ``h``, with as many channels as ``b0`` has rows
+    (:func:`scsa.cost._as_stack`)."""
+    stack = _as_stack(x, h.order, b0.shape[0])
     init = unchecked(SourceModel, b=b0, h=h)
     (model, _), = _fit_scsa(
         stack, h.order, [GroupPenaltySpec(0.0)], (init, None), grad_tol,
@@ -151,12 +152,12 @@ def fit_scsa_em(
     stack started at the current model, from a warm start: ``init``, or else
     :func:`scsa.estimators.fit_scsa`'s solution, the SCSA fit from the CSA
     start (:func:`scsa.fitting._scsa_start`). ``x`` is a
-    :class:`TimeSeriesMatrix` or its lag stack at order ``P``; an ``ndarray``
-    is always read as the lag stack (:data:`scsa.cost.Data`). Returns the
-    refined model and the composite cost after the warm start and after
-    every half-step, which never rises.
+    :class:`TimeSeriesMatrix` or, beside ``init``, its lag stack at order
+    ``P`` (:func:`scsa.cost._as_stack`). Returns the refined model and the
+    composite cost after the warm start and after every half-step, which
+    never rises.
     """
-    stack = x if isinstance(x, np.ndarray) else lag_stack(x, P)
+    stack = _as_stack(x, P, None if init is None else init.dim)
     if init is None:
         (init, _), = _fit_scsa(stack, P, [pen], _scsa_start(stack, P))
         init = _checked(init)

@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import em_dal
-from .cost import _LAPACK, GroupPenaltySpec, cost_scsa
+from .cost import GroupPenaltySpec, _lapack, cost_scsa
 from .exceptions import IllPosedError, PartitionError, ScsaError
 from .fitting import _checked, _fit_csa, _fit_scsa, _scsa_start
 from .model import SourceModel, TimeSeriesMatrix, lag_stack
@@ -64,7 +64,7 @@ class FitRequest:
 
 
 def _check_orders(orders: Sequence[int]) -> None:
-    if not orders:
+    if len(orders) == 0:
         raise ValueError("order_candidates must be nonempty")
     if not all(isinstance(p, numbers.Integral) and p >= 0 for p in orders):
         raise ValueError(f"orders must be nonnegative integers; got {list(orders)!r}")
@@ -107,39 +107,39 @@ class FitResult:
 
 def fit_csa(x: TimeSeriesMatrix, p: int) -> SourceModel:
     """CSA: maximum-likelihood fit of the FIR filter bank, solved in
-    whitened lag coordinates (:func:`_fit_csa`) and returned in (B, H)
-    coordinates. Raises :class:`DegenerateModelError` on rank-deficient
-    data."""
-    return _order_fit(lag_stack(x, p), "CSA", p)[0]
+    whitened lag coordinates (:func:`scsa.fitting._fit_csa`) and returned in
+    (B, H) coordinates; :func:`fit` at the one order ``p``. Raises
+    :class:`DegenerateModelError` on rank-deficient data."""
+    return fit(x, FitRequest("CSA", [p])).model
 
 
 def fit_ica(x: TimeSeriesMatrix) -> SourceModel:
-    """Instantaneous maximum-likelihood ICA (order-0 CSA); empty H."""
-    return fit_csa(x, 0)
+    """Instantaneous maximum-likelihood ICA (order-0 CSA): :func:`fit` at order 0."""
+    return fit(x, FitRequest("ICA", [0])).model
 
 
 def fit_scsa(x: TimeSeriesMatrix, p: int, pen: GroupPenaltySpec) -> SourceModel:
     """SCSA: group-lasso regularized joint fit, warm-started from CSA and
-    from its L-BFGS pairs (:func:`_scsa_start`)."""
-    stack = lag_stack(x, p)
-    (model, _), = _fit_scsa(stack, p, [pen], _scsa_start(stack, p))
-    return _checked(model)
+    from its L-BFGS pairs (:func:`scsa.fitting._scsa_start`); :func:`fit`
+    at the one order ``p`` and the one weight ``pen.lam``."""
+    return fit(x, FitRequest("SCSA", [p], [pen.lam])).model
 
 
 def fit_scsa_em(x: TimeSeriesMatrix, p: int, pen: GroupPenaltySpec) -> SourceModel:
     """SCSA refined by EM alternation, block-coordinate descent on the SCSA
-    cost over B and H; warm-started from :func:`fit_scsa`."""
-    return em_dal.fit_scsa_em(x, p, pen)[0]
+    cost over B and H, warm-started from :func:`fit_scsa`; :func:`fit` at
+    the one order ``p`` and the one weight ``pen.lam``."""
+    return fit(x, FitRequest("SCSA_EM", [p], [pen.lam])).model
 
 
 def fit_mvarica(x: TimeSeriesMatrix, p: int) -> SourceModel:
     """MVARICA baseline (Gomez-Herrero et al., 2008): instantaneous ICA of the
     sensor-space least-squares MVAR residual, with the sensor coefficients
     A^(p) carried into source space as H^(p) = B A^(p) B^-1. This is the
-    zero-lag block of CSA's whitened fit (:func:`_fit_csa` with the lag
-    filters held at zero). Raises :class:`DegenerateModelError` on
-    rank-deficient data."""
-    return _order_fit(lag_stack(x, p), "MVARICA", p)[0]
+    zero-lag block of CSA's whitened fit (:func:`scsa.fitting._fit_csa`
+    with the lag filters held at zero); :func:`fit` at the one order ``p``.
+    Raises :class:`DegenerateModelError` on rank-deficient data."""
+    return fit(x, FitRequest("MVARICA", [p])).model
 
 
 # set in each forked worker of _pool_map, so that maps inside it run serially
@@ -164,8 +164,8 @@ def _pool_map(fn: Callable, tasks: Sequence[tuple], cap: Optional[int] = None) -
     """``[fn(*task) for task in tasks]``, run by :func:`_worker_count`
     forked workers when that is two or more, else here, in order. The
     workers inherit ``fn``, ``tasks`` and scipy's LAPACK routines
-    (:data:`scsa.cost._LAPACK`), bound before the fork, so nothing is sent
-    to them. They claim tasks one at a time (:func:`_work`); this process
+    (:func:`scsa.cost._lapack`), imported before the fork, so nothing is
+    sent to them. They claim tasks one at a time (:func:`_work`); this process
     runs none. Results come back in task order, so a caller that reduces
     them in that order gets the serial loop's numbers at every worker count.
     A failed task raises the exception of the first failed task in task
@@ -175,7 +175,7 @@ def _pool_map(fn: Callable, tasks: Sequence[tuple], cap: Optional[int] = None) -
     workers = _worker_count(len(tasks), cap)
     if workers < 2:
         return [fn(*task) for task in tasks]
-    _LAPACK.bind()  # before the fork
+    _lapack()  # imported before the fork
     claim, pipes, pids = os.pipe(), [], []
     os.write(claim[1], bytes(4))  # task number 0 is the first unclaimed
     try:
@@ -395,6 +395,7 @@ def select_lambda_cv(
     10). The folds run in forked workers of this stage (:func:`_pool_map`),
     which inherit the stack, and their scores are summed in fold order.
     """
+    _check_orders([p])
     _check_folds(folds, "folds")
     lambdas = sorted(set(float(l) for l in lambda_grid))
     if not lambdas:
@@ -417,7 +418,8 @@ def fit(x: TimeSeriesMatrix, request: FitRequest) -> FitResult:
     """Run the full estimation pipeline: order selection, penalty selection
     where the method uses one, and the final fit. BIC runs only when the
     request has two or more distinct orders, and cross-validation only when
-    the λ grid has two or more distinct values.
+    the λ grid has two or more distinct values. The estimator facades
+    (:func:`fit_csa` and the rest) run it at one order and one λ.
 
     Each selection stage forks its own workers and reaps them before it
     returns, also on error (:func:`_pool_map`); the final fit runs here.
@@ -427,36 +429,28 @@ def fit(x: TimeSeriesMatrix, request: FitRequest) -> FitResult:
     made here, with its pairs mapped once (:func:`_scsa_start`). That start
     is shared: every cross-validation fold walks its λ grid from it
     (:func:`select_lambda_cv`), in a copy of its memory, and the final fit
-    starts from it; so the final fit is :func:`fit_scsa`'s, whether BIC ran
-    or not and at any worker count. The start and the final SCSA and
-    SCSA-EM stages share one lag stack of the data."""
-    _LAPACK.bind()  # the first fit's wall_time leaves out scipy's import
+    starts from it; so the final fit is the same whether BIC ran or not and
+    at any worker count. The start and the final SCSA and SCSA-EM stages
+    share one lag stack of the data."""
+    _lapack()  # the first fit's wall_time leaves out scipy's import
     began = time.perf_counter()
     orders = _candidate_orders(request.order_candidates)
-    grid: List[float] = []
-    if request.method in ("SCSA", "SCSA_EM"):
-        grid = request.lambda_grid  # AUTO or a valid grid: FitRequest checks
-        if isinstance(grid, str):
-            grid = default_lambda_grid(x.n_samples)
-        grid = list(grid)
-    lam: Optional[float] = None
-    curve: Dict[float, float] = {}
     if len(orders) > 1:
         p, bic = select_order_bic(x, request.method, orders)
     else:
         p, bic = orders[0], _OrderScores({}, {})
-    if grid:
+    lam: Optional[float] = None
+    curve: Dict[float, float] = {}
+    if request.method in ("SCSA", "SCSA_EM"):
+        grid = request.lambda_grid  # AUTO or a valid grid: FitRequest checks
+        if isinstance(grid, str):
+            grid = default_lambda_grid(x.n_samples)
         stack = lag_stack(x, p)
         start = _scsa_start(stack, p, bic.fits.get(p))
         if len(set(grid)) > 1:
             lam, curve = select_lambda_cv(x, p, grid, folds=request.cv_folds, start=start)
         else:
             lam = float(grid[0])
-
-    # for ICA, P is used downstream only for a post-hoc MVAR on the demixed
-    # sources (evaluation module); the fitted model has order 0
-    order = 0 if request.method == "ICA" else p
-    if grid:
         pen = GroupPenaltySpec(lam)
         (model, trace), = _fit_scsa(stack, p, [pen], start)
         model = _checked(model)
@@ -469,6 +463,9 @@ def fit(x: TimeSeriesMatrix, request: FitRequest) -> FitResult:
                 value_history=list(history),
             )
     else:
+        # for ICA, P is used downstream only for a post-hoc MVAR on the
+        # demixed sources (evaluation module); the fitted model has order 0
+        order = 0 if request.method == "ICA" else p
         model, trace = bic.fits.get(order) or _order_fit(
             lag_stack(x, order), request.method, order
         )

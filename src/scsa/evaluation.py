@@ -10,7 +10,7 @@ optimal least-squares rescaling.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -56,16 +56,7 @@ class EvalReport:
     wall_time_s: float
 
     def to_json(self) -> str:
-        payload = {
-            "method": self.method,
-            "gof_error": self.gof_error,
-            "auc": self.auc,
-            "per_pattern_gof": list(self.per_pattern_gof),
-            "selected_order": self.selected_order,
-            "selected_lambda": self.selected_lambda,
-            "wall_time_s": self.wall_time_s,
-        }
-        return json.dumps(payload, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
 
 def regression_coefficient(true_col: np.ndarray, est_col: np.ndarray) -> float:

@@ -10,8 +10,8 @@ from typing import Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from .cost import (
-    _LAPACK,
     GroupPenaltySpec,
+    _lapack,
     grad_csa,
     grad_scsa,
     pack_filter_bank,
@@ -111,7 +111,7 @@ def _lag_cholesky(stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         raise DegenerateModelError(
             "lag-stack covariance is numerically singular (rank-deficient data)"
         )
-    return u, _LAPACK.dtrtri(u)[0]
+    return u, _lapack().dtrtri(u)[0]
 
 
 def _scsa_start(

@@ -10,6 +10,7 @@ Two equivalent parameterizations of the same model are used throughout:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,8 +201,10 @@ def lag_stack(x, p: int) -> np.ndarray:
     ``TimeSeriesMatrix``, as X of shape ((P+1)*D, T - P) whose row block p
     holds x(t-p) and whose column t - P is the window at t, for t > P. A
     filter bank acts on it as ``np.hstack(w) @ X``. Raises
-    :class:`InsufficientDataError` when T <= P and ValueError for anything
-    but one 2-D block."""
+    :class:`InsufficientDataError` when T <= P, and ValueError for anything
+    but one 2-D block or for an order that is not a nonnegative integer."""
+    if not (isinstance(p, numbers.Integral) and p >= 0):
+        raise ValueError(f"lag order must be a nonnegative integer; got {p!r}")
     data = x.data if isinstance(x, TimeSeriesMatrix) else x
     if not isinstance(data, np.ndarray) or data.ndim != 2:
         raise ValueError(f"lag_stack takes one 2-D block, not {type(x).__name__}")

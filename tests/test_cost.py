@@ -311,6 +311,11 @@ class TestLagStack:
         with pytest.raises(ValueError, match="one 2-D block"):
             lag_stack(x, 1)
 
+    @pytest.mark.parametrize("p", [-1, 1.5])
+    def test_order_must_be_a_nonnegative_integer(self, p):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            lag_stack(np.ones((2, 5)), p)
+
     def test_stack_of_wrong_order_rejected(self):
         rng = np.random.default_rng(51)
         model = random_model(rng, 2, 2)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from scsa import em_dal
+from scsa import cost
 from scsa.cost import GroupPenaltySpec, cost_scsa, nll_csa
 from scsa.em_dal import (
     e_step,
@@ -18,6 +18,8 @@ from scsa.model import (
     MvarCoefficients,
     SourceModel,
     TimeSeriesMatrix,
+    lag_stack,
+    sample_sech,
     simulate_sources,
     source_model_to_filter_bank,
 )
@@ -417,13 +419,53 @@ class TestFitScsaEm:
         x, b_true, _ = self._dataset(70, d=2, p=1, t=400)
         init = SourceModel(b=b_true + 0.1, h=MvarCoefficients([np.zeros((2, 2))]))
         calls = []
-        real = em_dal.lag_stack
+        real = cost.lag_stack
 
         def counted(*args):
             calls.append(args[1])
             return real(*args)
 
-        monkeypatch.setattr(em_dal, "lag_stack", counted)
+        monkeypatch.setattr(cost, "lag_stack", counted)
         _, hist = fit_scsa_em(x, 1, GroupPenaltySpec(0.5), em_steps=5, init=init)
         assert len(hist) > 3  # more than one EM step ran
         assert calls == [1]
+
+
+class TestDataArgument:
+    """The entry points read their data by the kernels' rule
+    (:func:`scsa.cost._as_stack`): a ``TimeSeriesMatrix`` is stacked, and an
+    ndarray is a lag stack whose channel count comes from the model beside
+    it."""
+
+    def _raw(self):
+        return sample_sech(np.random.default_rng(80), (4, 300))  # 4 channels
+
+    def test_raw_array_without_a_model_is_rejected(self):
+        # four rows would be read as the order-1 stack of two channels
+        raw, pen = self._raw(), GroupPenaltySpec(1.0)
+        with pytest.raises(ValueError, match="takes a model"):
+            fit_scsa_em(raw, 1, pen)
+        with pytest.raises(ValueError, match="takes a model"):
+            m_step_dal(raw, 1, pen)
+
+    def test_stack_must_fit_the_demixing_matrix(self):
+        # the order-1 stack of four channels has 8 rows, not the 4 of a
+        # two-source model
+        x, h = TimeSeriesMatrix(self._raw()), MvarCoefficients([np.zeros((2, 2))])
+        with pytest.raises(ValueError, match="8 rows, expected 4"):
+            e_step(x, h, np.eye(2))
+        with pytest.raises(ValueError, match="8 rows, expected 4"):
+            e_step(lag_stack(x, 1), h, np.eye(2))
+
+    def test_series_and_stack_beside_a_model_are_read(self):
+        x = TimeSeriesMatrix(self._raw())
+        pen = GroupPenaltySpec(1.0)
+        model, _ = fit_scsa_em(x, 1, pen, em_steps=1)
+        assert model.dim == 4
+        stacked, _ = fit_scsa_em(lag_stack(x, 1), 1, pen, em_steps=1, init=model)
+        assert stacked.dim == 4
+        assert m_step_dal(x, 1, pen).order == 1
+        h = m_step_dal(lag_stack(x, 1), 1, pen, model)
+        np.testing.assert_array_equal(h.as_array(), m_step_dal(x, 1, pen, model).as_array())
+        b = e_step(lag_stack(x, 1), model.h, model.b)
+        np.testing.assert_array_equal(b, e_step(x, model.h, model.b))

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from scsa import em_dal, estimators, fitting, optim
+from scsa import cost, em_dal, estimators, fitting, optim
 from scsa.cost import (
     CostReport,
     GroupPenaltySpec,
@@ -467,8 +467,22 @@ class TestSelectOrderBic:
         assert p == 2
         assert bic[1] > bic[2] < bic[3]
 
+    def test_array_of_orders_is_a_sequence(self):
+        # lambda_grid takes arrays, and so do the order candidates
+        x, _, _ = mixed_dataset(12, d=2, p=1, t=400)
+        p, bic = select_order_bic(x, "CSA", np.arange(1, 4))
+        want_p, want_bic = select_order_bic(x, "CSA", [1, 2, 3])
+        assert p == want_p and dict(bic) == dict(want_bic)
+        assert FitRequest("CSA", np.arange(1, 4)).order_candidates.tolist() == [1, 2, 3]
+
 
 class TestSelectLambdaCv:
+    @pytest.mark.parametrize("p", [-1, 1.5])
+    def test_order_must_be_a_nonnegative_integer(self, p):
+        x, _, _ = mixed_dataset(14, d=2, p=1, t=600)
+        with pytest.raises(ValueError, match="orders must be nonnegative integers"):
+            select_lambda_cv(x, p, [0.1, 1.0], folds=3)
+
     def test_single_value_grid(self):
         x, _, _ = mixed_dataset(14, d=2, p=1, t=600)
         lam, curve = select_lambda_cv(x, 1, [0.7], folds=3)
@@ -983,7 +997,7 @@ class TestOnePoolPerFit:
             calls.append(p)
             return real(data, p)
 
-        for module in (estimators, em_dal):
+        for module in (estimators, cost):
             monkeypatch.setattr(module, "lag_stack", counted)
         fit(x, FitRequest("SCSA_EM", [2], [1.0]))
         assert calls == [2]
@@ -1029,6 +1043,21 @@ class TestFitDispatcher:
         x, _, _ = mixed_dataset(17, d=2, p=1, t=300)
         with pytest.raises(ValueError, match="folds must be an integer"):
             select_lambda_cv(x, 1, [0.1, 1.0], folds=2.5)
+
+    @pytest.mark.parametrize(
+        "facade",
+        [
+            lambda x: fit_csa(x, -1),
+            lambda x: fit_mvarica(x, -1),
+            lambda x: fit_scsa(x, 1.5, GroupPenaltySpec(1.0)),
+        ],
+        ids=["csa", "mvarica", "scsa"],
+    )
+    def test_facades_check_their_order(self, facade):
+        # each facade is fit on one FitRequest, which checks the order
+        x, _, _ = mixed_dataset(17, d=2, p=1, t=300)
+        with pytest.raises(ValueError, match="orders must be nonnegative integers"):
+            facade(x)
 
     @pytest.mark.parametrize(
         "grid", ["auto", [], [float("nan")], [1.0, float("inf")], [1.0, -0.5]]
