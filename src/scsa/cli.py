@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import logging
+import numbers
 import os
 import pathlib
 import sys
@@ -253,6 +254,13 @@ def _config_entry(cls, what: str, entry):
         raise UsageError(f"{what} {entry!r} does not build: {err}") from err
 
 
+def _positive_int(value, what: str) -> int:
+    """``value`` if it is an integer >= 1, else a :class:`UsageError`."""
+    if not (isinstance(value, numbers.Integral) and value >= 1):
+        raise UsageError(f"{what} must be an integer >= 1; got {value!r}")
+    return int(value)
+
+
 def _quartiles(values: List[float]):
     arr = np.array(values)
     return np.percentile(arr, 25), np.median(arr), np.percentile(arr, 75)
@@ -260,9 +268,7 @@ def _quartiles(values: List[float]):
 
 def cmd_bench(args) -> int:
     config = json.loads(pathlib.Path(args.config).read_text())
-    repetitions = int(config.get("repetitions", 1))
-    if repetitions < 1:
-        raise UsageError("repetitions must be >= 1")
+    repetitions = _positive_int(config.get("repetitions", 1), "repetitions")
     sim = dict(config.get("simulation", {}))
     noise_kinds = config.get("noise_kinds") or [sim.get("noise_kind", "N0")]
     specs = [
@@ -274,7 +280,10 @@ def cmd_bench(args) -> int:
         raise UsageError("config needs a nonempty 'methods' list")
     requests = [_config_entry(FitRequest, "methods entry", m) for m in methods]
     master_seed = int(config.get("master_seed", 0))
-    workers = int(config.get("parallelism", args.threads))
+    if "parallelism" in config:
+        workers = _positive_int(config["parallelism"], "parallelism")
+    else:
+        workers = _positive_int(args.threads, "--threads")
     out_dir = pathlib.Path(config.get("output_dir", args.out or "."))
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -3,8 +3,13 @@ of mixing patterns, goodness-of-fit, and connectivity AUC.
 
 All metrics respect the model's indeterminacy class: estimated sources are
 defined only up to permutation and per-source rescaling (including sign), so
-patterns are paired by exact assignment optimization and compared after an
-optimal least-squares rescaling.
+patterns are paired by an exact minimum-cost assignment and compared after an
+optimal least-squares rescaling. The assignment is solved in this module by
+the shortest-augmenting-path algorithm with dual potentials (Crouse, IEEE
+TAES 52(4), 2016), the algorithm of ``scipy.optimize.linear_sum_assignment``,
+so scoring imports no scipy. Where pairings tie at the minimum cost, any of
+them is optimal, and the solver returns the one its fixed scan order reaches
+(see :func:`optimal_pairing`).
 """
 
 from __future__ import annotations
@@ -79,11 +84,65 @@ def pattern_gof(true_col: np.ndarray, est_col: np.ndarray) -> float:
     return float(np.linalg.norm(c * est_col - true_col)) / norm_true
 
 
-def optimal_pairing(true_m: MixingMatrix, est_m: MixingMatrix) -> PairingResult:
-    """Assign estimated patterns to true patterns minimizing total GOF."""
-    # imported here: ``import scsa`` should not pay for scipy.optimize
-    from scipy.optimize import linear_sum_assignment
+def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
+    """Column of each row in a minimum-cost assignment of a square matrix.
 
+    Rows join one at a time, each along a shortest augmenting path in the
+    reduced costs ``cost[i, j] - u[i] - v[j]``, and the dual potentials ``u``
+    and ``v`` are then updated so that every reduced cost stays nonnegative
+    (Crouse 2016). Among columns tied at the shortest distance, the path
+    ends at an unassigned one if it can, and else takes the lowest index;
+    so a constant matrix gives the identity. O(D^3) time.
+    """
+    cost = np.asarray(cost, dtype=float)
+    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
+        raise ValueError(f"cost matrix must be square, got shape {cost.shape}")
+    if not np.isfinite(cost).all():
+        raise ValueError("cost matrix must be finite")
+    n = len(cost)
+    u, v = np.zeros(n), np.zeros(n)
+    col4row, row4col = np.full(n, -1), np.full(n, -1)
+    for row in range(n):
+        dist, path = np.full(n, np.inf), np.empty(n, dtype=int)
+        seen_cols, seen_rows = np.zeros(n, dtype=bool), [row]
+        i, shortest = row, 0.0
+        while True:  # Dijkstra from ``row`` until it reaches a free column
+            reduced = shortest + cost[i] - u[i] - v
+            closer = ~seen_cols & (reduced < dist)
+            dist[closer], path[closer] = reduced[closer], i
+            open_dist = np.where(seen_cols, np.inf, dist)
+            shortest = open_dist.min()
+            ties = np.flatnonzero(open_dist == shortest)
+            free = ties[row4col[ties] < 0]
+            j = free[0] if free.size else ties[0]
+            seen_cols[j] = True
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+            seen_rows.append(i)
+        earlier = seen_rows[1:]
+        u[row] += shortest
+        u[earlier] += shortest - dist[col4row[earlier]]
+        v[seen_cols] -= shortest - dist[seen_cols]
+        while True:  # flip the path's edges, from the free column back to ``row``
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == row:
+                break
+    return col4row
+
+
+def optimal_pairing(true_m: MixingMatrix, est_m: MixingMatrix) -> PairingResult:
+    """Assign estimated patterns to true patterns minimizing total GOF.
+
+    The D x D assignment of pattern GOFs is solved exactly by
+    :func:`_min_cost_assignment` (shortest augmenting paths, Crouse 2016).
+    If several pairings reach the minimum total, any of them is optimal; the
+    one returned is found by adding true patterns in index order, each along
+    a shortest path that ends at a free estimated pattern where one ties,
+    else at the lowest-index one.
+    """
     tm, em = true_m.m, est_m.m
     if tm.shape != em.shape:
         raise ValueError("mixing matrices must agree in shape")
@@ -92,7 +151,8 @@ def optimal_pairing(true_m: MixingMatrix, est_m: MixingMatrix) -> PairingResult:
     for i in range(d):  # true pattern
         for j in range(d):  # estimated pattern
             cost[i, j] = pattern_gof(tm[:, i], em[:, j])
-    rows, cols = linear_sum_assignment(cost)
+    rows = np.arange(d)
+    cols = _min_cost_assignment(cost)
     permutation = np.empty(d, dtype=int)
     permutation[cols] = rows
     scales = np.array(

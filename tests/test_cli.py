@@ -433,6 +433,23 @@ class TestBench:
         assert repr(entry) in capsys.readouterr().err
         assert not (tmp_path / "bench" / "results.csv").exists()
 
+    @pytest.mark.parametrize(
+        "setting, value, argv",
+        [
+            ("parallelism", 0, []),
+            ("parallelism", -3, []),
+            ("parallelism", 1.9, []),
+            ("repetitions", 1.5, []),
+            ("--threads", 0, ["--threads", "0"]),
+        ],
+    )
+    def test_bad_count_is_usage_error(self, tmp_path, capsys, setting, value, argv):
+        overrides = {} if argv else {setting: value}
+        cfg = self._config(tmp_path, **overrides)
+        assert run("bench", str(cfg), *argv) == EXIT_USAGE
+        assert f"{setting} must be an integer >= 1; got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "bench" / "results.csv").exists()
+
     @pytest.mark.parametrize("simulation", [{"d_sources": 0}, {"sources": 2}])
     def test_bad_simulation_is_usage_error(self, tmp_path, capsys, simulation):
         cfg = self._config(tmp_path, simulation=simulation)
@@ -465,6 +482,38 @@ def test_import_skips_slow_scipy_modules(tmp_path):
         env={**os.environ, "PYTHONPATH": str(pathlib.Path(scsa.cli.__file__).parents[1])},
     )
     assert out.stdout.splitlines()[-1] == "[]"
+
+
+def scipy_modules_after(argv):
+    """The ``scipy`` modules a fresh process has loaded after ``main(argv)``."""
+    code = (
+        "import json, sys, scsa.cli; "
+        f"assert scsa.cli.main({argv!r}) == 0; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(pathlib.Path(scsa.cli.__file__).parents[1])},
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_eval_imports_no_scipy(dataset_dir, tmp_path):
+    # the pairing of sources is solved in scsa.evaluation
+    model_file = tmp_path / "csa.json"
+    assert run("fit", str(dataset_dir), "--method", "csa", "--orders", "1",
+               "--out", str(model_file)) == EXIT_OK
+    argv = ["eval", str(dataset_dir), str(model_file), "--out", str(tmp_path / "r.json")]
+    assert scipy_modules_after(argv) == []
+
+
+def test_fit_imports_only_scipy_linalg(dataset_dir, tmp_path):
+    argv = ["fit", str(dataset_dir), "--method", "csa", "--orders", "1",
+            "--out", str(tmp_path / "csa.json")]
+    top = {m.split(".")[1] for m in scipy_modules_after(argv) if "." in m}
+    assert "linalg" in top
+    assert not top & {"optimize", "sparse", "special", "spatial", "fft", "signal"}
+
 
 class TestExitCodes:
     def test_unknown_flag_is_usage(self):

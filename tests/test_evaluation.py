@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scsa.evaluation import (
+    _min_cost_assignment,
     EvalReport,
     PairingResult,
     auc_from_scores,
@@ -103,6 +104,35 @@ class TestOptimalPairing:
                 [[pattern_gof(tm[:, i], em[:, j]) for j in range(d)] for i in range(d)]
             )
             assert pairing.total_cost == pytest.approx(exhaustive_pairing_cost(cost))
+
+    def test_matches_scipy(self):
+        # scipy is the reference only here: the package solves the pairing itself
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(0)
+        for d in [*range(1, 13), 64]:
+            for _ in range(20):
+                continuous = rng.standard_normal((d, d))
+                rows, cols = linear_sum_assignment(continuous)
+                np.testing.assert_array_equal(_min_cost_assignment(continuous), cols)
+                tied = rng.integers(0, 4, (d, d)).astype(float)
+                rows, cols = linear_sum_assignment(tied)
+                got = _min_cost_assignment(tied)
+                assert sorted(got) == list(range(d))
+                assert tied[rows, got].sum() == tied[rows, cols].sum()
+
+    def test_constant_cost_pairs_in_order(self):
+        # every pairing ties; each row's path ends at its lowest free column
+        np.testing.assert_array_equal(_min_cost_assignment(np.ones((5, 5))), range(5))
+
+    @pytest.mark.parametrize(
+        "cost",
+        [np.ones((2, 3)), np.ones(3), np.array([[0.0, np.nan], [1.0, 0.0]]),
+         np.array([[0.0, np.inf], [1.0, 0.0]])],
+    )
+    def test_bad_cost_matrix_raises(self, cost):
+        with pytest.raises(ValueError):
+            _min_cost_assignment(cost)
 
     def test_invalid_permutation_rejected(self):
         with pytest.raises(ValueError):
