@@ -15,7 +15,6 @@ import hashlib
 import io
 import json
 import logging
-import numbers
 import os
 import pathlib
 import sys
@@ -27,7 +26,7 @@ import numpy as np
 from .estimators import AUTO, FitRequest, _pool_map, fit
 from .evaluation import evaluate
 from .exceptions import NumericError, SamplingError, ScsaError
-from .model import MvarCoefficients, SourceModel
+from .model import MvarCoefficients, SourceModel, _is_int
 from .simulator import (
     NOISE_KINDS,
     SimulationSpec,
@@ -256,7 +255,7 @@ def _config_entry(cls, what: str, entry):
 
 def _positive_int(value, what: str) -> int:
     """``value`` if it is an integer >= 1, else a :class:`UsageError`."""
-    if not (isinstance(value, numbers.Integral) and value >= 1):
+    if not _is_int(value, 1):
         raise UsageError(f"{what} must be an integer >= 1; got {value!r}")
     return int(value)
 
@@ -279,7 +278,9 @@ def cmd_bench(args) -> int:
     if not methods:
         raise UsageError("config needs a nonempty 'methods' list")
     requests = [_config_entry(FitRequest, "methods entry", m) for m in methods]
-    master_seed = int(config.get("master_seed", 0))
+    master_seed = config.get("master_seed", 0)
+    if not _is_int(master_seed):
+        raise UsageError(f"master_seed must be an integer; got {master_seed!r}")
     if "parallelism" in config:
         workers = _positive_int(config["parallelism"], "parallelism")
     else:

@@ -128,14 +128,14 @@ def unpack_filter_bank(theta: np.ndarray, d: int, p: int) -> FilterBank:
     return unchecked(FilterBank, w=list(theta.reshape(p + 1, d, d)))
 
 
-def _fir_kernel(w0, w, x: Data, want_grad: bool):
-    """Value of the FIR negative log-likelihood and, with ``want_grad``, its
-    gradient G with respect to W = [W^(0), ..., W^(P)] as a (D, (P+1)D)
-    array. tanh and log cosh share one expm1(-2|eps|)."""
-    d = w0.shape[0]
+def _fir_kernel(w, x: Data, want_grad: bool):
+    """FIR negative log-likelihood at W = [W^(0), ..., W^(P)], a (D, (P+1)D)
+    array whose first D columns are W^(0), and, with ``want_grad``, its
+    gradient G with respect to W. tanh and log cosh share one expm1(-2|eps|)."""
+    d = w.shape[0]
     stack = _as_stack(x, w.shape[1] // d - 1, d)
     n = stack.shape[1]
-    lu, piv, info = _lapack().dgetrf(w0)  # one LU gives log|det W^(0)| and its inverse
+    lu, piv, info = _lapack().dgetrf(w[:, :d])  # one LU gives log|det W^(0)| and its inverse
     logdet = float(np.log(np.abs(lu.diagonal())).sum()) if info == 0 else np.nan
     if not math.isfinite(logdet):
         raise NumericError("W^(0) has zero or nonfinite determinant")
@@ -174,13 +174,13 @@ def nll_csa(fb: FilterBank, x: Data) -> float:
     (P-T) log|det W^(0)| - sum_{t>P} sum_d log((1/pi) sech(eps_d(t))); on a
     lag stack, T - P is its column count and the sum runs over its columns.
     """
-    return _fir_kernel(fb.w[0], np.concatenate(fb.w, axis=1), x, False)[0]
+    return _fir_kernel(np.concatenate(fb.w, axis=1), x, False)[0]
 
 
 def grad_csa(fb: FilterBank, x: Data) -> CostReport:
     """Value and analytic gradient of :func:`nll_csa` w.r.t. all W^(p)."""
     d, p = fb.dim, fb.order
-    value, g = _fir_kernel(fb.w[0], np.concatenate(fb.w, axis=1), x, True)
+    value, g = _fir_kernel(np.concatenate(fb.w, axis=1), x, True)
     grad = g.reshape(d, p + 1, d).transpose(1, 0, 2).ravel()
     return _report(value, grad)
 
@@ -196,7 +196,7 @@ def _scsa_kernel(model: SourceModel, x: Data, want_grad: bool):
     w = np.empty((d, p + 1, d))
     w[:, 0] = b
     np.matmul(hs, -b, out=w[:, 1:].transpose(1, 0, 2))
-    value, g = _fir_kernel(b, w.reshape(d, -1), x, want_grad)
+    value, g = _fir_kernel(w.reshape(d, -1), x, want_grad)
     if not want_grad:
         return value, None, hs
     g = np.ascontiguousarray(g.reshape(d, p + 1, d).transpose(1, 0, 2))  # G_0..G_P

@@ -106,7 +106,7 @@ def m_step_dal(
     Each off-diagonal (d, f) lag group carries weight ``pen.lam``; the
     diagonal autocorrelation coefficients are unpenalized. Raises
     :class:`InsufficientDataError` when ``T <= P``, and ValueError for a
-    stack without ``init`` or with rows that do not fit it.
+    stack without ``init`` or with rows that do not fit its D and order.
     """
     stack = _as_stack(s, P, None if init is None else init.dim)
     if P == 0:
@@ -115,7 +115,7 @@ def m_step_dal(
         d = s.n_channels  # without init, _as_stack takes only a TimeSeriesMatrix
         init = SourceModel(np.eye(d), MvarCoefficients(list(np.zeros((P, d, d)))))
     (model, _), = _fit_scsa(
-        stack, P, [pen], (init, None), M_STEP_GRAD_TOL, slice(init.b.size, None)
+        stack, [pen], (init, None), M_STEP_GRAD_TOL, slice(init.b.size, None)
     )
     return MvarCoefficients(model.h.lags)
 
@@ -135,8 +135,7 @@ def e_step(
     stack = _as_stack(x, h.order, b0.shape[0])
     init = unchecked(SourceModel, b=b0, h=h)
     (model, _), = _fit_scsa(
-        stack, h.order, [GroupPenaltySpec(0.0)], (init, None), grad_tol,
-        slice(0, b0.size),
+        stack, [GroupPenaltySpec(0.0)], (init, None), grad_tol, slice(0, b0.size)
     )
     return model.b
 
@@ -159,7 +158,7 @@ def fit_scsa_em(
     """
     stack = _as_stack(x, P, None if init is None else init.dim)
     if init is None:
-        (init, _), = _fit_scsa(stack, P, [pen], _scsa_start(stack, P))
+        (init, _), = _fit_scsa(stack, [pen], _scsa_start(stack, P))
         init = _checked(init)
     model = init
     history = [cost_scsa(model, stack, pen)]

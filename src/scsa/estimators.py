@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 import os
 import pickle
 import threading
@@ -28,7 +27,7 @@ from . import em_dal
 from .cost import GroupPenaltySpec, _lapack, cost_scsa
 from .exceptions import IllPosedError, PartitionError, ScsaError
 from .fitting import _checked, _fit_csa, _fit_scsa, _scsa_start
-from .model import SourceModel, TimeSeriesMatrix, lag_stack
+from .model import SourceModel, TimeSeriesMatrix, _is_int, lag_stack
 from .optim import LbfgsMemory, OptimizationTrace
 
 METHODS = ("CSA", "SCSA", "SCSA_EM", "MVARICA", "ICA")
@@ -66,12 +65,12 @@ class FitRequest:
 def _check_orders(orders: Sequence[int]) -> None:
     if len(orders) == 0:
         raise ValueError("order_candidates must be nonempty")
-    if not all(isinstance(p, numbers.Integral) and p >= 0 for p in orders):
+    if not all(_is_int(p, 0) for p in orders):
         raise ValueError(f"orders must be nonnegative integers; got {list(orders)!r}")
 
 
 def _check_folds(folds, what: str) -> None:
-    if not (isinstance(folds, numbers.Integral) and folds >= 2):
+    if not _is_int(folds, 2):
         raise ValueError(f"{what} must be an integer >= 2; got {folds!r}")
 
 
@@ -324,35 +323,32 @@ def _cv_blocks(t: int, folds: int, p: int) -> List[np.ndarray]:
 
 def _cv_fold(
     stack: np.ndarray,
-    p: int,
     lambdas: Sequence[float],
     held: np.ndarray,
     start: Tuple[SourceModel, LbfgsMemory],
 ) -> List[float]:
     """Held-out NLL at each λ of one fold.
 
-    ``stack`` is the order-``p`` lag stack of the whole run (column j is
-    the window at sample j + p) and ``held`` the held-out samples h0..h1.
-    The model is fitted on the windows that touch no held-out sample,
-    columns before h0 - p and after h1, walking ``lambdas`` in their order
-    as one solve path of :func:`_fit_scsa`, and scored on the windows inside
-    the block, columns h0..h1 - p. The walk starts from ``start``, the
-    full-data CSA model and its mapped pairs (:func:`_scsa_start`), in a
-    copy of that memory, so the folds and the final fit never share pairs;
-    the fold fits no CSA model of its own. The start was fitted on the
-    held-out block too, so it can choose the basin the walk reaches
-    (:func:`select_lambda_cv`).
+    ``stack`` is the lag stack of the whole run at the start model's order
+    P (column j is the window at sample j + P) and ``held`` the held-out
+    samples h0..h1. The model is fitted on the windows that touch no
+    held-out sample, columns before h0 - P and after h1, walking ``lambdas``
+    in their order as one solve path of :func:`_fit_scsa`, and scored on the
+    windows inside the block, columns h0..h1 - P. The walk starts from
+    ``start``, the full-data CSA model and its mapped pairs
+    (:func:`_scsa_start`), in a copy of that memory, so the folds and the
+    final fit never share pairs; the fold fits no CSA model of its own. The
+    start was fitted on the held-out block too, so it can choose the basin
+    the walk reaches (:func:`select_lambda_cv`).
     Each (fold, λ) fit is logged at DEBUG on the ``scsa`` logger with the
     pairs its memory held at the start, its iterations, backtracks and end
     state.
     """
-    h0, h1 = held[0], held[-1]
+    h0, h1, p = held[0], held[-1], start[0].order
     train = np.hstack((stack[:, : max(h0 - p, 0)], stack[:, h1 + 1 :]))
     held_stack = stack[:, h0 : h1 - p + 1]
     memory = start[1].copy()
-    walk = _fit_scsa(
-        train, p, [GroupPenaltySpec(lam) for lam in lambdas], (start[0], memory)
-    )
+    walk = _fit_scsa(train, [GroupPenaltySpec(lam) for lam in lambdas], (start[0], memory))
     nlls = []
     pairs = memory.k
     for lam, (model, trace) in zip(lambdas, walk):
@@ -405,7 +401,7 @@ def select_lambda_cv(
     if start is None:
         start = _scsa_start(stack, p)
     scores = {lam: 0.0 for lam in lambdas}
-    tasks = [(stack, p, lambdas, held, start) for held in blocks]
+    tasks = [(stack, lambdas, held, start) for held in blocks]
     for nlls in _pool_map(_cv_fold, tasks):
         for lam, nll in zip(lambdas, nlls):
             scores[lam] += nll
@@ -423,15 +419,16 @@ def fit(x: TimeSeriesMatrix, request: FitRequest) -> FitResult:
 
     Each selection stage forks its own workers and reaps them before it
     returns, also on error (:func:`_pool_map`); the final fit runs here.
-    Each order is fitted once: CSA and MVARICA return BIC's fit of the
-    selected order. SCSA and SCSA-EM start from that order's CSA fit,
-    BIC's (its workers return each order's solve pairs with it) or else one
-    made here, with its pairs mapped once (:func:`_scsa_start`). That start
-    is shared: every cross-validation fold walks its λ grid from it
+    Each order is fitted once, on one lag stack at the fit's order (the
+    selected P, or 0 for ICA): the unpenalized fit of that order is BIC's
+    (its workers return each order's solve pairs with it) or else one made
+    here (:func:`_order_fit`). CSA, MVARICA and ICA return it; SCSA and
+    SCSA-EM start from it, with its pairs mapped once (:func:`_scsa_start`),
+    and every later stage reads P and D from that start. The start is
+    shared: every cross-validation fold walks its λ grid from it
     (:func:`select_lambda_cv`), in a copy of its memory, and the final fit
     starts from it; so the final fit is the same whether BIC ran or not and
-    at any worker count. The start and the final SCSA and SCSA-EM stages
-    share one lag stack of the data."""
+    at any worker count."""
     _lapack()  # the first fit's wall_time leaves out scipy's import
     began = time.perf_counter()
     orders = _candidate_orders(request.order_candidates)
@@ -439,20 +436,24 @@ def fit(x: TimeSeriesMatrix, request: FitRequest) -> FitResult:
         p, bic = select_order_bic(x, request.method, orders)
     else:
         p, bic = orders[0], _OrderScores({}, {})
+    # for ICA, P is used downstream only for a post-hoc MVAR on the
+    # demixed sources (evaluation module); the fitted model has order 0
+    order = 0 if request.method == "ICA" else p
+    stack = lag_stack(x, order)
+    model, trace = bic.fits.get(order) or _order_fit(stack, request.method, order)
     lam: Optional[float] = None
     curve: Dict[float, float] = {}
     if request.method in ("SCSA", "SCSA_EM"):
         grid = request.lambda_grid  # AUTO or a valid grid: FitRequest checks
         if isinstance(grid, str):
             grid = default_lambda_grid(x.n_samples)
-        stack = lag_stack(x, p)
-        start = _scsa_start(stack, p, bic.fits.get(p))
+        start = _scsa_start(stack, p, (model, trace))
         if len(set(grid)) > 1:
             lam, curve = select_lambda_cv(x, p, grid, folds=request.cv_folds, start=start)
         else:
             lam = float(grid[0])
         pen = GroupPenaltySpec(lam)
-        (model, trace), = _fit_scsa(stack, p, [pen], start)
+        (model, trace), = _fit_scsa(stack, [pen], start)
         model = _checked(model)
         if request.method == "SCSA_EM":
             model, history = em_dal.fit_scsa_em(stack, p, pen, init=model)
@@ -462,13 +463,6 @@ def fit(x: TimeSeriesMatrix, request: FitRequest) -> FitResult:
                 converged=em_dal.em_converged(history),
                 value_history=list(history),
             )
-    else:
-        # for ICA, P is used downstream only for a post-hoc MVAR on the
-        # demixed sources (evaluation module); the fitted model has order 0
-        order = 0 if request.method == "ICA" else p
-        model, trace = bic.fits.get(order) or _order_fit(
-            lag_stack(x, order), request.method, order
-        )
     return FitResult(
         model=model,
         method=request.method,

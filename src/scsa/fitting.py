@@ -162,7 +162,6 @@ def _scsa_start(
 
 def _fit_scsa(
     stack: np.ndarray,
-    p: int,
     pens: Sequence[GroupPenaltySpec],
     start: Tuple[SourceModel, Optional[LbfgsMemory]],
     grad_tol: float = GRAD_TOL,
@@ -173,7 +172,8 @@ def _fit_scsa(
     ``(model, memory)``: the first starts from ``model``, and each later one
     from the model the one before it ended on. Yields ``(model, trace)`` per
     penalty, each solved when it is asked for. The models are iterates,
-    built without validation (:func:`scsa.model.unchecked`).
+    built without validation (:func:`scsa.model.unchecked`). The start
+    model fixes P and D: a stack without (P+1)·D rows raises ValueError.
 
     ``block`` is the part of the flat vector ``[vec(B); vec(H)]`` minimized
     over, with the rest held at the start model: all of it (the joint fit),
@@ -197,7 +197,10 @@ def _fit_scsa(
     the start's B itself.
     """
     init, memory = start
-    d, n = stack.shape[0] // (p + 1), stack.shape[1]
+    d, p, n = init.dim, init.order, stack.shape[1]
+    if stack.shape[0] != (p + 1) * d:
+        raise ValueError(f"lag stack has {stack.shape[0]} rows, the start's "
+                         f"order {p} needs {(p + 1) * d}")
     b0 = init.b
     z = (b0 @ stack.reshape(p + 1, d, n)).reshape(stack.shape)
     shift = -n * float(np.linalg.slogdet(b0)[1])  # -N log|det B0|

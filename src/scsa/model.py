@@ -10,6 +10,7 @@ Two equivalent parameterizations of the same model are used throughout:
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -196,6 +197,14 @@ def filter_bank_to_source_model(fb: FilterBank) -> SourceModel:
     return SourceModel(b=b.copy(), h=MvarCoefficients(lags))
 
 
+def _is_int(value, low=-math.inf) -> bool:
+    """Whether ``value`` is an integer of at least ``low``: a
+    ``numbers.Integral``, numpy integers included, that is not a ``bool``,
+    so a JSON ``true`` or ``1.5`` is not one."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= low)
+
+
 def lag_stack(x, p: int) -> np.ndarray:
     """The lag windows of one D x T block, a 2-D array or a
     ``TimeSeriesMatrix``, as X of shape ((P+1)*D, T - P) whose row block p
@@ -203,7 +212,7 @@ def lag_stack(x, p: int) -> np.ndarray:
     filter bank acts on it as ``np.hstack(w) @ X``. Raises
     :class:`InsufficientDataError` when T <= P, and ValueError for anything
     but one 2-D block or for an order that is not a nonnegative integer."""
-    if not (isinstance(p, numbers.Integral) and p >= 0):
+    if not _is_int(p, 0):
         raise ValueError(f"lag order must be a nonnegative integer; got {p!r}")
     data = x.data if isinstance(x, TimeSeriesMatrix) else x
     if not isinstance(data, np.ndarray) or data.ndim != 2:

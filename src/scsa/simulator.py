@@ -31,6 +31,7 @@ from .model import (
     MvarCoefficients,
     STABILITY_RADIUS,
     TimeSeriesMatrix,
+    _is_int,
     simulate_sources,
     spectral_radius,
 )
@@ -73,6 +74,10 @@ class SimulationSpec:
     def __post_init__(self):
         if self.sensor_count is None:
             self.sensor_count = self.d_sources
+        for name in ("d_sources", "p", "t", "n_interactions", "noise_ar_order",
+                     "ambient_sources", "seed", "sensor_count"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer; got {getattr(self, name)!r}")
         if self.noise_kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.noise_kind!r}")
         if self.d_sources < 1:

@@ -96,7 +96,7 @@ def test_traced_kernels_are_called_every_iteration(tracing):
         fitted = _fit_csa(stack, 1)
         csa, csa_calls = fitted[1], calls("cost.grad_csa")
         walk = [trace for _, trace in _fit_scsa(
-            stack, 1, [GroupPenaltySpec(0.5), GroupPenaltySpec(5.0)],
+            stack, [GroupPenaltySpec(0.5), GroupPenaltySpec(5.0)],
             _scsa_start(stack, 1, fitted),
         )]
     assert csa.iterations >= 1 and csa_calls >= csa.iterations

@@ -425,6 +425,7 @@ class TestBench:
             {"method": "CSA", "lambda": 1},
             {"method": "CSA", "order_candidates": [2.5]},
             {"method": "SCSA", "cv_folds": 2.5},
+            {"method": "CSA", "order_candidates": [True]},
         ],
     )
     def test_bad_method_entry_is_usage_error(self, tmp_path, capsys, entry):
@@ -441,6 +442,8 @@ class TestBench:
             ("parallelism", 1.9, []),
             ("repetitions", 1.5, []),
             ("--threads", 0, ["--threads", "0"]),
+            ("repetitions", True, []),
+            ("parallelism", True, []),
         ],
     )
     def test_bad_count_is_usage_error(self, tmp_path, capsys, setting, value, argv):
@@ -450,13 +453,35 @@ class TestBench:
         assert f"{setting} must be an integer >= 1; got {value!r}" in capsys.readouterr().err
         assert not (tmp_path / "bench" / "results.csv").exists()
 
-    @pytest.mark.parametrize("simulation", [{"d_sources": 0}, {"sources": 2}])
+    @pytest.mark.parametrize(
+        "simulation",
+        [
+            {"d_sources": 0},
+            {"sources": 2},
+            {"t": 300.5},
+            {"d_sources": 4.0},
+            {"n_interactions": 1.5},
+            {"p": True},
+        ],
+    )
     def test_bad_simulation_is_usage_error(self, tmp_path, capsys, simulation):
         cfg = self._config(tmp_path, simulation=simulation)
         assert run("bench", str(cfg)) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "simulation" in err and repr(simulation)[1:-1] in err
         assert not (tmp_path / "bench" / "results.csv").exists()
+
+    @pytest.mark.parametrize("seed", [1.5, "7", True])
+    def test_bad_master_seed_is_usage_error(self, tmp_path, capsys, seed):
+        # int() would run 1.5 as seed 1, "7" as 7 and true as 1
+        cfg = self._config(tmp_path, master_seed=seed)
+        assert run("bench", str(cfg)) == EXIT_USAGE
+        assert f"master_seed must be an integer; got {seed!r}" in capsys.readouterr().err
+        assert not (tmp_path / "bench" / "results.csv").exists()
+
+    def test_negative_master_seed_runs(self, tmp_path):
+        assert run("bench", str(self._config(tmp_path, master_seed=-3))) == EXIT_OK
+        assert (tmp_path / "bench" / "results.csv").exists()
 
     def test_seed_derivation_distinct(self):
         seeds = {

@@ -457,6 +457,18 @@ class TestDataArgument:
         with pytest.raises(ValueError, match="8 rows, expected 4"):
             e_step(lag_stack(x, 1), h, np.eye(2))
 
+    def test_start_must_have_the_stack_order(self):
+        # the start's order fixes the rows of the fit's stack: an order-1
+        # start beside the order-2 stack of two channels is an error, not a
+        # reshape failure inside the fit
+        x = TimeSeriesMatrix(self._raw()[:2])
+        init = SourceModel(np.eye(2), MvarCoefficients([np.zeros((2, 2))]))
+        pen = GroupPenaltySpec(1.0)
+        with pytest.raises(ValueError, match="6 rows, the start's order 1 needs 4"):
+            m_step_dal(x, 2, pen, init)
+        with pytest.raises(ValueError, match="lag stack has 6 rows"):
+            fit_scsa_em(lag_stack(x, 2), 2, pen, em_steps=1, init=init)
+
     def test_series_and_stack_beside_a_model_are_read(self):
         x = TimeSeriesMatrix(self._raw())
         pen = GroupPenaltySpec(1.0)

@@ -266,7 +266,7 @@ class TestFitScsa:
         pen = GroupPenaltySpec(lam)
         stack = lag_stack(x, p)
         (model, _), = fitting._fit_scsa(
-            stack, p, [pen], fitting._scsa_start(stack, p), grad_tol=1e-10
+            stack, [pen], fitting._scsa_start(stack, p), grad_tol=1e-10
         )
         g = grad_scsa(model, x, GroupPenaltySpec(0.0)).gradient
         gh = g[d * d :].reshape(p, d, d)
@@ -304,7 +304,7 @@ class TestFitScsa:
 
         monkeypatch.setattr(fitting, "grad_scsa", uphill)
         (model, trace), = fitting._fit_scsa(
-            stack, 1, [GroupPenaltySpec(1.0)], (init, None)
+            stack, [GroupPenaltySpec(1.0)], (init, None)
         )
         assert trace.stagnated and not trace.converged
         assert trace.final_value <= cost_scsa(init, stack, GroupPenaltySpec(1.0))
@@ -324,7 +324,7 @@ class TestFitScsa:
 
         monkeypatch.setattr(fitting, "grad_scsa", counted)
         start = fitting._scsa_start(stack, 1)
-        walk = fitting._fit_scsa(stack, 1, [GroupPenaltySpec(1.0)] * 2, start)
+        walk = fitting._fit_scsa(stack, [GroupPenaltySpec(1.0)] * 2, start)
         first, trace = next(walk)
         n, steps = len(evals), trace.iterations
         second, trace = next(walk)
@@ -349,7 +349,7 @@ class TestFitScsa:
         # the penalty does not depend on B, so a B-block solve leaves it out
         pen = GroupPenaltySpec(0.0 if free == "B" else 2.0)
         (model, trace), = fitting._fit_scsa(
-            stack, p, [pen], (init, None), block=block[free]
+            stack, [pen], (init, None), block=block[free]
         )
         assert trace.iterations > 0
         f = cost_scsa(model, stack, pen)
@@ -367,7 +367,7 @@ class TestFitScsa:
         block = slice(0, d * d) if free == "B" else slice(d * d, None)
         pen = GroupPenaltySpec(0.0 if free == "B" else 2.0)
         (model, _), = fitting._fit_scsa(
-            lag_stack(x, p), p, [pen], (init, None), block=block
+            lag_stack(x, p), [pen], (init, None), block=block
         )
         b, hs = model.b, model.h.as_array()
         if free == "B":
@@ -548,7 +548,7 @@ class TestSelectLambdaCv:
         stack = lag_stack(x, 1)
         start = fitting._scsa_start(stack, 1)
         calls.clear()
-        estimators._cv_fold(stack, 1, [0.1, 1.0], np.arange(200, 400), start)
+        estimators._cv_fold(stack, [0.1, 1.0], np.arange(200, 400), start)
         assert calls == []
 
     def test_fit_cross_validates_through_select_lambda_cv(self, monkeypatch):
@@ -582,7 +582,7 @@ class TestSelectLambdaCv:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "cond", counted)
-        estimators._cv_fold(stack, 1, [0.1, 1.0], np.arange(200, 400), start)
+        estimators._cv_fold(stack, [0.1, 1.0], np.arange(200, 400), start)
         assert checks == []
         fit_scsa(x, 1, GroupPenaltySpec(0.1))  # a returned model is validated
         assert checks
@@ -606,11 +606,11 @@ class TestSelectLambdaCv:
         train = np.hstack([lag_stack(r, p) for r in runs])
         held_stack = lag_stack(x.data[:, held], p)
         walk = fitting._fit_scsa(
-            train, p, [GroupPenaltySpec(lam) for lam in lambdas],
+            train, [GroupPenaltySpec(lam) for lam in lambdas],
             (start[0], start[1].copy()),
         )
         want = [cost_scsa(model, held_stack, GroupPenaltySpec()) for model, _ in walk]
-        assert estimators._cv_fold(stack, p, lambdas, held, start) == want
+        assert estimators._cv_fold(stack, lambdas, held, start) == want
 
     def test_degenerate_fold_raises(self):
         x = TimeSeriesMatrix(np.random.default_rng(0).standard_normal((2, 12)))
@@ -936,7 +936,7 @@ class TestOnePoolPerFit:
         res = fit(x, FitRequest("SCSA", [2], [0.5]))
         stack = lag_stack(x, 2)
         (cold, trace), = fitting._fit_scsa(
-            stack, 2, [GroupPenaltySpec(0.5)], fitting._scsa_start(stack, 2)
+            stack, [GroupPenaltySpec(0.5)], fitting._scsa_start(stack, 2)
         )
         np.testing.assert_array_equal(res.model.b, cold.b)
         np.testing.assert_array_equal(np.array(res.model.h.lags), np.array(cold.h.lags))
@@ -1043,6 +1043,28 @@ class TestFitDispatcher:
         x, _, _ = mixed_dataset(17, d=2, p=1, t=300)
         with pytest.raises(ValueError, match="folds must be an integer"):
             select_lambda_cv(x, 1, [0.1, 1.0], folds=2.5)
+
+    def test_bool_is_not_an_order(self):
+        # bool is a numbers.Integral: True would run as order 1
+        x, _, _ = mixed_dataset(17, d=2, p=1, t=300)
+        with pytest.raises(ValueError, match="orders must be nonnegative integers"):
+            FitRequest("CSA", [True])
+        with pytest.raises(ValueError, match="orders must be nonnegative integers"):
+            select_order_bic(x, "CSA", [True, 2])
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            lag_stack(x, True)
+        with pytest.raises(ValueError, match="cv_folds must be an integer"):
+            FitRequest("SCSA", [1], cv_folds=True)
+
+    def test_numpy_integers_are_orders_and_folds(self):
+        x, _, _ = mixed_dataset(17, d=2, p=1, t=300)
+        req = FitRequest("SCSA", [np.int64(1), np.int64(2)], [0.1, 1.0], np.int64(2))
+        want = fit(x, FitRequest("SCSA", [1, 2], [0.1, 1.0], 2))
+        got = fit(x, req)
+        assert got.selected_order == want.selected_order
+        assert got.cv_curve == want.cv_curve
+        np.testing.assert_array_equal(got.model.b, want.model.b)
+        assert lag_stack(x, np.int64(2)).shape == (6, 298)
 
     @pytest.mark.parametrize(
         "facade",

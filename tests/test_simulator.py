@@ -177,6 +177,22 @@ class TestSerialization:
 
 
 class TestSimulationSpec:
+    # t, d_sources, n_interactions and p: tests/test_cli.py's bad simulations
+    @pytest.mark.parametrize(
+        "field, value",
+        [("noise_ar_order", 2.0), ("ambient_sources", "64"), ("seed", 0.5),
+         ("sensor_count", 7.0)],
+    )
+    def test_integer_fields_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SimulationSpec(**{field: value})
+
+    def test_numpy_integer_sizes(self):
+        ds = generate(SimulationSpec(d_sources=np.int64(2), p=np.int64(1),
+                                     t=np.int64(50), n_interactions=np.int64(1)))
+        want = generate(SimulationSpec(d_sources=2, p=1, t=50, n_interactions=1))
+        np.testing.assert_array_equal(ds.x.data, want.x.data)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SimulationSpec(noise_kind="bogus")
